@@ -4,13 +4,13 @@
 //! Krčál & Krčál (DSN 2015).
 //!
 //! Each experiment has a runner returning structured rows; the `repro`
-//! binary prints them as tables, and the Criterion benches time the
-//! underlying operations. Experiments on the industrial models accept a
+//! binary prints them as tables (timing lives in the seeded benchmark
+//! under `benchmark/`). Experiments on the industrial models accept a
 //! scale factor (1.0 = the paper's model sizes; smaller scales shrink the
 //! generated models proportionally for quick runs).
 
-use sdft_core::{analyze, AnalysisOptions, AnalysisResult, Backend, FtcContext, QuantifyOptions};
-use sdft_ft::{Cutset, EventProbabilities, FaultTree, FaultTreeBuilder};
+use sdft_core::{analyze, AnalysisOptions, Backend, FtcContext, QuantifyOptions};
+use sdft_ft::{Cutset, EventProbabilities, FaultTreeBuilder};
 use sdft_importance::fussell_vesely_ranking;
 use sdft_mocus::{minimal_cutsets, minimal_cutsets_with_stats, MocusOptions};
 use sdft_models::annotate::{annotate, AnnotationConfig};
@@ -441,16 +441,6 @@ pub fn t5_reevaluate(scale: f64, horizons: &[f64]) -> Vec<T5Row> {
         .collect()
 }
 
-/// Run the full pipeline on an arbitrary tree (shared by the benches).
-///
-/// # Panics
-///
-/// Panics if the analysis fails.
-#[must_use]
-pub fn analyze_tree(tree: &FaultTree, horizon: f64) -> AnalysisResult {
-    analyze(tree, &AnalysisOptions::new(horizon)).expect("analysis")
-}
-
 /// One row of the cutoff sensitivity sweep (an extension experiment:
 /// classic PSA practice validates that the chosen cutoff does not bias
 /// the result).
@@ -598,175 +588,6 @@ pub fn backend_contrast(scale: f64, cutoffs: &[f64], horizon: f64) -> Vec<Backen
                 bdd_generation: bdd.timings.mcs_generation,
                 bdd_modules: bdd.stats.bdd_modules,
                 bdd_nodes: bdd.stats.bdd_total_nodes,
-            }
-        })
-        .collect()
-}
-
-/// One pure-BDD attempt inside the hybrid scale sweep: did the exact
-/// backend finish under the node budget, and what did sifting do.
-#[derive(Debug, Clone, Copy)]
-pub struct BddAttempt {
-    /// Whether sifting was enabled for the attempt.
-    pub sift: bool,
-    /// `true` if the whole diagram fit the node budget.
-    pub completed: bool,
-    /// Wall clock of the attempt (to the success or the failure).
-    pub seconds: f64,
-    /// Total ROBDD nodes on success; the failing module's peak on failure.
-    pub nodes: usize,
-    /// Sifting passes the attempt performed.
-    pub sift_passes: u64,
-    /// Variable swaps sifting performed.
-    pub sift_swaps: u64,
-}
-
-/// One row of the hybrid scale sweep (extension X3 across model sizes):
-/// the per-module planner against pure MOCUS, with optional pure-BDD
-/// frontier probes (sift on and off) at scales where they can finish in
-/// reasonable time.
-#[derive(Debug, Clone)]
-pub struct HybridScaleRow {
-    /// Model scale factor (1.0 = the paper's model 1).
-    pub scale: f64,
-    /// Basic events at this scale.
-    pub basic_events: usize,
-    /// Gates at this scale.
-    pub gates: usize,
-    /// Cutsets above the cutoff (bitwise-identical across backends).
-    pub cutsets: usize,
-    /// Time-aware failure frequency (bitwise-identical across backends).
-    pub frequency: f64,
-    /// Whole-analysis wall clock under MOCUS.
-    pub mocus_seconds: f64,
-    /// Whole-analysis wall clock under the hybrid planner.
-    pub hybrid_seconds: f64,
-    /// The per-module plan the hybrid backend executed.
-    pub plan: Vec<sdft_core::ModulePlanEntry>,
-    /// Modules the tree decomposed into.
-    pub modules: usize,
-    /// Modules the planner built as BDDs.
-    pub built_modules: usize,
-    /// Modules the planner enumerated with MOCUS.
-    pub external_modules: usize,
-    /// Total ROBDD nodes across the built modules.
-    pub total_nodes: usize,
-    /// Largest single module diagram.
-    pub max_module_nodes: usize,
-    /// Sifting passes across the hybrid build.
-    pub sift_passes: u64,
-    /// Variable swaps across the hybrid build.
-    pub sift_swaps: u64,
-    /// Exact static probability (`Some` iff every module was built).
-    pub exact: Option<f64>,
-    /// Pure-BDD frontier probe with sifting on (`None` if not attempted).
-    pub bdd_sift_on: Option<BddAttempt>,
-    /// Pure-BDD frontier probe with sifting off (`None` if not attempted).
-    pub bdd_sift_off: Option<BddAttempt>,
-}
-
-/// Run the pure-BDD backend once and classify the outcome instead of
-/// panicking: the sweep records where the exact frontier ends.
-fn bdd_attempt(tree: &FaultTree, options: &AnalysisOptions, sift: bool) -> BddAttempt {
-    let mut opts = *options;
-    opts.backend = Backend::Bdd;
-    opts.bdd.sift.enabled = sift;
-    let begin = Instant::now();
-    match analyze(tree, &opts) {
-        Ok(result) => BddAttempt {
-            sift,
-            completed: true,
-            seconds: begin.elapsed().as_secs_f64(),
-            nodes: result.stats.bdd_total_nodes,
-            sift_passes: result.stats.bdd_sift_passes,
-            sift_swaps: result.stats.bdd_sift_swaps,
-        },
-        Err(sdft_core::CoreError::Bdd(sdft_core::BddError::NodeBudget { peak_nodes, .. })) => {
-            BddAttempt {
-                sift,
-                completed: false,
-                seconds: begin.elapsed().as_secs_f64(),
-                nodes: peak_nodes,
-                sift_passes: 0,
-                sift_swaps: 0,
-            }
-        }
-        Err(e) => panic!("pure-BDD attempt failed with a non-budget error: {e}"),
-    }
-}
-
-/// The hybrid planner across model scales (X3 at scale): at every scale
-/// the hybrid backend must deliver cutsets bitwise-identical to MOCUS;
-/// at scales up to `bdd_probe_max_scale` the sweep additionally probes
-/// the pure-BDD frontier with sifting on and off.
-///
-/// # Panics
-///
-/// Panics if generation, annotation or analysis fails, or if the hybrid
-/// backend disagrees with MOCUS on any delivered bit.
-#[must_use]
-pub fn hybrid_scale_sweep(
-    scales: &[f64],
-    bdd_probe_max_scale: f64,
-    cutoff: f64,
-    horizon: f64,
-) -> Vec<HybridScaleRow> {
-    scales
-        .iter()
-        .map(|&scale| {
-            let tree = industrial::generate(&industrial::model1().scaled(scale));
-            let probs = EventProbabilities::from_static(&tree).expect("static model");
-            let mcs = minimal_cutsets(&tree, &probs, &MocusOptions::default()).expect("mocus");
-            let ranking = fussell_vesely_ranking(&mcs, &probs, tree.basic_events());
-            let annotated = annotate(&tree, &ranking, &AnnotationConfig::percent_dynamic(30.0))
-                .expect("annotation");
-
-            let mut options = AnalysisOptions::new(horizon);
-            options.mocus = MocusOptions::with_cutoff(cutoff);
-            let begin = Instant::now();
-            let mocus = analyze(&annotated.tree, &options).expect("mocus analysis");
-            let mocus_seconds = begin.elapsed().as_secs_f64();
-
-            options.backend = Backend::Hybrid;
-            let begin = Instant::now();
-            let hybrid = analyze(&annotated.tree, &options).expect("hybrid analysis");
-            let hybrid_seconds = begin.elapsed().as_secs_f64();
-
-            assert_eq!(
-                mocus.frequency.to_bits(),
-                hybrid.frequency.to_bits(),
-                "hybrid must match MOCUS bitwise at scale {scale}"
-            );
-            assert_eq!(mocus.cutsets.len(), hybrid.cutsets.len());
-            for (a, b) in mocus.cutsets.iter().zip(&hybrid.cutsets) {
-                assert_eq!(a.cutset, b.cutset, "cutsets diverge at scale {scale}");
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-
-            let probe = scale <= bdd_probe_max_scale;
-            let bdd_sift_on = probe.then(|| bdd_attempt(&annotated.tree, &options, true));
-            let bdd_sift_off = probe.then(|| bdd_attempt(&annotated.tree, &options, false));
-
-            let external = hybrid.stats.bdd_external_modules;
-            HybridScaleRow {
-                scale,
-                basic_events: annotated.tree.num_basic_events(),
-                gates: annotated.tree.num_gates(),
-                cutsets: hybrid.cutsets.len(),
-                frequency: hybrid.frequency,
-                mocus_seconds,
-                hybrid_seconds,
-                modules: hybrid.stats.bdd_modules,
-                built_modules: hybrid.stats.bdd_modules - external,
-                external_modules: external,
-                total_nodes: hybrid.stats.bdd_total_nodes,
-                max_module_nodes: hybrid.stats.bdd_max_module_nodes,
-                sift_passes: hybrid.stats.bdd_sift_passes,
-                sift_swaps: hybrid.stats.bdd_sift_swaps,
-                exact: hybrid.exact_static,
-                plan: hybrid.module_plan,
-                bdd_sift_on,
-                bdd_sift_off,
             }
         })
         .collect()

@@ -1,16 +1,18 @@
-//! Cutset-generation backends for the analysis pipeline.
+//! Cutset-generation backends for the analysis engine.
 //!
-//! Both the batch path ([`crate::analyze_horizons`]) and the streaming
-//! engine are generic over *how* the minimal cutsets of the translated
-//! static tree `FT̄` come to exist. The paper's MOCUS traversal (with its
-//! probabilistic cutoff) is the default; the modular-BDD backend trades
-//! generation time for **exactness**: it also computes the exact
-//! top-event probability of `FT̄` — no cutoff, no rare-event
-//! approximation — as a by-product of building one ROBDD per
-//! independent module.
+//! The engine ([`crate::analyze_horizons`]) is generic over *how* the
+//! minimal cutsets of the translated static tree `FT̄` come to exist.
+//! The paper's MOCUS traversal (with its probabilistic cutoff) is the
+//! default; the modular-BDD composition trades generation time for
+//! **exactness**: it also computes the exact top-event probability of
+//! `FT̄` — no cutoff, no rare-event approximation — as a by-product of
+//! building one ROBDD per independent module. `--backend bdd` and
+//! `--backend hybrid` share that composition and differ only in their
+//! per-module plan: `bdd` forces every module onto a diagram, `hybrid`
+//! routes each module to a diagram or to module-scoped MOCUS.
 //!
-//! Both backends emit the *same* minimal cutset list for the same
-//! options (the BDD backend applies the cutoff and order limits as a
+//! Every backend emits the *same* minimal cutset list for the same
+//! options (the composition applies the cutoff and order limits as a
 //! post-filter, which is sound: any superset of a below-cutoff cutset is
 //! itself below the cutoff), so the per-cutset dynamic quantification
 //! downstream is backend-agnostic and results stay bitwise-comparable.
@@ -20,12 +22,9 @@ use crate::planner::{draft_plan, AnalysisPlan, BackendChoice, PlanReason};
 use sdft_bdd::{
     BddError, CutsetLimits, ModularBdd, ModularBddBuilder, ModularBddOptions, ModularBddStats,
 };
-use sdft_ft::{
-    module_profiles, Cutset, CutsetList, EventProbabilities, FaultTree, FxBuild, NodeId,
-};
+use sdft_ft::{module_profiles, Cutset, EventProbabilities, FaultTree, FxBuild, NodeId};
 use sdft_mocus::{
-    minimal_cutsets_with_stats, module_cutsets, stream_minimal_cutsets, CandidateSink, MocusError,
-    MocusOptions, MocusStats,
+    module_cutsets, stream_minimal_cutsets, CandidateSink, MocusError, MocusOptions, MocusStats,
 };
 use std::collections::HashMap;
 
@@ -38,9 +37,11 @@ pub enum Backend {
     #[default]
     Mocus,
     /// One ROBDD per independent module of `FT̄`, composed through
-    /// pseudo-variables. Produces the same minimal cutsets *plus* the
+    /// pseudo-variables: the hybrid composition with every module forced
+    /// onto a diagram. Produces the same minimal cutsets *plus* the
     /// exact top-event probability (no cutoff, no rare-event
-    /// approximation).
+    /// approximation); a module that exceeds the node budget is an error
+    /// rather than a re-plan.
     Bdd,
     /// Per-module planning: each module goes to the BDD engine when the
     /// planner's size estimate fits the node budget (with a runtime
@@ -89,47 +90,38 @@ pub(crate) struct BddGenStats {
     /// composition cannot answer exactly (a MOCUS module sits on the
     /// path from the top to some diagram).
     pub(crate) exact: Vec<Option<f64>>,
-    /// The per-module plan (hybrid backend only).
-    pub(crate) plan: Option<AnalysisPlan>,
+    /// The per-module plan.
+    pub(crate) plan: AnalysisPlan,
 }
 
 /// What a generation run reports alongside the cutsets. The MOCUS
-/// fields are zero for the BDD backend and vice versa; every populated
-/// field is schedule-independent within its backend except where
-/// [`crate::AnalysisStats::deterministic`] says otherwise.
+/// fields count the module-scoped enumerations under the BDD-based
+/// backends; every populated field is schedule-independent within its
+/// backend except where [`crate::AnalysisStats::deterministic`] says
+/// otherwise.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GenerationStats {
     pub(crate) mocus: MocusStats,
     pub(crate) bdd: Option<BddGenStats>,
 }
 
-/// Streaming generation failure: either the sink asked the backend to
-/// stop (the real cause lives downstream), or generation itself failed.
+/// Generation failure: either the sink asked the backend to stop (the
+/// real cause lives downstream), or generation itself failed.
 pub(crate) enum GenError {
     Aborted,
     Failed(CoreError),
 }
 
-/// A source of minimal cutsets of a static fault tree, pluggable under
-/// both the batch and the streaming analysis flow.
+/// A source of minimal cutsets of a static fault tree.
 ///
 /// `exact_probe` is a list of probability assignments over the tree's
 /// basic events; backends that can answer exactly (BDD) evaluate the
 /// exact top-event probability under each and report it through
 /// [`GenerationStats`]. MOCUS ignores it.
 pub(crate) trait CutsetBackend: Sync {
-    /// Produce the complete minimal cutset list, materialized, in
-    /// canonical (order, events) order.
-    fn generate_batch(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        exact_probe: &[EventProbabilities],
-    ) -> Result<(CutsetList, GenerationStats), CoreError>;
-
     /// Stream the minimal cutsets into `sink` under the epoch/watermark
     /// contract of [`CandidateSink`].
-    fn generate_streaming(
+    fn generate(
         &self,
         tree: &FaultTree,
         probs: &EventProbabilities,
@@ -144,23 +136,7 @@ pub(crate) struct MocusBackend {
 }
 
 impl CutsetBackend for MocusBackend {
-    fn generate_batch(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        _exact_probe: &[EventProbabilities],
-    ) -> Result<(CutsetList, GenerationStats), CoreError> {
-        let (mcs, stats) = minimal_cutsets_with_stats(tree, probs, &self.options)?;
-        Ok((
-            mcs,
-            GenerationStats {
-                mocus: stats,
-                bdd: None,
-            },
-        ))
-    }
-
-    fn generate_streaming(
+    fn generate(
         &self,
         tree: &FaultTree,
         probs: &EventProbabilities,
@@ -178,19 +154,8 @@ impl CutsetBackend for MocusBackend {
     }
 }
 
-/// Cutsets per delivery batch under the streaming flow — matches the
-/// MOCUS generator's flush threshold so downstream channel sizing
-/// behaves identically for both backends.
+/// Cutsets per delivery batch of the composition's enumeration.
 const BDD_STREAM_BATCH: usize = 128;
-
-/// The modular-BDD backend: exact probability plus minimal cutsets via
-/// `minsol` on one diagram per module.
-pub(crate) struct BddBackend {
-    /// The analysis-level cutset limits, honored as a post-filter so the
-    /// emitted list equals the MOCUS list for the same options.
-    pub(crate) mocus_options: MocusOptions,
-    pub(crate) bdd_options: ModularBddOptions,
-}
 
 /// The analysis limits as enumeration-pruning hints. The enumeration
 /// guarantees every surviving cutset is delivered but may hand back
@@ -221,52 +186,16 @@ fn keeps(options: &MocusOptions, cutset: &Cutset, probs: &EventProbabilities) ->
     true
 }
 
-/// Drain a built composition into a materialized, canonically ordered
-/// cutset list (the batch flow, shared by the BDD and hybrid backends).
-fn emit_batch(
-    modular: &mut ModularBdd,
-    options: &MocusOptions,
-    probs: &EventProbabilities,
-    mut stats: GenerationStats,
-) -> Result<(CutsetList, GenerationStats), CoreError> {
-    let mut cutsets: Vec<Cutset> = Vec::new();
-    modular
-        .stream_minimal_cutsets_bounded(
-            usize::MAX,
-            |e| probs.get(e),
-            &limits(options),
-            |batch| {
-                cutsets.extend(batch.drain(..).filter(|c| keeps(options, c, probs)));
-                true
-            },
-        )
-        .map_err(CoreError::from)?;
-    // Canonical (order, events) order — the same order the batch
-    // MOCUS merge and the streaming engine's final assembly use, so
-    // downstream results are backend- and engine-agnostic.
-    cutsets.sort_unstable_by(|a, b| {
-        a.order()
-            .cmp(&b.order())
-            .then_with(|| a.events().cmp(b.events()))
-    });
-    let mut list = CutsetList::new();
-    stats.mocus.cutset_candidates = cutsets.len() as u64;
-    for c in cutsets {
-        list.push(c);
-    }
-    Ok((list, stats))
-}
-
 /// Drain a built composition into `sink` under the epoch/watermark
-/// contract (the streaming flow, shared by the BDD and hybrid backends).
+/// contract.
 ///
-/// Minimality is established inside the backend — every nested module
-/// is fully solved before the top module's solutions are expanded — so
-/// each delivered batch is already an antichain and forms its own
-/// immediately-complete epoch: batch completion is the whole-module
-/// watermark, and the downstream minimizer's per-epoch subsumption pass
-/// has nothing to remove.
-fn emit_streaming(
+/// Minimality is established inside the composition — every nested
+/// module is fully solved before the top module's solutions are
+/// expanded — so each delivered batch is already an antichain and forms
+/// its own immediately-complete epoch: batch completion is the
+/// whole-module watermark, and the downstream minimizer's per-epoch
+/// subsumption pass has nothing to remove.
+fn emit(
     modular: &mut ModularBdd,
     options: &MocusOptions,
     probs: &EventProbabilities,
@@ -301,63 +230,6 @@ fn emit_streaming(
     Ok(stats)
 }
 
-impl BddBackend {
-    fn build(
-        &self,
-        tree: &FaultTree,
-        exact_probe: &[EventProbabilities],
-    ) -> Result<(ModularBdd, BddGenStats), CoreError> {
-        let modular = ModularBdd::with_options(tree, &self.bdd_options)?;
-        let exact = exact_probe
-            .iter()
-            .map(|p| Some(modular.exact_probability(p)))
-            .collect();
-        let stats = modular.stats();
-        Ok((
-            modular,
-            BddGenStats {
-                stats,
-                exact,
-                plan: None,
-            },
-        ))
-    }
-}
-
-impl CutsetBackend for BddBackend {
-    fn generate_batch(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        exact_probe: &[EventProbabilities],
-    ) -> Result<(CutsetList, GenerationStats), CoreError> {
-        let (mut modular, bdd_stats) = self.build(tree, exact_probe)?;
-        let stats = GenerationStats {
-            mocus: MocusStats::default(),
-            bdd: Some(bdd_stats),
-        };
-        emit_batch(&mut modular, &self.mocus_options, probs, stats)
-    }
-
-    fn generate_streaming(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        exact_probe: &[EventProbabilities],
-        sink: &dyn CandidateSink,
-    ) -> Result<GenerationStats, GenError> {
-        let (mut modular, bdd_stats) = match self.build(tree, exact_probe) {
-            Ok(built) => built,
-            Err(error) => return Err(GenError::Failed(error)),
-        };
-        let stats = GenerationStats {
-            mocus: MocusStats::default(),
-            bdd: Some(bdd_stats),
-        };
-        emit_streaming(&mut modular, &self.mocus_options, probs, sink, stats)
-    }
-}
-
 /// The slack applied to the cutoff handed to module-scoped MOCUS runs,
 /// mirroring the modular walk's own `PRUNE_SLACK`: sub-enumerations
 /// accumulate probability products in a different association order
@@ -365,13 +237,19 @@ impl CutsetBackend for BddBackend {
 /// just below the cutoff to stay strictly conservative.
 const SUBMODULE_SLACK: f64 = 1e-9;
 
-/// The planner-driven backend: per-module BDD/MOCUS assignment composed
-/// through pseudo-variables, with budget failures re-planned to MOCUS.
+/// The planner-driven backend behind `--backend hybrid` and
+/// `--backend bdd`: per-module BDD/MOCUS assignment composed through
+/// pseudo-variables.
 pub(crate) struct HybridBackend {
     /// The analysis-level cutset limits and the traversal tuning used by
     /// the module-scoped MOCUS runs.
     pub(crate) mocus_options: MocusOptions,
     pub(crate) bdd_options: ModularBddOptions,
+    /// Force every module onto a diagram (`--backend bdd`): the plan is
+    /// drafted against an unbounded budget, and a module that exceeds
+    /// the real budget fails the analysis instead of being re-planned
+    /// to MOCUS.
+    pub(crate) all_bdd: bool,
 }
 
 impl HybridBackend {
@@ -386,7 +264,12 @@ impl HybridBackend {
         exact_probe: &[EventProbabilities],
     ) -> Result<(ModularBdd, BddGenStats, MocusStats), CoreError> {
         let profiles = module_profiles(tree);
-        let mut plan = draft_plan(tree, self.bdd_options.max_nodes);
+        let budget = if self.all_bdd {
+            usize::MAX
+        } else {
+            self.bdd_options.max_nodes
+        };
+        let mut plan = draft_plan(tree, budget);
         let mut builder = ModularBddBuilder::new(tree, &self.bdd_options);
         let mut mocus_totals = MocusStats::default();
         // Exact pseudo-event weights for MOCUS sub-enumerations: each
@@ -409,7 +292,7 @@ impl HybridBackend {
             if !external {
                 match builder.build_module(i) {
                     Ok(nodes) => entry.nodes = nodes,
-                    Err(BddError::NodeBudget { peak_nodes, .. }) => {
+                    Err(BddError::NodeBudget { peak_nodes, .. }) if !self.all_bdd => {
                         entry.choice = BackendChoice::Mocus;
                         entry.reason = PlanReason::BudgetExhausted { peak_nodes };
                         external = true;
@@ -454,34 +337,12 @@ impl HybridBackend {
                     .and_then(|m| m.exact.then_some(m.probability))
             })
             .collect();
-        Ok((
-            modular,
-            BddGenStats {
-                stats,
-                exact,
-                plan: Some(plan),
-            },
-            mocus_totals,
-        ))
+        Ok((modular, BddGenStats { stats, exact, plan }, mocus_totals))
     }
 }
 
 impl CutsetBackend for HybridBackend {
-    fn generate_batch(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        exact_probe: &[EventProbabilities],
-    ) -> Result<(CutsetList, GenerationStats), CoreError> {
-        let (mut modular, bdd_stats, mocus) = self.build(tree, probs, exact_probe)?;
-        let stats = GenerationStats {
-            mocus,
-            bdd: Some(bdd_stats),
-        };
-        emit_batch(&mut modular, &self.mocus_options, probs, stats)
-    }
-
-    fn generate_streaming(
+    fn generate(
         &self,
         tree: &FaultTree,
         probs: &EventProbabilities,
@@ -496,7 +357,7 @@ impl CutsetBackend for HybridBackend {
             mocus,
             bdd: Some(bdd_stats),
         };
-        emit_streaming(&mut modular, &self.mocus_options, probs, sink, stats)
+        emit(&mut modular, &self.mocus_options, probs, sink, stats)
     }
 }
 

@@ -1,55 +1,49 @@
-//! The staged streaming analysis engine (DESIGN.md §7).
+//! The analysis engine (DESIGN.md §7).
 //!
-//! Batch analysis materializes every MOCUS candidate, minimizes the full
-//! list, then quantifies it — peak memory is O(all candidates). The
-//! engine instead fuses the three phases into a bounded pipeline:
+//! Every analysis runs one stage graph over bounded channels:
 //!
 //! ```text
-//! MOCUS workers ──GenMsg──▶ filter thread ──Cutset──▶ quant workers
-//!  (generator)   (bounded)  (incremental    (bounded)  (FT_C models,
-//!                 channel    subsumption     channel    shared cache,
-//!                 of≤512-    per epoch)                 pooled kernel
-//!                 batches)                              workspaces)
+//! generator ──GenMsg──▶ dispatcher ──ShardMsg──▶ K shard minimizers
+//! (calling   (bounded)  (routes by   ◀─antichain─ (incremental
+//!  thread)               shard key,               subsumption
+//!                        reconciles)              per epoch)
+//!                            │
+//!                            │ released cutsets (bounded)
+//!                            ▼
+//!                 N quantification workers
+//!                 (FT_C models, shared cache,
+//!                  pooled kernel workspaces)
 //! ```
 //!
-//! On multicore hosts the filter stage itself fans out: a dispatcher
-//! routes each candidate to one of K shard minimizers by a
-//! deterministic key of its event set ([`Cutset::shard_key`]), the
-//! shards probe and compact independently, and at each epoch watermark
-//! the dispatcher reconciles the K per-shard antichains with one batch
-//! minimize before releasing — so the released sequence stays
-//! bitwise-identical to the single-minimizer (and batch) result for
-//! every shard and thread count.
+//! with `K = clamp(threads, 1, 4)` shards and `N = threads` workers.
+//! The dispatcher routes each candidate to a shard by a deterministic
+//! key of its event set ([`Cutset::shard_key`]); the shards probe and
+//! compact independently, and at each epoch watermark the dispatcher
+//! reconciles the K per-shard antichains with one batch minimize before
+//! releasing, so the released sequence is bitwise-identical for every
+//! shard and thread count.
 //!
-//! On a single-worker budget (`threads <= 1`) the quantification stage
-//! fuses into the filter thread instead: no quant workers are spawned
-//! and the filter quantifies each released cutset inline, cache-warm,
-//! saving a channel hop and a thread on hosts where the stages could
-//! never overlap anyway.
+//! The release policy is the only switch ([`AnalysisOptions::streaming`]):
+//! *streaming* hands each epoch's minimal cutsets to quantification the
+//! moment the epoch completes; *phased* holds them in the dispatcher
+//! until the generator channel closes and then feeds the same workers,
+//! so generation and quantification never overlap.
 //!
-//! On a host with a single core the pipeline collapses further to zero
-//! extra threads: the generator drives the filter core directly through
-//! its sink callbacks, and released cutsets — already final — are
-//! buffered and quantified in one clean phase after generation ends.
-//! Phased execution on one core recovers batch's cache and allocator
-//! locality while the filter still bounds pending-candidate residency;
-//! the threads only exist where they can actually run in parallel.
-//!
-//! Backpressure: both channels are bounded, so a slow consumer stalls
-//! the producer instead of letting candidates pile up. The watermark
-//! rule making early release sound is the generator's epoch contract
+//! Backpressure: every channel is bounded, so a slow consumer stalls the
+//! producer instead of letting candidates pile up. The watermark rule
+//! making early release sound is the generator's epoch contract
 //! ([`sdft_mocus::CandidateSink`]): an epoch's candidates can only
 //! subsume each other, and `epoch_complete` arrives after the epoch's
-//! last delivery — the filter minimizes each epoch independently and
-//! releases its surviving cutsets the moment it completes.
+//! last delivery — so each epoch is minimized independently and final
+//! the moment it completes.
 //!
-//! Results are bitwise-identical to the batch path for every thread
-//! count: the candidate multiset is schedule-independent, minimal sets
-//! of a multiset are unique, per-cutset quantification is a pure
+//! Results are bitwise-identical for every thread count and both
+//! policies: the candidate multiset is schedule-independent, minimal
+//! sets of a multiset are unique, per-cutset quantification is a pure
 //! function of the cutset (the [`QuantCache`] stores one canonical
 //! solution per model class regardless of which member solved it), and
-//! the final assembly re-sorts reports into the batch's canonical
-//! (order, events) cutset order before the per-horizon summation.
+//! the final assembly re-sorts reports into canonical (order, events)
+//! cutset order before the per-horizon summation.
 
 use crate::backend::{CutsetBackend, GenError, GenerationStats};
 use crate::canonical::{CacheStats, QuantCache};
@@ -60,19 +54,17 @@ use crate::pipeline::{
 };
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
-use sdft_ctmc::{SolverWorkspace, WorkspacePool};
+use sdft_ctmc::WorkspacePool;
 use sdft_ft::{
-    Cutset, CutsetList, EventProbabilities, FallbackMode, FaultTree, FilterStats,
-    IncrementalMinimizer,
+    Cutset, CutsetList, EventProbabilities, FaultTree, FilterStats, IncrementalMinimizer,
 };
 use sdft_mocus::{CandidateSink, MocusError};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Generator→filter channel capacity, in delivery batches (a batch
+/// Generator→dispatcher channel capacity, in delivery batches (a batch
 /// holds at most the generator's flush threshold of 512 candidates).
 const GEN_CHANNEL_BATCHES: usize = 64;
 
@@ -82,32 +74,35 @@ const SHARD_CHANNEL_BATCHES: usize = 16;
 /// Shard→dispatcher reply channel capacity, in finished epochs.
 const SHARD_REPLY_EPOCHS: usize = 4;
 
-/// Hard ceiling on the shard count (`AnalysisOptions::filter_shards`
-/// beyond this is clamped — more shards than this only add threads).
-const MAX_FILTER_SHARDS: usize = 64;
+/// Most shard minimizers the dispatcher runs: subsumption filtering
+/// saturates well before quantification does.
+const MAX_SHARDS: usize = 4;
 
-/// Cutsets per filter→quantification delivery batch (one channel send
-/// and one wakeup per batch instead of per cutset).
+/// Cutsets per dispatcher→quantification delivery batch (one channel
+/// send and one wakeup per batch instead of per cutset).
 const QUANT_BATCH: usize = 256;
 
-/// Filter→quantification channel capacity, in batches. Together with
-/// [`QUANT_BATCH`] this bounds minimal cutsets awaiting quantification
-/// to 4096.
+/// Dispatcher→quantification channel capacity, in batches. Together
+/// with [`QUANT_BATCH`] this bounds minimal cutsets awaiting
+/// quantification to 4096.
 const QUANT_CHANNEL_BATCHES: usize = 16;
 
 /// What the engine hands back to the pipeline: per-horizon reports in
-/// the batch path's canonical cutset order, plus per-stage statistics.
+/// canonical cutset order, plus per-stage statistics.
 pub(crate) struct EngineOutput {
     /// One report vector per horizon, in canonical (order, events)
-    /// cutset order — exactly the batch path's pre-sort order.
+    /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
     pub(crate) gen_stats: GenerationStats,
-    /// Subset tests the incremental minimizers performed (the online
-    /// arrival order makes this scheduling-dependent, unlike batch).
+    /// Subset tests the shard minimizers and the reconciliation
+    /// performed (the online arrival order makes this
+    /// scheduling-dependent).
     pub(crate) subsumption_comparisons: u64,
-    /// Peak cutsets resident in the filter stage across all epochs.
+    /// Peak cutsets resident between generation and quantification:
+    /// live shard minimal sets, plus released cutsets the phased policy
+    /// holds.
     pub(crate) peak_pending_cutsets: usize,
-    /// Peak models enqueued-or-quantifying downstream of the filter.
+    /// Peak models enqueued-or-quantifying downstream of the dispatcher.
     pub(crate) peak_inflight_models: usize,
     pub(crate) cache_stats: CacheStats,
     pub(crate) kernel_usage: KernelUsage,
@@ -117,19 +112,16 @@ pub(crate) struct EngineOutput {
     /// released to the last worker joining).
     pub(crate) quantification_span: Duration,
     /// Stage-seconds the generation and quantification spans overlapped
-    /// (zero in a perfectly serial run; the pipeline's win).
+    /// (zero under the phased policy).
     pub(crate) overlap: Duration,
     /// Time the filter stage spent working (not blocked on the
-    /// generator channel), summed over the dispatcher and every shard
-    /// minimizer when the filter runs sharded.
+    /// generator channel), summed over the dispatcher and every shard.
     pub(crate) filter_busy: Duration,
     /// Time quantification workers spent solving models, summed over
-    /// workers (not blocked on the filter channel).
+    /// workers (not blocked on the dispatcher channel).
     pub(crate) quant_busy: Duration,
-    /// Shard minimizers the filter stage ran (1 = the inline
-    /// single-minimizer path, no shard threads).
-    pub(crate) filter_shards: usize,
-    /// Per-shard filter counters, indexed by shard.
+    /// Per-shard filter counters, indexed by shard (one entry per shard
+    /// minimizer the filter stage ran).
     pub(crate) filter_shard_stats: Vec<FilterShardStats>,
 }
 
@@ -255,27 +247,17 @@ enum ShardMsg {
 /// canonical (order, events) order, and the epoch's filter counters.
 type ShardReply = (u32, Vec<Cutset>, FilterStats);
 
-/// Shard count and fallback policy of the filter stage, resolved from
-/// [`AnalysisOptions`] by `run_streaming`.
-struct FilterConfig {
-    shards: usize,
-    fallback: FallbackMode,
-}
-
 struct FilterOutput {
     comparisons: u64,
     peak_pending: usize,
     first_release: Option<Instant>,
-    /// Time spent processing messages (minimizing, releasing), i.e. not
-    /// blocked waiting on the generator channel; summed over the
-    /// dispatcher and shard workers when sharded. Includes any
-    /// backpressure wait while handing batches downstream.
+    /// Time spent processing messages (routing, reconciling, releasing),
+    /// i.e. not blocked waiting on the generator channel; summed over
+    /// the dispatcher and the shard workers. Includes any backpressure
+    /// wait while handing batches downstream.
     busy: Duration,
     /// Per-shard counters, aggregated over epochs.
     shard_stats: Vec<FilterShardStats>,
-    /// Reports, kernel usage and busy time of the fused inline
-    /// quantifier (`None` when dedicated workers were spawned).
-    inline_quant: Option<(Vec<Vec<CutsetReport>>, KernelUsage, Duration)>,
 }
 
 /// Live progress counters, shared by all stages. Updated with relaxed
@@ -304,8 +286,7 @@ fn record_error(slot: &ErrorSlot, cutset: Cutset, error: CoreError) {
     }
 }
 
-/// Everything a quantifier needs besides the cutset itself — shared by
-/// the dedicated worker threads and the fused inline path.
+/// Everything a quantification worker needs besides the cutset itself.
 struct QuantContext<'a> {
     tree: &'a FaultTree,
     ctx: &'a FtcContext,
@@ -317,391 +298,85 @@ struct QuantContext<'a> {
     errors: &'a ErrorSlot,
 }
 
-/// Mutable state of the fused quantifier living on the filter thread:
-/// one solver workspace plus the accumulated reports and counters a
-/// dedicated worker would have returned from its join handle.
-struct InlineQuant<'a> {
-    qctx: &'a QuantContext<'a>,
-    workspace: SolverWorkspace,
-    local: Vec<Vec<CutsetReport>>,
-    usage: KernelUsage,
-    busy: Duration,
-}
-
-/// Where released cutsets go: the bounded channel feeding dedicated
-/// quantification workers, or a fused quantifier invoked directly on
-/// the filter thread. The fused path is chosen when the engine would
-/// spawn exactly one worker — the handoff would only add context
-/// switches and let released cutsets go cache-cold in the channel,
-/// which measurably hurts single-core hosts.
-enum ReleaseTarget<'a> {
-    Channel(&'a Channel<Vec<Cutset>>),
-    Inline(Box<RefCell<InlineQuant<'a>>>),
-    /// Fully-inline single-core mode: released cutsets are final, so
-    /// buffer them (translated) and quantify in one clean phase after
-    /// generation ends. On one core interleaving quantification with
-    /// generation buys no overlap but pays for it in allocator and
-    /// cache phase-mixing — measured ~25% on the quantification stage;
-    /// phased execution restores batch's locality while the filter
-    /// keeps pending residency bounded.
-    Deferred(RefCell<Vec<Cutset>>),
-}
-
-/// Hands a finished epoch's minimal cutsets downstream in
-/// [`QUANT_BATCH`] chunks (or quantifies them on the spot when fused),
-/// mapping ids back to the original tree and keeping the
-/// inflight-model accounting.
+/// Hands released minimal cutsets to the quantification channel in
+/// [`QUANT_BATCH`] chunks, mapping ids back to the original tree and
+/// keeping the inflight-model accounting. Under the phased policy it
+/// holds them until [`Releaser::close`], which runs once generation has
+/// ended.
 struct Releaser<'a> {
-    target: ReleaseTarget<'a>,
+    quant_tx: &'a Channel<Vec<Cutset>>,
     translated: &'a Translated,
     progress: &'a Progress,
     inflight: &'a AtomicUsize,
     peak_inflight: &'a AtomicUsize,
+    /// `Some` under the phased policy: released cutsets (original ids)
+    /// waiting for generation to end.
+    held: Option<Vec<Cutset>>,
 }
 
 impl Releaser<'_> {
-    /// `false` when the pipeline was aborted mid-release (or, fused, a
-    /// quantification failed); the caller should unwind.
-    fn release(&self, sorted: Vec<Cutset>, out: &mut FilterOutput) -> bool {
+    /// `false` when the pipeline was aborted mid-release; the caller
+    /// should unwind.
+    fn release(&mut self, sorted: Vec<Cutset>, out: &mut FilterOutput) -> bool {
         self.progress
             .finalized
             .fetch_add(sorted.len() as u64, Ordering::Relaxed);
-        // Deferred mode buffers now and quantifies later, so the
-        // quantification span starts at the deferred phase, not here.
-        if out.first_release.is_none()
-            && !sorted.is_empty()
-            && !matches!(self.target, ReleaseTarget::Deferred(_))
-        {
-            out.first_release = Some(Instant::now());
-        }
-        match &self.target {
-            ReleaseTarget::Channel(quant_tx) => {
-                let send_batch = |batch: Vec<Cutset>| -> bool {
-                    let n = batch.len();
-                    let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
-                    self.peak_inflight.fetch_max(now, Ordering::Relaxed);
-                    if !quant_tx.send(batch) {
-                        self.inflight.fetch_sub(n, Ordering::Relaxed);
-                        return false;
-                    }
-                    true
-                };
-                let mut batch: Vec<Cutset> = Vec::with_capacity(QUANT_BATCH);
-                for cutset in sorted {
-                    batch.push(self.translated.cutset_into_original(cutset));
-                    if batch.len() == QUANT_BATCH
-                        && !send_batch(std::mem::replace(
-                            &mut batch,
-                            Vec::with_capacity(QUANT_BATCH),
-                        ))
-                    {
-                        return false;
-                    }
-                }
-                if !batch.is_empty() && !send_batch(batch) {
-                    return false;
-                }
+        let translated = self.translated;
+        let cutsets = sorted
+            .into_iter()
+            .map(|cutset| translated.cutset_into_original(cutset));
+        match &mut self.held {
+            Some(held) => {
+                held.extend(cutsets);
                 true
             }
-            ReleaseTarget::Inline(fused) => {
-                let mut q = fused.borrow_mut();
-                let begin = Instant::now();
-                // The whole release counts as inflight until each model
-                // resolves, so the peak stays the honest "models handed
-                // to quantification at once".
-                let n = sorted.len();
-                let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
-                self.peak_inflight.fetch_max(now, Ordering::Relaxed);
-                for cutset in sorted {
-                    let cutset = self.translated.cutset_into_original(cutset);
-                    let quantified = quantify_cutset_at_horizons(
-                        q.qctx.tree,
-                        q.qctx.ctx,
-                        &cutset,
-                        q.qctx.horizons,
-                        q.qctx.qopts,
-                        q.qctx.cache,
-                        q.qctx.probs_per_horizon,
-                        &mut q.workspace,
-                    );
-                    self.inflight.fetch_sub(1, Ordering::Relaxed);
-                    match quantified {
-                        Ok((reports, usage)) => {
-                            q.usage.absorb(usage);
-                            q.local.push(reports);
-                            self.progress.quantified.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(error) => {
-                            record_error(q.qctx.errors, cutset, error);
-                            // Stall the generator; the filter unwinds
-                            // through the `false` return.
-                            q.qctx.gen_tx.abort();
-                            q.busy += begin.elapsed();
-                            return false;
-                        }
-                    }
-                }
-                q.busy += begin.elapsed();
-                true
-            }
-            ReleaseTarget::Deferred(buffer) => {
-                let mut held = buffer.borrow_mut();
-                held.reserve(sorted.len());
-                for cutset in sorted {
-                    held.push(self.translated.cutset_into_original(cutset));
-                }
-                // Inflight accounting happens when the deferred phase
-                // actually hands the buffer to quantification.
-                true
+            None => self.send(cutsets, out),
+        }
+    }
+
+    /// Cutsets the phased policy currently holds.
+    fn held(&self) -> usize {
+        self.held.as_ref().map_or(0, Vec::len)
+    }
+
+    /// End of generation: hand over whatever the phased policy held and
+    /// close the quantification channel. `false` when aborted.
+    fn close(&mut self, out: &mut FilterOutput) -> bool {
+        if let Some(held) = self.held.take() {
+            if !self.send(held, out) {
+                return false;
             }
         }
-    }
-
-    /// Signal end-of-stream downstream (no-op when fused: the reports
-    /// already live on this thread).
-    fn close(&self) {
-        if let ReleaseTarget::Channel(quant_tx) = &self.target {
-            quant_tx.close();
-        }
-    }
-}
-
-/// The filter stage: either one inline per-epoch minimizer (`shards <=
-/// 1`) or a dispatcher routing candidates to `shards` shard threads by
-/// [`Cutset::shard_key`] and reconciling their antichains at each epoch
-/// watermark. Both paths release the same canonical (order, events)
-/// cutset sequence downstream — sharding only changes who does the
-/// subset probes, never the released multiset or its order.
-#[allow(clippy::too_many_arguments)]
-fn filter_stage(
-    gen_rx: &Channel<GenMsg>,
-    quant_tx: &Channel<Vec<Cutset>>,
-    translated: &Translated,
-    progress: &Progress,
-    inflight: &AtomicUsize,
-    peak_inflight: &AtomicUsize,
-    config: &FilterConfig,
-    shard_pending: &[AtomicUsize],
-    fused: Option<&QuantContext<'_>>,
-) -> FilterOutput {
-    let target = match fused {
-        Some(qctx) => ReleaseTarget::Inline(Box::new(RefCell::new(InlineQuant {
-            qctx,
-            workspace: SolverWorkspace::new(),
-            local: Vec::new(),
-            usage: KernelUsage::default(),
-            busy: Duration::ZERO,
-        }))),
-        None => ReleaseTarget::Channel(quant_tx),
-    };
-    let releaser = Releaser {
-        target,
-        translated,
-        progress,
-        inflight,
-        peak_inflight,
-    };
-    let mut out = FilterOutput {
-        comparisons: 0,
-        peak_pending: 0,
-        first_release: None,
-        busy: Duration::ZERO,
-        shard_stats: vec![FilterShardStats::default(); config.shards.max(1)],
-        inline_quant: None,
-    };
-    if config.shards <= 1 {
-        filter_single(gen_rx, &releaser, config.fallback, shard_pending, &mut out);
-    } else {
-        filter_sharded(gen_rx, &releaser, config, shard_pending, &mut out);
-    }
-    if let ReleaseTarget::Inline(fused) = releaser.target {
-        let q = fused.into_inner();
-        // Quantification ran inside the timed filter regions; hand its
-        // share back so the two busy counters stay disjoint stages.
-        out.busy = out.busy.saturating_sub(q.busy);
-        out.inline_quant = Some((q.local, q.usage, q.busy));
-    }
-    out
-}
-
-/// The single-minimizer filter core: per-epoch incremental minimizers,
-/// each released the moment its watermark arrives. Driven either by
-/// the filter thread's channel loop ([`filter_single`]) or directly by
-/// the generator's sink callbacks ([`InlineFilterSink`]) when the
-/// whole pipeline runs on one thread.
-struct SingleFilter {
-    minimizers: HashMap<u32, IncrementalMinimizer>,
-    live: usize,
-    fallback: FallbackMode,
-}
-
-impl SingleFilter {
-    fn new(fallback: FallbackMode) -> Self {
-        SingleFilter {
-            minimizers: HashMap::new(),
-            live: 0,
-            fallback,
-        }
-    }
-
-    /// Absorb one delivery batch into its epoch's minimizer.
-    fn on_batch(
-        &mut self,
-        epoch: u32,
-        cutsets: impl Iterator<Item = Cutset>,
-        shard_pending: &[AtomicUsize],
-        out: &mut FilterOutput,
-    ) {
-        let minimizer = self
-            .minimizers
-            .entry(epoch)
-            .or_insert_with(|| IncrementalMinimizer::with_mode(self.fallback));
-        for cutset in cutsets {
-            let before = minimizer.len();
-            minimizer.absorb(cutset);
-            self.live = self.live - before + minimizer.len();
-            out.peak_pending = out.peak_pending.max(self.live);
-        }
-        shard_pending[0].store(self.live, Ordering::Relaxed);
-    }
-
-    /// Epoch watermark: finish and release the epoch's antichain.
-    /// Epochs that never delivered a candidate have no minimizer and
-    /// nothing to release. `false` means the pipeline aborted.
-    fn on_complete(
-        &mut self,
-        epoch: u32,
-        releaser: &Releaser<'_>,
-        shard_pending: &[AtomicUsize],
-        out: &mut FilterOutput,
-    ) -> bool {
-        let Some(minimizer) = self.minimizers.remove(&epoch) else {
-            return true;
-        };
-        self.live -= minimizer.len();
-        shard_pending[0].store(self.live, Ordering::Relaxed);
-        Self::finish_epoch(minimizer, releaser, out)
-    }
-
-    fn finish_epoch(
-        minimizer: IncrementalMinimizer,
-        releaser: &Releaser<'_>,
-        out: &mut FilterOutput,
-    ) -> bool {
-        let (sorted, stats) = minimizer.finish();
-        out.comparisons += stats.probes;
-        out.shard_stats[0].absorb(stats);
-        releaser.release(sorted, out)
-    }
-
-    /// A successful generation completes every epoch before it ends;
-    /// leftovers only exist on the abort path, where results are
-    /// discarded — finalize them anyway (sorted by epoch) so the
-    /// counters stay meaningful. `release` gates the actual handoff:
-    /// the inline driver skips it when generation already failed
-    /// (there is no downstream to reject the work cheaply).
-    fn drain(self, releaser: &Releaser<'_>, release: bool, out: &mut FilterOutput) {
-        let mut rest: Vec<(u32, IncrementalMinimizer)> = self.minimizers.into_iter().collect();
-        rest.sort_unstable_by_key(|&(epoch, _)| epoch);
-        for (_, minimizer) in rest {
-            if release {
-                if !Self::finish_epoch(minimizer, releaser, out) {
-                    return;
-                }
-            } else {
-                let (_, stats) = minimizer.finish();
-                out.comparisons += stats.probes;
-                out.shard_stats[0].absorb(stats);
-            }
-        }
-    }
-}
-
-/// Single-minimizer filter path on the dedicated filter thread: drain
-/// the generator channel into a [`SingleFilter`]. No shard threads, no
-/// reconciliation.
-fn filter_single(
-    gen_rx: &Channel<GenMsg>,
-    releaser: &Releaser<'_>,
-    fallback: FallbackMode,
-    shard_pending: &[AtomicUsize],
-    out: &mut FilterOutput,
-) {
-    let mut filter = SingleFilter::new(fallback);
-    while let Some(msg) = gen_rx.recv() {
-        let work_begin = Instant::now();
-        match msg {
-            GenMsg::Batch(epoch, cutsets) => {
-                filter.on_batch(epoch, cutsets.into_iter(), shard_pending, out);
-            }
-            GenMsg::EpochComplete(epoch) => {
-                if !filter.on_complete(epoch, releaser, shard_pending, out) {
-                    out.busy += work_begin.elapsed();
-                    return;
-                }
-            }
-        }
-        out.busy += work_begin.elapsed();
-    }
-    let drain_begin = Instant::now();
-    filter.drain(releaser, true, out);
-    releaser.close();
-    out.busy += drain_begin.elapsed();
-}
-
-/// Fully-inline pipeline driver: on a single-core host with a
-/// single-worker budget the generator calls the filter — and through
-/// it the fused quantifier — directly via its sink callbacks. No
-/// filter thread, no channels, no context switches or cross-thread
-/// cache traffic; the time-sliced two-thread pipeline measurably loses
-/// a few percent to batch on such hosts, and this closes it. The
-/// mutex is uncontended with a single-threaded generator; it exists to
-/// satisfy the `Sync` bound of [`CandidateSink`] (and serializes
-/// correctly if a caller pins `mocus.threads > 1` on a 1-core host).
-struct InlineFilterSink<'a> {
-    state: Mutex<InlineFilterState<'a>>,
-    shard_pending: &'a [AtomicUsize],
-    candidates: &'a AtomicU64,
-}
-
-struct InlineFilterState<'a> {
-    filter: SingleFilter,
-    releaser: Releaser<'a>,
-    out: FilterOutput,
-    /// Set when a release failed (quantification error downstream);
-    /// subsequent callbacks reject promptly so generation unwinds.
-    failed: bool,
-}
-
-impl CandidateSink for InlineFilterSink<'_> {
-    fn deliver(&self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
-        self.candidates
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let mut state = self.state.lock().expect("inline filter poisoned");
-        if state.failed {
-            return false;
-        }
-        let work_begin = Instant::now();
-        let s = &mut *state;
-        s.filter
-            .on_batch(epoch, batch.drain(..), self.shard_pending, &mut s.out);
-        s.out.busy += work_begin.elapsed();
+        self.quant_tx.close();
         true
     }
 
-    fn epoch_complete(&self, epoch: u32) -> bool {
-        let mut state = self.state.lock().expect("inline filter poisoned");
-        if state.failed {
-            return false;
+    fn send(&self, cutsets: impl IntoIterator<Item = Cutset>, out: &mut FilterOutput) -> bool {
+        let mut batch: Vec<Cutset> = Vec::with_capacity(QUANT_BATCH);
+        for cutset in cutsets {
+            batch.push(cutset);
+            if batch.len() == QUANT_BATCH
+                && !self.send_batch(
+                    std::mem::replace(&mut batch, Vec::with_capacity(QUANT_BATCH)),
+                    out,
+                )
+            {
+                return false;
+            }
         }
-        let work_begin = Instant::now();
-        let s = &mut *state;
-        let ok = s
-            .filter
-            .on_complete(epoch, &s.releaser, self.shard_pending, &mut s.out);
-        s.out.busy += work_begin.elapsed();
-        state.failed = !ok;
-        ok
+        batch.is_empty() || self.send_batch(batch, out)
+    }
+
+    fn send_batch(&self, batch: Vec<Cutset>, out: &mut FilterOutput) -> bool {
+        out.first_release.get_or_insert_with(Instant::now);
+        let n = batch.len();
+        let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
+        self.peak_inflight.fetch_max(now, Ordering::Relaxed);
+        if self.quant_tx.send(batch) {
+            return true;
+        }
+        self.inflight.fetch_sub(n, Ordering::Relaxed);
+        false
     }
 }
 
@@ -733,23 +408,29 @@ fn reconcile(pieces: Vec<Vec<Cutset>>, threads: usize) -> (Vec<Cutset>, u64) {
     (minimal.into_iter().collect(), comparisons)
 }
 
-/// Sharded filter path: the filter thread becomes a dispatcher routing
-/// each candidate to `shards` shard workers by [`Cutset::shard_key`];
-/// at an epoch watermark it forwards the watermark to every shard,
-/// collects the per-shard antichains in shard order, reconciles them
-/// ([`reconcile`]) and releases the result. Determinism: the shard key
-/// is a pure function of the event set, each shard's antichain is the
-/// unique minimal antichain of its sub-multiset (arrival order is
-/// irrelevant), and reconciliation is a canonical batch minimize — so
-/// the released sequence is bitwise-identical for every shard count.
-fn filter_sharded(
+/// The filter stage on the dispatcher thread: route each candidate to
+/// one of the `shard_pending.len()` shard workers by
+/// [`Cutset::shard_key`]; at an epoch watermark forward the watermark
+/// to every shard, collect the per-shard antichains in shard order,
+/// reconcile them ([`reconcile`]) and release the result. Determinism:
+/// the shard key is a pure function of the event set, each shard's
+/// antichain is the unique minimal antichain of its sub-multiset
+/// (arrival order is irrelevant), and reconciliation is a canonical
+/// batch minimize — so the released sequence is bitwise-identical for
+/// every shard count.
+fn dispatch(
     gen_rx: &Channel<GenMsg>,
-    releaser: &Releaser<'_>,
-    config: &FilterConfig,
+    releaser: &mut Releaser<'_>,
     shard_pending: &[AtomicUsize],
-    out: &mut FilterOutput,
-) {
-    let k = config.shards;
+) -> FilterOutput {
+    let k = shard_pending.len();
+    let mut out = FilterOutput {
+        comparisons: 0,
+        peak_pending: 0,
+        first_release: None,
+        busy: Duration::ZERO,
+        shard_stats: vec![FilterShardStats::default(); k],
+    };
     let inputs: Vec<Channel<ShardMsg>> = (0..k)
         .map(|_| Channel::new(SHARD_CHANNEL_BATCHES))
         .collect();
@@ -757,88 +438,72 @@ fn filter_sharded(
         (0..k).map(|_| Channel::new(SHARD_REPLY_EPOCHS)).collect();
     let pending = AtomicUsize::new(0);
     let peak_pending = AtomicUsize::new(0);
-    let abort_all = || {
-        for input in &inputs {
-            input.abort();
-        }
-        for reply in &replies {
-            reply.abort();
-        }
+    // One epoch's minimal cutsets from its shard antichains, with the
+    // residency peak taken while the union is held.
+    let settle = |pieces: Vec<Vec<Cutset>>, held: usize, out: &mut FilterOutput| {
+        let union_len: usize = pieces.iter().map(Vec::len).sum();
+        peak_pending.fetch_max(
+            pending.load(Ordering::Relaxed) + union_len + held,
+            Ordering::Relaxed,
+        );
+        let (minimal, comparisons) = reconcile(pieces, k);
+        out.comparisons += comparisons;
+        minimal
     };
     let workers_busy = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..k)
             .map(|i| {
-                let input = &inputs[i];
-                let reply = &replies[i];
-                let occupancy = &shard_pending[i];
-                let pending = &pending;
-                let peak_pending = &peak_pending;
-                let fallback = config.fallback;
+                let (input, reply, occupancy) = (&inputs[i], &replies[i], &shard_pending[i]);
+                let (pending, peak_pending) = (&pending, &peak_pending);
                 std::thread::Builder::new()
                     .name(format!("sdft-shard-{i}"))
                     .spawn_scoped(scope, move || {
-                        shard_worker(input, reply, fallback, occupancy, pending, peak_pending)
+                        shard_worker(input, reply, occupancy, pending, peak_pending)
                     })
                     .expect("spawn shard worker")
             })
             .collect();
 
-        // Collect every shard's antichain for `epoch` (shard order —
-        // each worker replies to watermarks in input order, so the next
-        // reply on shard i's channel is for this epoch), reconcile and
-        // release. `false` aborts the dispatch loop.
-        let settle_epoch = |epoch: u32, out: &mut FilterOutput| -> bool {
-            let mut pieces: Vec<Vec<Cutset>> = Vec::with_capacity(k);
-            for (i, reply) in replies.iter().enumerate() {
-                let Some((e, sorted, stats)) = reply.recv() else {
-                    return false;
-                };
-                debug_assert_eq!(e, epoch);
-                out.shard_stats[i].absorb(stats);
-                pieces.push(sorted);
-            }
-            let union_len: usize = pieces.iter().map(Vec::len).sum();
-            peak_pending.fetch_max(
-                pending.load(Ordering::Relaxed) + union_len,
-                Ordering::Relaxed,
-            );
-            let (minimal, comparisons) = reconcile(pieces, k);
-            out.comparisons += comparisons;
-            releaser.release(minimal, out)
-        };
-
         let dispatched = 'dispatch: {
             let mut route: Vec<Vec<Cutset>> = (0..k).map(|_| Vec::new()).collect();
             while let Some(msg) = gen_rx.recv() {
                 let work_begin = Instant::now();
-                match msg {
+                let ok = match msg {
                     GenMsg::Batch(epoch, cutsets) => {
                         for cutset in cutsets {
                             route[cutset.shard_key(k)].push(cutset);
                         }
-                        for (input, bucket) in inputs.iter().zip(route.iter_mut()) {
-                            if !bucket.is_empty()
-                                && !input.send(ShardMsg::Batch(epoch, std::mem::take(bucket)))
-                            {
-                                out.busy += work_begin.elapsed();
-                                break 'dispatch false;
-                            }
-                        }
+                        inputs.iter().zip(route.iter_mut()).all(|(input, bucket)| {
+                            bucket.is_empty()
+                                || input.send(ShardMsg::Batch(epoch, std::mem::take(bucket)))
+                        })
                     }
-                    GenMsg::EpochComplete(epoch) => {
+                    GenMsg::EpochComplete(epoch) => 'settle: {
                         for input in &inputs {
                             if !input.send(ShardMsg::Complete(epoch)) {
-                                out.busy += work_begin.elapsed();
-                                break 'dispatch false;
+                                break 'settle false;
                             }
                         }
-                        if !settle_epoch(epoch, out) {
-                            out.busy += work_begin.elapsed();
-                            break 'dispatch false;
+                        // Each worker answers watermarks in input order,
+                        // so the next reply on shard i's channel is for
+                        // this epoch.
+                        let mut pieces: Vec<Vec<Cutset>> = Vec::with_capacity(k);
+                        for (i, reply) in replies.iter().enumerate() {
+                            let Some((e, sorted, stats)) = reply.recv() else {
+                                break 'settle false;
+                            };
+                            debug_assert_eq!(e, epoch);
+                            out.shard_stats[i].absorb(stats);
+                            pieces.push(sorted);
                         }
+                        let minimal = settle(pieces, releaser.held(), &mut out);
+                        releaser.release(minimal, &mut out)
                     }
-                }
+                };
                 out.busy += work_begin.elapsed();
+                if !ok {
+                    break 'dispatch false;
+                }
             }
             // Channel closed (or aborted): leftover epochs only exist
             // on the abort path. Close the shard inputs so the workers
@@ -857,32 +522,33 @@ fn filter_sharded(
             }
             let mut rest: Vec<(u32, Vec<Vec<Cutset>>)> = leftovers.into_iter().collect();
             rest.sort_unstable_by_key(|&(epoch, _)| epoch);
-            out.busy += drain_begin.elapsed();
+            let mut ok = true;
             for (_, pieces) in rest {
-                let settle_begin = Instant::now();
-                let (minimal, comparisons) = reconcile(pieces, k);
-                out.comparisons += comparisons;
-                let ok = releaser.release(minimal, out);
-                out.busy += settle_begin.elapsed();
-                if !ok {
-                    break 'dispatch false;
-                }
+                let minimal = settle(pieces, releaser.held(), &mut out);
+                ok = ok && releaser.release(minimal, &mut out);
             }
-            releaser.close();
-            true
+            out.busy += drain_begin.elapsed();
+            // Not filter work: under the phased policy this hand-over
+            // waits on the quantification workers for the whole list.
+            ok && releaser.close(&mut out)
         };
         if !dispatched {
             // Unblock any worker stuck sending a reply before joining.
-            abort_all();
+            for input in &inputs {
+                input.abort();
+            }
+            for reply in &replies {
+                reply.abort();
+            }
         }
-        let mut busy = Duration::ZERO;
-        for handle in handles {
-            busy += handle.join().expect("shard worker does not panic");
-        }
-        busy
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker does not panic"))
+            .sum::<Duration>()
     });
     out.busy += workers_busy;
-    out.peak_pending = out.peak_pending.max(peak_pending.into_inner());
+    out.peak_pending = peak_pending.into_inner();
+    out
 }
 
 /// One shard worker: per-epoch incremental minimizers over the
@@ -891,7 +557,6 @@ fn filter_sharded(
 fn shard_worker(
     input: &Channel<ShardMsg>,
     reply: &Channel<ShardReply>,
-    fallback: FallbackMode,
     occupancy: &AtomicUsize,
     pending: &AtomicUsize,
     peak_pending: &AtomicUsize,
@@ -916,9 +581,7 @@ fn shard_worker(
         let work_begin = Instant::now();
         match msg {
             ShardMsg::Batch(epoch, cutsets) => {
-                let minimizer = minimizers
-                    .entry(epoch)
-                    .or_insert_with(|| IncrementalMinimizer::with_mode(fallback));
+                let minimizer = minimizers.entry(epoch).or_default();
                 let before = minimizer.len();
                 for cutset in cutsets {
                     minimizer.absorb(cutset);
@@ -937,9 +600,9 @@ fn shard_worker(
                 let held = minimizer.len();
                 live -= held;
                 track(live, held, 0);
-                let answer = minimizer.finish();
+                let (sorted, stats) = minimizer.finish();
                 busy += work_begin.elapsed();
-                if !reply.send((epoch, answer.0, answer.1)) {
+                if !reply.send((epoch, sorted, stats)) {
                     return busy;
                 }
             }
@@ -998,7 +661,7 @@ fn quant_stage(
                 Err(error) => {
                     record_error(qctx.errors, cutset, error);
                     // Stall everything upstream: the generator's next
-                    // send fails, the filter's next recv/send fails.
+                    // send fails, the dispatcher's next recv/send fails.
                     quant_rx.abort();
                     qctx.gen_tx.abort();
                     busy += work_begin.elapsed();
@@ -1012,11 +675,11 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the full streaming analysis: generation on the calling thread,
-/// one filter thread, `threads` quantification workers, and (when
+/// Run the analysis: generation on the calling thread, the dispatcher
+/// with its shard workers, `threads` quantification workers, and (when
 /// enabled) a progress monitor — all joined before returning.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_streaming(
+pub(crate) fn run(
     tree: &FaultTree,
     translated: &Translated,
     static_probs: &EventProbabilities,
@@ -1039,40 +702,8 @@ pub(crate) fn run_streaming(
         treatment: options.treatment,
         steady_state_detection: options.steady_state_detection,
     };
-    // Shard-count policy: an explicit request wins (clamped); otherwise
-    // stay inline on single-threaded hosts (shard threads would only
-    // add handoffs) and cap the automatic count at 4 — subsumption
-    // filtering saturates well before quantification does.
-    let shards = if options.filter_shards != 0 {
-        options.filter_shards.min(MAX_FILTER_SHARDS)
-    } else if threads <= 1 {
-        1
-    } else {
-        threads.min(4)
-    };
-    let filter_config = FilterConfig {
-        shards,
-        fallback: options.filter_fallback,
-    };
-    // With a single quantification worker the channel handoff buys no
-    // parallelism among quantifiers — fuse quantification into the
-    // filter thread instead: one thread less to schedule, and released
-    // cutsets are solved while still cache-warm. Output is unaffected
-    // (reports are canonically re-sorted at assembly either way).
-    let fused = threads <= 1;
-    // On a host with one core even the gen↔filter split buys nothing:
-    // two threads time-slice the core and pay context switches plus
-    // cache thrash between the generator's and the quantifier's
-    // working sets. Collapse to zero extra threads — the generator
-    // drives the filter core directly through its sink callbacks, and
-    // quantification of the released (final) cutsets is deferred to one
-    // clean phase after generation, recovering batch's phase locality.
-    // Purely a scheduling choice: the same filter core and quantifier
-    // run over the same sequences, so results stay bitwise-identical
-    // to the threaded path.
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let fully_inline = fused && shards <= 1 && host_cores == 1;
-    let shard_pending: Vec<AtomicUsize> = (0..shards.max(1)).map(|_| AtomicUsize::new(0)).collect();
+    let shards = threads.clamp(1, MAX_SHARDS);
+    let shard_pending: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
     let cache = options.cache.then(QuantCache::new);
     let pool = WorkspacePool::new();
     let gen_channel: Channel<GenMsg> = Channel::new(GEN_CHANNEL_BATCHES);
@@ -1096,25 +727,21 @@ pub(crate) fn run_streaming(
     let pipeline_start = Instant::now();
     let (gen_result, generation_span, filter_out, worker_outputs, quant_end) =
         std::thread::scope(|scope| {
-            let filter_handle = (!fully_inline).then(|| {
-                std::thread::Builder::new()
-                    .name("sdft-filter".into())
-                    .spawn_scoped(scope, || {
-                        filter_stage(
-                            &gen_channel,
-                            &quant_channel,
-                            translated,
-                            &progress,
-                            &inflight,
-                            &peak_inflight,
-                            &filter_config,
-                            &shard_pending,
-                            fused.then_some(&qctx),
-                        )
-                    })
-                    .expect("spawn filter thread")
-            });
-            let quant_handles: Vec<_> = (0..if fused { 0 } else { threads })
+            let dispatcher = std::thread::Builder::new()
+                .name("sdft-filter".into())
+                .spawn_scoped(scope, || {
+                    let mut releaser = Releaser {
+                        quant_tx: &quant_channel,
+                        translated,
+                        progress: &progress,
+                        inflight: &inflight,
+                        peak_inflight: &peak_inflight,
+                        held: (!options.streaming).then(Vec::new),
+                    };
+                    dispatch(&gen_channel, &mut releaser, &shard_pending)
+                })
+                .expect("spawn dispatcher");
+            let quant_handles: Vec<_> = (0..threads)
                 .map(|i| {
                     std::thread::Builder::new()
                         .name(format!("sdft-quant-{i}"))
@@ -1164,44 +791,14 @@ pub(crate) fn run_streaming(
             }
 
             // Generation runs on the calling thread (its own worker pool
-            // lives inside `stream_minimal_cutsets`), feeding either the
-            // filter thread's channel or, fully inline, the filter core
-            // directly.
-            let inline_sink = fully_inline.then(|| InlineFilterSink {
-                state: Mutex::new(InlineFilterState {
-                    filter: SingleFilter::new(filter_config.fallback),
-                    releaser: Releaser {
-                        target: ReleaseTarget::Deferred(RefCell::new(Vec::new())),
-                        translated,
-                        progress: &progress,
-                        inflight: &inflight,
-                        peak_inflight: &peak_inflight,
-                    },
-                    out: FilterOutput {
-                        comparisons: 0,
-                        peak_pending: 0,
-                        first_release: None,
-                        busy: Duration::ZERO,
-                        shard_stats: vec![FilterShardStats::default()],
-                        inline_quant: None,
-                    },
-                    failed: false,
-                }),
-                shard_pending: &shard_pending,
-                candidates: &progress.candidates,
-            });
-            let channel_sink = ChannelSink {
+            // lives inside the backend).
+            let sink = ChannelSink {
                 channel: &gen_channel,
                 candidates: &progress.candidates,
             };
-            let sink: &dyn CandidateSink = match &inline_sink {
-                Some(inline) => inline,
-                None => &channel_sink,
-            };
             let gen_start = Instant::now();
-            let gen_result =
-                backend.generate_streaming(&translated.tree, static_probs, exact_probe, sink);
-            let mut generation_span = gen_start.elapsed();
+            let gen_result = backend.generate(&translated.tree, static_probs, exact_probe, &sink);
+            let generation_span = gen_start.elapsed();
             if gen_result.is_ok() {
                 gen_channel.close();
             } else {
@@ -1211,96 +808,12 @@ pub(crate) fn run_streaming(
                 quant_channel.abort();
             }
 
-            let mut filter_out = match filter_handle {
-                Some(handle) => handle.join().expect("filter thread does not panic"),
-                None => {
-                    let state = inline_sink
-                        .expect("inline sink exists without a filter thread")
-                        .state
-                        .into_inner()
-                        .expect("inline filter poisoned");
-                    let InlineFilterState {
-                        filter,
-                        releaser,
-                        mut out,
-                        ..
-                    } = state;
-                    // The sink's deliver/epoch-complete work ran inside
-                    // the generation span; hand its share back so the
-                    // stage busy counters stay disjoint (the drain below
-                    // runs after generation and stays with the filter).
-                    generation_span = generation_span.saturating_sub(out.busy);
-                    let drain_begin = Instant::now();
-                    filter.drain(&releaser, gen_result.is_ok(), &mut out);
-                    out.busy += drain_begin.elapsed();
-                    if let ReleaseTarget::Deferred(buffer) = releaser.target {
-                        // The clean quantification phase over the
-                        // buffered (already-translated) cutsets, in the
-                        // same released order the threaded paths use.
-                        let cutsets = buffer.into_inner();
-                        let begin = Instant::now();
-                        if !cutsets.is_empty() {
-                            out.first_release = Some(begin);
-                        }
-                        // Compact: the event vectors were allocated by
-                        // generation workers over the course of the run
-                        // and are scattered across a churned heap;
-                        // re-allocating them back-to-back makes the
-                        // quantification scan sequential again (batch
-                        // gets this for free from its translation copy).
-                        // Clone first, drop the scattered originals en
-                        // masse after, so the clones land in fresh
-                        // contiguous space instead of the old blocks.
-                        let compacted: Vec<Cutset> = cutsets.iter().map(Cutset::clone).collect();
-                        drop(cutsets);
-                        let cutsets = compacted;
-                        let mut workspace = SolverWorkspace::new();
-                        let mut local = Vec::with_capacity(cutsets.len());
-                        let mut usage = KernelUsage::default();
-                        let n = cutsets.len();
-                        let now = inflight.fetch_add(n, Ordering::Relaxed) + n;
-                        peak_inflight.fetch_max(now, Ordering::Relaxed);
-                        if gen_result.is_ok() {
-                            for cutset in cutsets {
-                                let quantified = quantify_cutset_at_horizons(
-                                    qctx.tree,
-                                    qctx.ctx,
-                                    &cutset,
-                                    qctx.horizons,
-                                    qctx.qopts,
-                                    qctx.cache,
-                                    qctx.probs_per_horizon,
-                                    &mut workspace,
-                                );
-                                match quantified {
-                                    Ok((reports, used)) => {
-                                        usage.absorb(used);
-                                        local.push(reports);
-                                        progress.quantified.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(error) => {
-                                        record_error(&errors, cutset, error);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        // No other stage shares the counter here; clear
-                        // whatever an early error break left behind.
-                        inflight.store(0, Ordering::Relaxed);
-                        out.inline_quant = Some((local, usage, begin.elapsed()));
-                    }
-                    out
-                }
-            };
-            let mut worker_outputs: Vec<(Vec<Vec<CutsetReport>>, KernelUsage, Duration)> =
+            let filter_out = dispatcher.join().expect("dispatcher does not panic");
+            let worker_outputs: Vec<(Vec<Vec<CutsetReport>>, KernelUsage, Duration)> =
                 quant_handles
                     .into_iter()
                     .map(|h| h.join().expect("quant worker does not panic"))
                     .collect();
-            if let Some(inline) = filter_out.inline_quant.take() {
-                worker_outputs.push(inline);
-            }
             let quant_end = Instant::now();
 
             *monitor_done.0.lock().expect("monitor flag poisoned") = true;
@@ -1337,7 +850,7 @@ pub(crate) fn run_streaming(
     };
 
     // Deterministic final assembly: reports arrive in scheduling order,
-    // the canonical (order, events) sort restores the batch order (the
+    // the canonical (order, events) sort restores one fixed order (the
     // translation keeps basic-event ids monotone, so original-id order
     // equals translated-id order).
     let mut kernel_usage = KernelUsage::default();
@@ -1382,7 +895,6 @@ pub(crate) fn run_streaming(
         overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
         filter_busy: filter_out.busy,
         quant_busy,
-        filter_shards: shards,
         filter_shard_stats: filter_out.shard_stats,
     })
 }

@@ -1,7 +1,5 @@
-use crate::backend::{
-    Backend, BddBackend, CutsetBackend, GenerationStats, HybridBackend, MocusBackend,
-};
-use crate::canonical::{CacheStats, QuantCache};
+use crate::backend::{Backend, CutsetBackend, HybridBackend, MocusBackend};
+use crate::canonical::QuantCache;
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
 use crate::planner::ModulePlanEntry;
@@ -10,9 +8,8 @@ use crate::translate::translate;
 use crate::worstcase::worst_case_probabilities;
 use sdft_bdd::ModularBddOptions;
 use sdft_ctmc::SolverWorkspace;
-use sdft_ft::{Cutset, EventProbabilities, FallbackMode, FaultTree};
+use sdft_ft::{Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Options for the full SD fault tree analysis.
@@ -31,7 +28,7 @@ pub struct AnalysisOptions {
     /// (reported per horizon through
     /// [`AnalysisResult::exact_static`]); [`Backend::Hybrid`] plans
     /// per module, keeping exactness wherever the diagrams fit the node
-    /// budget (see [`AnalysisResult::module_plan`]).
+    /// budget. Both report their plan in [`AnalysisResult::module_plan`].
     pub backend: Backend,
     /// Modular-BDD engine options for the `bdd` and `hybrid` backends:
     /// shared node budget, ordering heuristic threshold, and the
@@ -40,7 +37,7 @@ pub struct AnalysisOptions {
     /// Truncation error for all transient analyses.
     pub epsilon: f64,
     /// Worker threads for cutset quantification; `0` uses all available
-    /// cores.
+    /// cores. The subsumption filter runs `clamp(threads, 1, 4)` shards.
     pub threads: usize,
     /// State budget for each per-cutset product chain.
     pub max_chain_states: usize,
@@ -57,28 +54,17 @@ pub struct AnalysisOptions {
     /// extra error per horizon when it fires — disable for bitwise
     /// compatibility with the plain Jensen iteration).
     pub steady_state_detection: bool,
-    /// Run the staged streaming engine — MOCUS generation, incremental
-    /// subsumption and quantification fused over bounded channels — so
-    /// peak cutset residency stays bounded instead of O(all candidates)
-    /// (default `true`; results are bitwise-identical to the batch path
-    /// for every thread count).
+    /// The engine's release policy (default `true`, streaming): each
+    /// epoch's minimal cutsets go to quantification as soon as the epoch
+    /// completes, overlapping generation and quantification. `false`
+    /// runs phased: released cutsets are held until generation ends,
+    /// then quantified by the same workers. Results are
+    /// bitwise-identical either way.
     pub streaming: bool,
-    /// Emit a progress line to stderr at this interval while the
-    /// streaming engine runs (candidates generated, cutsets finalized,
-    /// models quantified, cache hit rate). `None` (the default) costs
-    /// nothing; ignored by the batch path.
+    /// Emit a progress line to stderr at this interval while the engine
+    /// runs (candidates generated, cutsets finalized, models quantified,
+    /// cache hit rate). `None` (the default) costs nothing.
     pub progress: Option<Duration>,
-    /// Shard count of the streaming subsumption filter. `0` (the
-    /// default) picks automatically: one shard when `threads <= 1`
-    /// (everything stays inline on the filter thread), otherwise up to
-    /// four shard workers. Any shard count produces bitwise-identical
-    /// results; ignored by the batch path.
-    pub filter_shards: usize,
-    /// When the streaming filter buffers an epoch for a one-pass batch
-    /// merge instead of probing incrementally (default
-    /// [`FallbackMode::Adaptive`]). Results are bitwise-identical in
-    /// every mode; ignored by the batch path.
-    pub filter_fallback: FallbackMode,
 }
 
 impl AnalysisOptions {
@@ -98,8 +84,6 @@ impl AnalysisOptions {
             steady_state_detection: true,
             streaming: true,
             progress: None,
-            filter_shards: 0,
-            filter_fallback: FallbackMode::Adaptive,
         }
     }
 }
@@ -153,16 +137,16 @@ pub struct Timings {
     /// Wall-clock the uniformization kernel spent building its CSR
     /// forms (summed over all solved model classes).
     pub csr_build: Duration,
-    /// Stage-seconds the streaming engine's generation and
-    /// quantification spans ran concurrently (zero for the batch path,
-    /// which runs the phases strictly in sequence).
+    /// Stage-seconds the engine's generation and quantification spans
+    /// ran concurrently (zero under the phased policy, which runs them
+    /// strictly in sequence).
     pub stream_overlap: Duration,
     /// Busy seconds of the generation stage (MOCUS/BDD enumeration on
-    /// the calling thread; equals `mcs_generation` when streaming).
+    /// the calling thread; equals `mcs_generation`).
     pub generation_busy: Duration,
-    /// Busy seconds of the streaming filter stage: time actually spent
-    /// minimizing and releasing candidates, excluding channel waits
-    /// (zero for the batch path, whose minimization is inside MOCUS).
+    /// Busy seconds of the subsumption filter stage: time actually spent
+    /// minimizing and releasing candidates, excluding channel waits,
+    /// summed over the dispatcher and its shards.
     pub filter_busy: Duration,
     /// Busy seconds summed over quantification workers: time spent
     /// solving models, excluding channel waits. Exceeds wall-clock
@@ -177,7 +161,7 @@ pub struct Timings {
     pub total: Duration,
 }
 
-/// Per-shard counters of the streaming subsumption filter, aggregated
+/// Per-shard counters of the subsumption filter, aggregated
 /// over every epoch the shard minimized. All scheduling-dependent: the
 /// split of probes across shards follows the deterministic shard key,
 /// but the counts themselves depend on candidate arrival order.
@@ -261,30 +245,28 @@ pub struct AnalysisStats {
     /// MOCUS tasks claimed from the shared work queue beyond each
     /// worker's first — 0 single-threaded; varies with scheduling.
     pub mocus_stolen_tasks: u64,
-    /// Peak cutsets resident between generation and quantification: all
-    /// candidates for the batch path, the filter stage's live minimal
-    /// sets for the streaming engine (scheduling-dependent there).
+    /// Peak cutsets resident between generation and quantification: the
+    /// filter stage's live minimal sets, plus the released cutsets the
+    /// phased policy holds (scheduling-dependent).
     pub peak_pending_cutsets: usize,
-    /// Peak cutset models enqueued-or-quantifying at once: the whole
-    /// list for the batch path, bounded by the engine's channel
-    /// capacity plus the worker count when streaming.
+    /// Peak cutset models enqueued-or-quantifying at once, bounded by
+    /// the engine's channel capacity plus the worker count.
     pub peak_inflight_models: usize,
     /// Peak live partial cutsets inside MOCUS (scheduling-dependent).
     pub mocus_peak_live_partials: u64,
     /// Approximate peak bytes held by live MOCUS partials.
     pub mocus_peak_partial_bytes: u64,
-    /// Peak candidate cutsets resident in the generator — all of them
-    /// for the batch path, only undelivered buffers when streaming.
+    /// Peak candidate cutsets resident in the generator (undelivered
+    /// buffers).
     pub mocus_peak_live_candidates: u64,
     /// Approximate peak bytes held by resident candidates.
     pub mocus_peak_candidate_bytes: u64,
-    /// Shard count of the streaming subsumption filter (0 for the batch
-    /// path, which minimizes in one pass inside generation).
+    /// Shard count of the subsumption filter (`clamp(threads, 1, 4)`).
     pub filter_shards: usize,
-    /// Epochs the streaming filter minimized through the batch fallback,
-    /// summed over shards (scheduling-dependent under `Adaptive`).
+    /// Epochs the filter minimized through the batch fallback, summed
+    /// over shards (scheduling-dependent).
     pub filter_fallback_epochs: u64,
-    /// Per-shard filter counters, in shard order (empty for batch).
+    /// Per-shard filter counters, in shard order.
     pub filter_shard_stats: Vec<FilterShardStats>,
     /// Which backend generated the cutsets.
     pub backend: Backend,
@@ -315,9 +297,9 @@ pub struct AnalysisStats {
     pub bdd_sift_passes: u64,
     /// Adjacent-level swaps performed across all module constructions.
     pub bdd_sift_swaps: u64,
-    /// Modules whose probability stayed exact (every module for the
-    /// pure BDD backend; under hybrid, the modules below and beside —
-    /// but not above — any MOCUS module).
+    /// Modules whose probability stayed exact (every module under
+    /// `bdd`; under hybrid, the modules below and beside — but not
+    /// above — any MOCUS module).
     pub bdd_exact_modules: usize,
 }
 
@@ -352,11 +334,11 @@ impl AnalysisStats {
     }
 
     /// The same statistics with every scheduling-dependent field zeroed
-    /// — work-stealing counts, memory high-water marks, and the
-    /// subsumption comparisons (whose count depends on candidate
-    /// arrival order under the streaming engine). What remains is
-    /// identical across thread counts *and* across the streaming/batch
-    /// engines for the same analysis.
+    /// — work-stealing counts, memory high-water marks, the subsumption
+    /// comparisons (whose count depends on candidate arrival order), and
+    /// the filter's shard layout. What remains is identical across
+    /// thread counts *and* across both release policies for the same
+    /// analysis.
     #[must_use]
     pub fn deterministic(mut self) -> Self {
         self.kernel_csr_reuses = 0;
@@ -391,9 +373,9 @@ pub struct AnalysisResult {
     /// representation, and under a hybrid run whose top module chain
     /// passes through a MOCUS-enumerated module.
     pub exact_static: Option<f64>,
-    /// The hybrid backend's per-module plan (which engine analyzed each
-    /// module of `FT̄`, why, and with what cost); empty under the other
-    /// backends.
+    /// The per-module plan of the BDD-based backends (which engine
+    /// analyzed each module of `FT̄`, why, and with what cost); every
+    /// module is on the BDD under `bdd`; empty under MOCUS.
     pub module_plan: Vec<ModulePlanEntry>,
     /// The analysis horizon.
     pub horizon: f64,
@@ -494,7 +476,8 @@ impl AnalysisResult {
 
 /// Run the complete analysis of §V: worst-case probabilities → static
 /// translation → MOCUS → parallel per-cutset Markov quantification →
-/// rare-event summation.
+/// rare-event summation (the generation, subsumption and quantification
+/// stages run in the engine of DESIGN.md §7).
 ///
 /// # Errors
 ///
@@ -574,13 +557,10 @@ pub fn analyze_horizons(
         Backend::Mocus => Box::new(MocusBackend {
             options: mocus_options,
         }),
-        Backend::Bdd => Box::new(BddBackend {
+        Backend::Bdd | Backend::Hybrid => Box::new(HybridBackend {
             mocus_options,
             bdd_options: options.bdd,
-        }),
-        Backend::Hybrid => Box::new(HybridBackend {
-            mocus_options,
-            bdd_options: options.bdd,
+            all_bdd: options.backend == Backend::Bdd,
         }),
     };
     // Probability assignments over FT̄ for the exact-probability probe,
@@ -602,102 +582,28 @@ pub fn analyze_horizons(
         Vec::new()
     };
 
-    // The generation→minimization→quantification middle, either fused
-    // (streaming engine) or phase by phase (batch). Both produce the
-    // per-horizon reports in canonical cutset order plus identical
-    // deterministic statistics.
-    let phase = if options.streaming {
-        let engine = crate::engine::run_streaming(
-            tree,
-            &translated,
-            &static_probs,
-            backend.as_ref(),
-            &exact_probe,
-            horizons,
-            options,
-            &probs_per_horizon,
-            &ctx,
-        )?;
-        PhaseOutput {
-            per_horizon_reports: engine.per_horizon,
-            cache_stats: engine.cache_stats,
-            kernel_usage: engine.kernel_usage,
-            gen_stats: engine.gen_stats,
-            subsumption_comparisons: engine.subsumption_comparisons,
-            peak_pending_cutsets: engine.peak_pending_cutsets,
-            peak_inflight_models: engine.peak_inflight_models,
-            mcs_time: engine.generation_span,
-            quantification_time: engine.quantification_span,
-            stream_overlap: engine.overlap,
-            generation_busy: engine.generation_span,
-            filter_busy: engine.filter_busy,
-            quant_busy: engine.quant_busy,
-            filter_shards: engine.filter_shards,
-            filter_fallback_epochs: engine
-                .filter_shard_stats
-                .iter()
-                .map(|s| s.fallback_epochs)
-                .sum(),
-            filter_shard_stats: engine.filter_shard_stats,
-        }
-    } else {
-        let t2 = Instant::now();
-        let (mcs, gen_stats) =
-            backend.generate_batch(&translated.tree, &static_probs, &exact_probe)?;
-        let cutsets = translated.cutsets_to_original(&mcs);
-        let mcs_time = t2.elapsed();
-
-        let t3 = Instant::now();
-        let (per_horizon_reports, cache_stats, kernel_usage, quant_busy) =
-            quantify_all_multi(tree, &ctx, &cutsets, horizons, options, &probs_per_horizon)?;
-        let minimize_time = gen_stats.mocus.minimize_time;
-        PhaseOutput {
-            subsumption_comparisons: gen_stats.mocus.subsumption_comparisons,
-            // Batch materializes every candidate before minimizing and
-            // holds the whole minimal list through quantification.
-            peak_pending_cutsets: usize::try_from(gen_stats.mocus.cutset_candidates)
-                .unwrap_or(usize::MAX),
-            peak_inflight_models: cutsets.len(),
-            per_horizon_reports,
-            cache_stats,
-            kernel_usage,
-            gen_stats,
-            mcs_time,
-            quantification_time: t3.elapsed(),
-            stream_overlap: Duration::ZERO,
-            // Attribute the one-pass minimize to the filter stage so
-            // batch and streaming filter costs compare directly; the
-            // rest of the generation phase is enumeration.
-            generation_busy: mcs_time.saturating_sub(minimize_time),
-            filter_busy: minimize_time,
-            quant_busy,
-            filter_shards: 0,
-            filter_fallback_epochs: 0,
-            filter_shard_stats: Vec::new(),
-        }
-    };
-    let PhaseOutput {
-        per_horizon_reports,
-        cache_stats,
-        kernel_usage,
-        gen_stats,
-        subsumption_comparisons,
-        peak_pending_cutsets,
-        peak_inflight_models,
-        mcs_time,
-        quantification_time,
-        stream_overlap,
-        generation_busy,
-        filter_busy,
-        quant_busy,
-        filter_shards,
-        filter_fallback_epochs,
-        filter_shard_stats,
-    } = phase;
+    let engine = crate::engine::run(
+        tree,
+        &translated,
+        &static_probs,
+        backend.as_ref(),
+        &exact_probe,
+        horizons,
+        options,
+        &probs_per_horizon,
+        &ctx,
+    )?;
+    let filter_fallback_epochs: u64 = engine
+        .filter_shard_stats
+        .iter()
+        .map(|s| s.fallback_epochs)
+        .sum();
+    let (cache_stats, kernel_usage, gen_stats) =
+        (&engine.cache_stats, &engine.kernel_usage, &engine.gen_stats);
     let mocus_stats = &gen_stats.mocus;
 
     let mut results = Vec::with_capacity(horizons.len());
-    for (h_index, (&horizon, reports)) in horizons.iter().zip(per_horizon_reports).enumerate() {
+    for (h_index, (&horizon, reports)) in horizons.iter().zip(engine.per_horizon).enumerate() {
         let mut cutset_reports = reports;
         cutset_reports.sort_by(|a, b| {
             b.probability
@@ -726,17 +632,17 @@ pub fn analyze_horizons(
             kernel_csr_reuses: kernel_usage.stats.csr_reuses,
             mocus_partials_processed: mocus_stats.partials_processed,
             mocus_partials_pruned: mocus_stats.partials_pruned,
-            mocus_subsumption_comparisons: subsumption_comparisons,
+            mocus_subsumption_comparisons: engine.subsumption_comparisons,
             mocus_stolen_tasks: mocus_stats.stolen_tasks,
-            peak_pending_cutsets,
-            peak_inflight_models,
+            peak_pending_cutsets: engine.peak_pending_cutsets,
+            peak_inflight_models: engine.peak_inflight_models,
             mocus_peak_live_partials: mocus_stats.peak_live_partials,
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
             mocus_peak_live_candidates: mocus_stats.peak_live_candidates,
             mocus_peak_candidate_bytes: mocus_stats.peak_candidate_bytes,
-            filter_shards,
+            filter_shards: engine.filter_shard_stats.len(),
             filter_fallback_epochs,
-            filter_shard_stats: filter_shard_stats.clone(),
+            filter_shard_stats: engine.filter_shard_stats.clone(),
             backend: options.backend,
             ..AnalysisStats::default()
         };
@@ -751,11 +657,7 @@ pub fn analyze_horizons(
             stats.bdd_external_modules = bdd.stats.external_modules;
             stats.bdd_sift_passes = bdd.stats.sift_passes;
             stats.bdd_sift_swaps = bdd.stats.sift_swaps;
-            stats.bdd_exact_modules = match &bdd.plan {
-                Some(plan) => plan.exact_modules(),
-                // The pure BDD backend builds every module exactly.
-                None => bdd.stats.modules,
-            };
+            stats.bdd_exact_modules = bdd.plan.exact_modules();
         }
         for r in &cutset_reports {
             if r.cutset_dynamic > 0 {
@@ -773,22 +675,21 @@ pub fn analyze_horizons(
             module_plan: gen_stats
                 .bdd
                 .as_ref()
-                .and_then(|bdd| bdd.plan.as_ref())
-                .map(|plan| plan.entries.clone())
+                .map(|bdd| bdd.plan.entries.clone())
                 .unwrap_or_default(),
             horizon,
             cutsets: cutset_reports,
             timings: Timings {
                 worst_case: worst_case_time,
                 translation: translation_time,
-                mcs_generation: mcs_time,
-                quantification: quantification_time,
+                mcs_generation: engine.generation_span,
+                quantification: engine.quantification_span,
                 quantification_saved: cache_stats.time_saved,
                 csr_build: kernel_usage.csr_build,
-                stream_overlap,
-                generation_busy,
-                filter_busy,
-                quant_busy,
+                stream_overlap: engine.overlap,
+                generation_busy: engine.generation_span,
+                filter_busy: engine.filter_busy,
+                quant_busy: engine.quant_busy,
                 spmv: kernel_usage.spmv_time,
                 total: start.elapsed(),
             },
@@ -805,41 +706,10 @@ fn bump(histogram: &mut Vec<usize>, index: usize) {
     histogram[index] += 1;
 }
 
-/// What the generation/minimization/quantification middle hands to the
-/// per-horizon assembly, identical in shape for both engines.
-struct PhaseOutput {
-    /// One report vector per horizon, in canonical cutset order.
-    per_horizon_reports: Vec<Vec<CutsetReport>>,
-    cache_stats: CacheStats,
-    kernel_usage: KernelUsage,
-    gen_stats: GenerationStats,
-    subsumption_comparisons: u64,
-    peak_pending_cutsets: usize,
-    peak_inflight_models: usize,
-    mcs_time: Duration,
-    quantification_time: Duration,
-    stream_overlap: Duration,
-    /// Generation busy seconds: the generation span when streaming, the
-    /// enumeration minus the one-pass minimize for batch.
-    generation_busy: Duration,
-    /// Filter busy seconds: the filter stage (dispatcher plus shard
-    /// workers) when streaming, the one-pass minimize for batch.
-    filter_busy: Duration,
-    /// Quantification busy seconds summed over workers.
-    quant_busy: Duration,
-    /// Streaming filter shard count (0 for batch).
-    filter_shards: usize,
-    /// Epochs minimized through the batch fallback, summed over shards.
-    filter_fallback_epochs: u64,
-    /// Per-shard filter counters (empty for batch).
-    filter_shard_stats: Vec<FilterShardStats>,
-}
-
 /// Quantify one cutset against every horizon: build its `FT_C` model
 /// once, solve it (through the cache when given), and expand into one
-/// [`CutsetReport`] per horizon. Pure in the cutset — shared by the
-/// batch fan-out and the streaming engine's quantification workers, and
-/// the reason both produce bitwise-identical reports.
+/// [`CutsetReport`] per horizon. Pure in the cutset — the reason the
+/// engine's reports are bitwise-identical for every schedule.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quantify_cutset_at_horizons(
     tree: &FaultTree,
@@ -872,162 +742,6 @@ pub(crate) fn quantify_cutset_at_horizons(
         })
         .collect();
     Ok((reports, usage))
-}
-
-/// What [`quantify_all_multi`] hands back: per-horizon reports, cache
-/// statistics, aggregated kernel usage, and worker busy seconds.
-type QuantifyOutcome = (Vec<Vec<CutsetReport>>, CacheStats, KernelUsage, Duration);
-
-/// Quantify every cutset at every horizon, fanning the work out over a
-/// thread pool fed by a shared atomic work queue (quantifications are
-/// independent; the paper notes this parallelism extends to
-/// importance/uncertainty re-evaluations).
-///
-/// The work distribution is dedup-then-fan-out: every worker consults
-/// the shared [`QuantCache`], so structurally identical cutset models
-/// are uniformized exactly once (the first cutset of a class solves it,
-/// the rest re-label the shared dynamic factors with their own static
-/// factor). Each model's product chain is built once and shared across
-/// all horizons through a single uniformization pass.
-///
-/// On the first error the queue aborts: workers stop claiming cutsets
-/// at their next iteration and the smallest-index error is returned
-/// (deterministic regardless of scheduling).
-fn quantify_all_multi(
-    tree: &FaultTree,
-    ctx: &FtcContext,
-    cutsets: &sdft_ft::CutsetList,
-    horizons: &[f64],
-    options: &AnalysisOptions,
-    probs_per_horizon: &[EventProbabilities],
-) -> Result<QuantifyOutcome, CoreError> {
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        options.threads
-    };
-    let qopts = QuantifyOptions {
-        horizon: horizons[0],
-        epsilon: options.epsilon,
-        max_states: options.max_chain_states,
-        treatment: options.treatment,
-        steady_state_detection: options.steady_state_detection,
-    };
-    let cache = options.cache.then(QuantCache::new);
-    let work: Vec<&Cutset> = cutsets.iter().collect();
-
-    // One result per (cutset, horizon). Model construction is shared by
-    // every horizon and split evenly; the solve cost is attributed per
-    // horizon by the quantifier (zero on cache hits). Each worker owns
-    // one kernel workspace, so solver buffers are allocated once per
-    // thread rather than once per solve. Kernel usage is attributed to
-    // the call that solved a class (zero on hits), so summing it over
-    // workers is deterministic regardless of scheduling.
-    let quantify_one = |cutset: &Cutset,
-                        workspace: &mut SolverWorkspace|
-     -> Result<(Vec<CutsetReport>, KernelUsage), CoreError> {
-        quantify_cutset_at_horizons(
-            tree,
-            ctx,
-            cutset,
-            horizons,
-            &qopts,
-            cache.as_ref(),
-            probs_per_horizon,
-            workspace,
-        )
-    };
-
-    let mut out: Vec<Vec<CutsetReport>> = (0..horizons.len())
-        .map(|_| Vec::with_capacity(cutsets.len()))
-        .collect();
-
-    if threads <= 1 {
-        let busy_begin = Instant::now();
-        let mut workspace = SolverWorkspace::new();
-        let mut total_usage = KernelUsage::default();
-        for &cutset in &work {
-            let (reports, usage) = quantify_one(cutset, &mut workspace)?;
-            total_usage.absorb(usage);
-            for (h, report) in reports.into_iter().enumerate() {
-                out[h].push(report);
-            }
-        }
-        let stats = cache.as_ref().map(QuantCache::stats).unwrap_or_default();
-        return Ok((out, stats, total_usage, busy_begin.elapsed()));
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let (produced, total_usage, total_busy) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let next = &next;
-            let abort = &abort;
-            let work = &work;
-            let quantify_one = &quantify_one;
-            handles.push(scope.spawn(move || {
-                let busy_begin = Instant::now();
-                let mut workspace = SolverWorkspace::new();
-                let mut local: Vec<(usize, Vec<CutsetReport>)> = Vec::new();
-                let mut local_usage = KernelUsage::default();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&cutset) = work.get(index) else {
-                        break;
-                    };
-                    match quantify_one(cutset, &mut workspace) {
-                        Ok((reports, usage)) => {
-                            local_usage.absorb(usage);
-                            local.push((index, reports));
-                        }
-                        Err(error) => {
-                            // Stop the other workers at their next claim.
-                            abort.store(true, Ordering::Relaxed);
-                            return Err((index, error));
-                        }
-                    }
-                }
-                Ok((local, local_usage, busy_begin.elapsed()))
-            }));
-        }
-        let mut produced: Vec<(usize, Vec<CutsetReport>)> = Vec::with_capacity(work.len());
-        let mut total_usage = KernelUsage::default();
-        let mut total_busy = Duration::ZERO;
-        let mut first_error: Option<(usize, CoreError)> = None;
-        for handle in handles {
-            match handle.join().expect("worker does not panic") {
-                Ok((local, local_usage, busy)) => {
-                    produced.extend(local);
-                    total_usage.absorb(local_usage);
-                    total_busy += busy;
-                }
-                Err((index, error)) => {
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        first_error = Some((index, error));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some((_, error)) => Err(error),
-            None => Ok((produced, total_usage, total_busy)),
-        }
-    })?;
-
-    // Merge in cutset order so report order is deterministic.
-    let mut produced = produced;
-    produced.sort_unstable_by_key(|&(index, _)| index);
-    for (_, reports) in produced {
-        for (h, report) in reports.into_iter().enumerate() {
-            out[h].push(report);
-        }
-    }
-    let stats = cache.as_ref().map(QuantCache::stats).unwrap_or_default();
-    Ok((out, stats, total_usage, total_busy))
 }
 
 #[cfg(test)]
@@ -1357,7 +1071,7 @@ mod streaming_tests {
     }
 
     /// Four redundant lines with structurally identical dynamic pumps —
-    /// exercises the quantification cache under the streaming engine.
+    /// exercises the quantification cache under the engine.
     fn replicated_lines() -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let mut lines = Vec::new();
@@ -1378,86 +1092,105 @@ mod streaming_tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn streaming_and_batch_agree_bitwise() {
-        for tree in [example3(), replicated_lines()] {
-            let mut batch_opts = AnalysisOptions::new(96.0);
-            batch_opts.streaming = false;
-            batch_opts.threads = 1;
-            let reference = analyze_horizons(&tree, &batch_opts, &[24.0, 96.0]).unwrap();
-            for threads in [1, 2, 4] {
-                let mut opts = AnalysisOptions::new(96.0);
-                opts.streaming = true;
-                opts.threads = threads;
-                let streamed = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-                for (b, s) in reference.iter().zip(&streamed) {
-                    assert_eq!(b.frequency.to_bits(), s.frequency.to_bits());
-                    assert_eq!(b.static_rea.to_bits(), s.static_rea.to_bits());
-                    assert_eq!(b.cutsets.len(), s.cutsets.len());
-                    for (rb, rs) in b.cutsets.iter().zip(&s.cutsets) {
-                        assert_eq!(rb.cutset.events(), rs.cutset.events());
-                        assert_eq!(rb.probability.to_bits(), rs.probability.to_bits());
-                        assert_eq!(
-                            rb.static_probability.to_bits(),
-                            rs.static_probability.to_bits()
-                        );
-                        assert_eq!(rb.chain_states, rs.chain_states);
-                    }
-                    assert_eq!(
-                        b.stats.clone().deterministic(),
-                        s.stats.clone().deterministic(),
-                        "threads = {threads}"
-                    );
+    /// Independent trains under an OR root, each the AND of two
+    /// three-way ORs over its own events (one dynamic): nine cutsets per
+    /// train, and one generator epoch per train.
+    fn parallel_trains(trains: usize) -> FaultTree {
+        let mut b = FaultTreeBuilder::new();
+        let mut tops = Vec::new();
+        for t in 0..trains {
+            let mut sides = Vec::new();
+            for side in 0..2 {
+                let mut events = Vec::new();
+                for i in 0..3 {
+                    let name = format!("t{t}s{side}e{i}");
+                    events.push(if side == 0 && i == 0 {
+                        b.dynamic_event(&name, erlang::repairable(1, 1e-3, 0.05).unwrap())
+                            .unwrap()
+                    } else {
+                        b.static_event(&name, 1e-3 * (1 + t + i) as f64).unwrap()
+                    });
                 }
+                sides.push(b.or(&format!("t{t}s{side}"), events).unwrap());
             }
+            tops.push(b.and(&format!("train{t}"), sides).unwrap());
         }
+        let top = b.or("plant", tops).unwrap();
+        b.top(top);
+        b.build().unwrap()
     }
 
-    /// Bitwise compare one streamed run against the batch reference.
-    fn assert_streamed_matches(
-        reference: &[AnalysisResult],
-        streamed: &[AnalysisResult],
-        label: &str,
-    ) {
-        for (b, s) in reference.iter().zip(streamed) {
-            assert_eq!(b.frequency.to_bits(), s.frequency.to_bits(), "{label}");
-            assert_eq!(b.cutsets.len(), s.cutsets.len(), "{label}");
-            for (rb, rs) in b.cutsets.iter().zip(&s.cutsets) {
-                assert_eq!(rb.cutset.events(), rs.cutset.events(), "{label}");
+    /// The minimal cutsets of `FT̄` straight from the batch MOCUS
+    /// enumerator, mapped back to the original tree, in canonical
+    /// order — the reference the engine must reproduce.
+    fn mocus_reference(tree: &FaultTree, options: &AnalysisOptions) -> Vec<Cutset> {
+        let probs = worst_case_probabilities(tree, options.horizon, options.epsilon).unwrap();
+        let translated = translate(tree, &probs).unwrap();
+        let static_probs = EventProbabilities::from_static(&translated.tree).unwrap();
+        let (mcs, _) =
+            sdft_mocus::minimal_cutsets_with_stats(&translated.tree, &static_probs, &options.mocus)
+                .unwrap();
+        let mut list: Vec<Cutset> = translated.cutsets_to_original(&mcs).into_iter().collect();
+        list.sort();
+        list
+    }
+
+    /// Bitwise compare two runs of the same analysis.
+    fn assert_same_results(reference: &[AnalysisResult], run: &[AnalysisResult], label: &str) {
+        assert_eq!(reference.len(), run.len(), "{label}");
+        for (a, b) in reference.iter().zip(run) {
+            assert_eq!(a.frequency.to_bits(), b.frequency.to_bits(), "{label}");
+            assert_eq!(a.static_rea.to_bits(), b.static_rea.to_bits(), "{label}");
+            assert_eq!(a.cutsets.len(), b.cutsets.len(), "{label}");
+            for (ra, rb) in a.cutsets.iter().zip(&b.cutsets) {
+                assert_eq!(ra.cutset.events(), rb.cutset.events(), "{label}");
                 assert_eq!(
+                    ra.probability.to_bits(),
                     rb.probability.to_bits(),
-                    rs.probability.to_bits(),
                     "{label}"
                 );
+                assert_eq!(
+                    ra.static_probability.to_bits(),
+                    rb.static_probability.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(ra.chain_states, rb.chain_states, "{label}");
             }
             assert_eq!(
+                a.stats.clone().deterministic(),
                 b.stats.clone().deterministic(),
-                s.stats.clone().deterministic(),
                 "{label}"
             );
         }
     }
 
     #[test]
-    fn sharded_filter_matches_batch_for_every_shard_and_thread_count() {
-        for tree in [example3(), replicated_lines()] {
-            let mut batch_opts = AnalysisOptions::new(96.0);
-            batch_opts.streaming = false;
-            batch_opts.threads = 1;
-            let reference = analyze_horizons(&tree, &batch_opts, &[24.0, 96.0]).unwrap();
-            for shards in [1, 2, 4, 8] {
+    fn streaming_and_phased_agree_bitwise_with_the_mocus_reference() {
+        for tree in [example3(), replicated_lines(), parallel_trains(6)] {
+            let base = AnalysisOptions::new(96.0);
+            let reference = analyze_horizons(&tree, &base, &[24.0, 96.0]).unwrap();
+            let mut listed: Vec<Cutset> = reference[0]
+                .cutsets
+                .iter()
+                .map(|r| r.cutset.clone())
+                .collect();
+            listed.sort();
+            assert_eq!(listed, mocus_reference(&tree, &base));
+            for streaming in [true, false] {
                 for threads in [1, 2, 4, 8] {
-                    let mut opts = AnalysisOptions::new(96.0);
-                    opts.streaming = true;
+                    let mut opts = base;
+                    opts.streaming = streaming;
                     opts.threads = threads;
-                    opts.filter_shards = shards;
-                    let streamed = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-                    assert_eq!(streamed[0].stats.filter_shards, shards);
-                    assert_eq!(streamed[0].stats.filter_shard_stats.len(), shards);
-                    assert_streamed_matches(
+                    let run = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
+                    assert_eq!(run[0].stats.filter_shards, threads.clamp(1, 4));
+                    assert_eq!(
+                        run[0].stats.filter_shard_stats.len(),
+                        run[0].stats.filter_shards
+                    );
+                    assert_same_results(
                         &reference,
-                        &streamed,
-                        &format!("shards = {shards}, threads = {threads}"),
+                        &run,
+                        &format!("streaming = {streaming}, threads = {threads}"),
                     );
                 }
             }
@@ -1465,135 +1198,90 @@ mod streaming_tests {
     }
 
     #[test]
-    fn fallback_modes_do_not_change_released_cutsets() {
-        let tree = replicated_lines();
-        let mut batch_opts = AnalysisOptions::new(24.0);
-        batch_opts.streaming = false;
-        batch_opts.threads = 1;
-        let reference = analyze_horizons(&tree, &batch_opts, &[24.0]).unwrap();
-        for fallback in [
-            sdft_ft::FallbackMode::Adaptive,
-            sdft_ft::FallbackMode::Always,
-            sdft_ft::FallbackMode::Never,
-        ] {
-            for shards in [1, 4] {
-                let mut opts = AnalysisOptions::new(24.0);
-                opts.streaming = true;
-                opts.threads = 2;
-                opts.filter_shards = shards;
-                opts.filter_fallback = fallback;
-                let streamed = analyze_horizons(&tree, &opts, &[24.0]).unwrap();
-                assert_streamed_matches(
-                    &reference,
-                    &streamed,
-                    &format!("fallback = {fallback}, shards = {shards}"),
-                );
-                if fallback == sdft_ft::FallbackMode::Always {
-                    assert!(
-                        streamed[0].stats.filter_fallback_epochs > 0,
-                        "forced fallback must report fallback epochs"
-                    );
-                }
-                if fallback == sdft_ft::FallbackMode::Never {
-                    assert_eq!(streamed[0].stats.filter_fallback_epochs, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_reports_bounded_residency() {
-        let t = replicated_lines();
-        let mut opts = AnalysisOptions::new(24.0);
-        opts.streaming = true;
-        let streamed = analyze(&t, &opts).unwrap();
-        opts.streaming = false;
-        let batch = analyze(&t, &opts).unwrap();
-        // Batch residency equals the materialized totals: every
-        // candidate lives until minimization, the whole minimal list
-        // until quantification.
-        assert_eq!(
-            batch.stats.peak_pending_cutsets as u64,
-            batch.stats.mocus_peak_live_candidates
-        );
-        assert_eq!(batch.stats.peak_inflight_models, batch.stats.num_cutsets);
-        assert!(batch.stats.mocus_peak_live_candidates > 0);
-        assert!(streamed.stats.peak_pending_cutsets > 0);
-        assert!(streamed.stats.peak_inflight_models > 0);
-        assert!(
-            streamed.stats.peak_inflight_models <= batch.stats.peak_inflight_models,
-            "streaming must not hold more models in flight than batch"
-        );
-        assert_eq!(batch.timings.stream_overlap, Duration::ZERO);
-    }
-
-    #[test]
-    fn generation_budget_errors_propagate_through_all_stages() {
-        let t = example3();
-        for threads in [1, 4] {
+    fn streaming_keeps_pending_residency_below_the_cutset_count() {
+        // Twenty-four trains are twenty-four epochs, each released the
+        // moment it completes, so the filter never holds the whole list.
+        let tree = parallel_trains(24);
+        for threads in [1, 2, 4] {
             let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
             opts.threads = threads;
-            opts.mocus.max_cutsets = 2;
-            assert!(matches!(
-                analyze(&t, &opts),
-                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
-                    limit: 2
-                }))
-            ));
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = threads;
-            opts.mocus.max_partials = 1;
-            assert!(matches!(
-                analyze(&t, &opts),
-                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
-                    limit: 1
-                }))
-            ));
-        }
-    }
-
-    #[test]
-    fn quantification_errors_abort_the_pipeline_promptly() {
-        let t = example3();
-        for threads in [1, 4] {
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = threads;
-            opts.max_chain_states = 1;
-            // Returning at all proves generation and filter drained and
-            // joined (no deadlock on a full channel); the error kind
-            // proves it came from the quantification stage.
-            let error = analyze(&t, &opts).unwrap_err();
+            let streamed = analyze(&tree, &opts).unwrap();
+            assert_eq!(streamed.stats.num_cutsets, 24 * 9);
+            assert!(streamed.stats.peak_pending_cutsets > 0);
             assert!(
-                matches!(error, CoreError::Product(_)),
-                "expected a product chain error, got: {error}"
+                streamed.stats.peak_pending_cutsets < streamed.stats.num_cutsets,
+                "threads = {threads}: peak pending {} of {} cutsets",
+                streamed.stats.peak_pending_cutsets,
+                streamed.stats.num_cutsets
             );
-            // The same failure under batch, for parity.
+            assert!(streamed.stats.peak_inflight_models > 0);
+        }
+    }
+
+    #[test]
+    fn phased_policy_never_overlaps_the_stages() {
+        let tree = parallel_trains(6);
+        for threads in [1, 4] {
+            let mut opts = AnalysisOptions::new(24.0);
             opts.streaming = false;
-            assert!(matches!(analyze(&t, &opts), Err(CoreError::Product(_))));
+            opts.threads = threads;
+            let phased = analyze(&tree, &opts).unwrap();
+            assert_eq!(phased.timings.stream_overlap, Duration::ZERO);
+            assert!(phased.stats.peak_inflight_models > 0);
+            assert!(phased.stats.peak_pending_cutsets >= phased.stats.num_cutsets);
         }
     }
 
     #[test]
-    fn quantification_errors_abort_the_sharded_filter_mid_epoch() {
-        // Shard workers may be mid-compaction (or blocked on a reply
-        // channel) when the abort lands; returning with the right error
-        // proves the dispatcher unblocked and joined every shard.
+    fn generation_budget_errors_propagate_under_both_policies() {
         let t = example3();
-        for fallback in [sdft_ft::FallbackMode::Always, sdft_ft::FallbackMode::Never] {
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = 2;
-            opts.filter_shards = 4;
-            opts.filter_fallback = fallback;
-            opts.max_chain_states = 1;
-            let error = analyze(&t, &opts).unwrap_err();
-            assert!(
-                matches!(error, CoreError::Product(_)),
-                "expected a product chain error, got: {error}"
-            );
+        for streaming in [true, false] {
+            for threads in [1, 4] {
+                let mut opts = AnalysisOptions::new(24.0);
+                opts.streaming = streaming;
+                opts.threads = threads;
+                opts.mocus.max_cutsets = 2;
+                assert!(matches!(
+                    analyze(&t, &opts),
+                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
+                        limit: 2
+                    }))
+                ));
+                let mut opts = AnalysisOptions::new(24.0);
+                opts.streaming = streaming;
+                opts.threads = threads;
+                opts.mocus.max_partials = 1;
+                assert!(matches!(
+                    analyze(&t, &opts),
+                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
+                        limit: 1
+                    }))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn quantification_errors_abort_the_pipeline_under_both_policies() {
+        // With four threads the filter runs four shards, which may be
+        // mid-compaction (or blocked on a reply channel) when the abort
+        // lands; returning at all proves every stage unblocked and
+        // joined, and the error kind proves it came from quantification.
+        for tree in [example3(), parallel_trains(6)] {
+            for streaming in [true, false] {
+                for threads in [1, 4] {
+                    let mut opts = AnalysisOptions::new(24.0);
+                    opts.streaming = streaming;
+                    opts.threads = threads;
+                    opts.max_chain_states = 1;
+                    let error = analyze(&tree, &opts).unwrap_err();
+                    assert!(
+                        matches!(error, CoreError::Product(_)),
+                        "streaming = {streaming}, threads = {threads}: \
+                         expected a product chain error, got: {error}"
+                    );
+                }
+            }
         }
     }
 }
@@ -1601,6 +1289,7 @@ mod streaming_tests {
 #[cfg(test)]
 mod bdd_backend_tests {
     use super::*;
+    use crate::planner::{BackendChoice, PlanReason};
     use sdft_ctmc::erlang;
     use sdft_ft::FaultTreeBuilder;
 
@@ -1709,11 +1398,44 @@ mod bdd_backend_tests {
             stats.bdd_max_module_nodes
         );
         assert!(stats.bdd_apply_misses > 0, "construction must apply");
+        // `bdd` is the hybrid composition with every module forced onto
+        // a diagram: the plan covers every module, all built and exact.
+        assert_eq!(result.module_plan.len(), stats.bdd_modules);
+        assert!(result
+            .module_plan
+            .iter()
+            .all(|e| e.choice == BackendChoice::Bdd && e.exact && e.nodes > 0));
+        assert_eq!(stats.bdd_external_modules, 0);
+        assert_eq!(stats.bdd_exact_modules, stats.bdd_modules);
 
         let mocus = analyze(&t, &AnalysisOptions::new(24.0)).unwrap();
         assert_eq!(mocus.stats.backend, Backend::Mocus);
         assert_eq!(mocus.stats.bdd_modules, 0);
         assert_eq!(mocus.stats.bdd_total_nodes, 0);
+        assert!(mocus.module_plan.is_empty());
+    }
+
+    #[test]
+    fn bdd_node_budget_is_an_error_not_a_replan() {
+        // Eight nodes fit pump1 and then starve `pumps`: the hybrid
+        // re-plans that module to MOCUS, the forced plan of `bdd` fails.
+        let t = example3();
+        let mut opts = AnalysisOptions::new(24.0);
+        opts.bdd.max_nodes = 8;
+        opts.backend = Backend::Hybrid;
+        let hybrid = analyze(&t, &opts).unwrap();
+        assert!(hybrid
+            .module_plan
+            .iter()
+            .any(|e| matches!(e.reason, PlanReason::BudgetExhausted { .. })));
+        opts.backend = Backend::Bdd;
+        for streaming in [true, false] {
+            opts.streaming = streaming;
+            assert!(matches!(
+                analyze(&t, &opts),
+                Err(CoreError::Bdd(sdft_bdd::BddError::NodeBudget { .. }))
+            ));
+        }
     }
 
     #[test]

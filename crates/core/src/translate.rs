@@ -39,7 +39,7 @@ impl Translated {
     /// Map an owned cutset back to original ids in place, reusing its
     /// allocation. Basic events are translated first in original order,
     /// so the id mapping is strictly monotone and the events stay
-    /// sorted — this is the same property the streaming engine's final
+    /// sorted — this is the same property the engine's final
     /// canonical sort relies on.
     ///
     /// # Panics

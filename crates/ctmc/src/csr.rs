@@ -30,11 +30,10 @@
 //! running stay-residual chain serial and in the original entry order,
 //! so it performs exactly the scalar path's floating-point operations —
 //! the two are bitwise-identical by construction, which the property
-//! suite pins on random CSR matrices. Selection is deterministic: the
-//! blocked kernel is always used unless the `SDFT_SPMV_KERNEL=scalar`
-//! environment variable forces the reference path (read once per
-//! process); it never depends on runtime CPU detection, so results can
-//! never vary across machines.
+//! suite pins on random CSR matrices. The solver always runs the blocked
+//! kernel; the scalar loop stays public only as that suite's reference.
+//! Nothing depends on runtime CPU detection, so results can never vary
+//! across machines.
 //!
 //! # Steady-state detection
 //!
@@ -74,7 +73,6 @@ use crate::chain::Ctmc;
 use crate::error::CtmcError;
 use crate::poisson::PoissonWeights;
 use crate::signature::ChainSignature;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The raw SpMV entry points, public so the property suite can pin the
@@ -86,10 +84,6 @@ pub mod kernel {
     /// the operation order — and therefore every rounding decision — is
     /// identical on every machine.
     pub const SPMV_LANES: usize = 4;
-
-    /// Signature shared by both SpMV kernels:
-    /// `(row_offsets, cols, probs, current, next)`.
-    pub type SpmvFn = fn(&[u32], &[u32], &[f64], &[f64], &mut [f64]);
 
     /// One DTMC step `next = current · P` over the CSR form — the scalar
     /// reference loop. The diagonal is the per-row residual (clamped at
@@ -165,28 +159,6 @@ pub mod kernel {
             next[s] += stay.max(0.0);
         }
     }
-}
-
-/// Which SpMV implementation [`solve`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpmvKernel {
-    /// The scalar reference loop ([`kernel::spmv_scalar`]).
-    Scalar,
-    /// The blocked 4-lane kernel ([`kernel::spmv_blocked`]), bitwise
-    /// equal to the scalar path. The default.
-    Blocked,
-}
-
-/// The process-wide SpMV kernel selection: [`SpmvKernel::Blocked`]
-/// unless `SDFT_SPMV_KERNEL=scalar` forces the reference path. Read
-/// once, so the choice is stable for the life of the process.
-#[must_use]
-pub fn selected_spmv_kernel() -> SpmvKernel {
-    static CHOICE: OnceLock<SpmvKernel> = OnceLock::new();
-    *CHOICE.get_or_init(|| match std::env::var("SDFT_SPMV_KERNEL").as_deref() {
-        Ok("scalar") => SpmvKernel::Scalar,
-        _ => SpmvKernel::Blocked,
-    })
 }
 
 /// Knobs of the uniformization kernel.
@@ -447,10 +419,6 @@ fn solve(
     ws.next.clear();
     ws.next.resize(n, 0.0);
 
-    let spmv: kernel::SpmvFn = match selected_spmv_kernel() {
-        SpmvKernel::Scalar => kernel::spmv_scalar,
-        SpmvKernel::Blocked => kernel::spmv_blocked,
-    };
     let nonzeros = ws.probs.len();
     let mut steps_taken = 0;
     let mut steady_state_step = None;
@@ -479,7 +447,7 @@ fn solve(
         if open == 0 {
             break;
         }
-        spmv(
+        kernel::spmv_blocked(
             &ws.row_offsets,
             &ws.cols,
             &ws.probs,

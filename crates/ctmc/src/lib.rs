@@ -47,8 +47,8 @@ mod triggered;
 
 pub use chain::{Ctmc, CtmcBuilder};
 pub use csr::{
-    kernel, reach_probability_many_with, selected_spmv_kernel, transient_distribution_many_with,
-    SolveStats, SolverOptions, SolverWorkspace, SpmvKernel,
+    kernel, reach_probability_many_with, transient_distribution_many_with, SolveStats,
+    SolverOptions, SolverWorkspace,
 };
 pub use error::CtmcError;
 pub use poisson::PoissonWeights;

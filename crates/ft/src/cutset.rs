@@ -452,7 +452,8 @@ impl CutsetList {
 /// churn, deferred-compaction sweeps), the minimizer stops probing per
 /// offer and buffers candidates, merging them in sorted one-pass
 /// batches instead. [`Always`]/[`Never`](Self::Never) force the
-/// respective path, for tests and benchmarks.
+/// respective path; they exist as a test seam — the analysis engine
+/// always runs [`Adaptive`](Self::Adaptive).
 ///
 /// [`Always`]: Self::Always
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -464,21 +465,6 @@ pub enum FallbackMode {
     Always,
     /// Pure incremental probing, never buffer.
     Never,
-}
-
-impl std::str::FromStr for FallbackMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "adaptive" => Ok(FallbackMode::Adaptive),
-            "always" => Ok(FallbackMode::Always),
-            "never" => Ok(FallbackMode::Never),
-            other => Err(format!(
-                "unknown fallback mode `{other}` (expected adaptive, always or never)"
-            )),
-        }
-    }
 }
 
 impl fmt::Display for FallbackMode {

@@ -28,7 +28,7 @@ use sdft_core::{
     analyze, translate, worst_case_probabilities, AnalysisOptions, AnalysisResult, Backend,
     BackendChoice, CoreError,
 };
-use sdft_ft::{Behavior, EventProbabilities, FaultTree};
+use sdft_ft::{Behavior, Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
 use sdft_product::{failure_probability, ProductOptions};
 use sdft_sim::{simulate, SimOptions};
@@ -62,14 +62,15 @@ pub struct CheckConfig {
     /// Re-run the base analysis with the quantification cache disabled
     /// and require bitwise-identical results.
     pub check_cache_consistency: bool,
-    /// Re-run the base analysis with the opposite engine (streaming vs
-    /// batch) and require bitwise-identical frequencies and identical
-    /// cutset lists.
+    /// Re-run the base analysis with the opposite release policy
+    /// (streaming vs phased) and require bitwise-identical frequencies
+    /// and identical cutset lists, both equal to the batch MOCUS
+    /// enumeration of `FT̄`.
     pub check_streaming_consistency: bool,
     /// Re-run the base analysis with the modular-BDD backend and require
     /// bitwise-identical frequencies and cutset lists, a sound exact
     /// static probability, and bitwise agreement between the BDD
-    /// backend's own streaming and batch runs.
+    /// backend's own streaming and phased runs.
     pub check_backend_consistency: bool,
     /// Re-run the base analysis with the hybrid planner backend and
     /// require bitwise-identical frequencies and cutset lists, for
@@ -83,10 +84,10 @@ pub struct CheckConfig {
     /// (the driver cycles it per tree; sifting must be invisible in
     /// every delivered result).
     pub sift: bool,
-    /// Shard count for the streaming subsumption filter (`0` = the
-    /// engine's automatic choice; the driver cycles it per tree so the
-    /// campaign covers the sharded reconciliation paths).
-    pub filter_shards: usize,
+    /// Engine threads: quantification workers, and `clamp(threads, 1, 4)`
+    /// subsumption shards (`run_oracle` cycles it per tree so the campaign
+    /// covers the sharded reconciliation paths).
+    pub threads: usize,
 }
 
 impl Default for CheckConfig {
@@ -107,7 +108,7 @@ impl Default for CheckConfig {
             check_hybrid_consistency: true,
             hybrid_max_nodes: 20_000_000,
             sift: true,
-            filter_shards: 0,
+            threads: 1,
         }
     }
 }
@@ -179,14 +180,14 @@ pub fn leq_slack(a: f64, b: f64, rel: f64) -> bool {
 
 /// The pipeline options every oracle analysis uses: exhaustive MOCUS
 /// (no cutoff — metamorphic rewrites must not shift borderline
-/// cutsets), single-threaded for determinism on any host.
+/// cutsets) on one generator thread, and `cfg.threads` engine threads
+/// (results are thread-count-invariant).
 #[must_use]
 pub fn analysis_options(cfg: &CheckConfig) -> AnalysisOptions {
     let mut opts = AnalysisOptions::new(cfg.horizon);
     opts.mocus = MocusOptions::exhaustive();
     opts.mocus.threads = 1;
-    opts.threads = 1;
-    opts.filter_shards = cfg.filter_shards;
+    opts.threads = cfg.threads;
     opts.epsilon = cfg.epsilon;
     opts.bdd.sift.enabled = cfg.sift;
     // An aggressively low trigger so the campaign's small trees
@@ -366,11 +367,14 @@ pub(crate) fn check_tree_into(
     }
 
     if cfg.check_streaming_consistency {
-        // The base run used whichever engine `opts` selected (streaming
-        // by default); the other engine must agree bitwise, down to the
-        // cutset list and per-cutset probabilities.
+        // The base run used whichever release policy `opts` selected
+        // (streaming by default); the other policy must agree bitwise,
+        // down to the cutset list and per-cutset probabilities, and the
+        // list must equal the batch MOCUS enumeration — a reference
+        // outside the engine.
         let mut flipped = opts;
         flipped.streaming = !opts.streaming;
+        let reference = mocus_reference(tree, &opts);
         match analyze(tree, &flipped) {
             Ok(second) => out.check(
                 second.frequency.to_bits() == base.frequency.to_bits()
@@ -380,12 +384,15 @@ pub(crate) fn check_tree_into(
                         s.cutset == b.cutset
                             && s.probability.to_bits() == b.probability.to_bits()
                             && s.chain_states == b.chain_states
-                    }),
+                    })
+                    && reference
+                        .as_ref()
+                        .is_ok_and(|list| *list == sorted_cutsets(&base)),
                 "stream_bitwise",
                 || {
                     format!(
-                        "engines disagree: base(streaming={}) freq {} rea {} ({} cutsets); \
-                         flipped freq {} rea {} ({} cutsets)",
+                        "policies disagree: base(streaming={}) freq {} rea {} ({} cutsets); \
+                         flipped freq {} rea {} ({} cutsets); batch MOCUS reference {}",
                         opts.streaming,
                         base.frequency,
                         base.static_rea,
@@ -393,12 +400,16 @@ pub(crate) fn check_tree_into(
                         second.frequency,
                         second.static_rea,
                         second.cutsets.len(),
+                        match &reference {
+                            Ok(list) => format!("{} cutsets", list.len()),
+                            Err(e) => format!("failed: {e}"),
+                        },
                     )
                 },
             ),
             Err(e) => out.fail(
                 "stream_bitwise",
-                format!("opposite-engine analysis failed: {e}"),
+                format!("opposite-policy analysis failed: {e}"),
             ),
         }
     }
@@ -530,11 +541,30 @@ pub(crate) fn check_tree_into(
     }
 }
 
+/// The minimal cutsets of `FT̄` from the batch MOCUS enumerator, mapped
+/// back to the original tree, sorted.
+fn mocus_reference(tree: &FaultTree, opts: &AnalysisOptions) -> Result<Vec<Cutset>, CoreError> {
+    let wc = worst_case_probabilities(tree, opts.horizon, opts.epsilon)?;
+    let translated = translate(tree, &wc)?;
+    let probs = EventProbabilities::from_static(&translated.tree)?;
+    let (mcs, _) = sdft_mocus::minimal_cutsets_with_stats(&translated.tree, &probs, &opts.mocus)?;
+    let mut list: Vec<Cutset> = translated.cutsets_to_original(&mcs).into_iter().collect();
+    list.sort();
+    Ok(list)
+}
+
+/// A result's cutsets, sorted.
+fn sorted_cutsets(result: &AnalysisResult) -> Vec<Cutset> {
+    let mut list: Vec<Cutset> = result.cutsets.iter().map(|r| r.cutset.clone()).collect();
+    list.sort();
+    list
+}
+
 /// The full pipeline under `--backend bdd` against the MOCUS base run:
 /// bitwise-identical frequencies and cutset lists (same quantification
 /// over the same canonical list), a sound exact static probability
 /// (above every single cutset, below the REA sum), and bitwise
-/// agreement between the BDD backend's own streaming and batch runs.
+/// agreement between the BDD backend's own streaming and phased runs.
 /// Trees whose diagram exceeds the node budget skip the arm.
 fn check_backend_bdd(
     tree: &FaultTree,
@@ -617,8 +647,9 @@ fn check_backend_bdd(
             "--backend bdd reported no exact static probability".to_owned(),
         ),
     }
-    // The BDD backend must agree with itself across engines, down to
-    // the exact probability's bits (construction is deterministic).
+    // The BDD backend must agree with itself across release policies,
+    // down to the exact probability's bits (construction is
+    // deterministic).
     let mut flipped = bdd_opts;
     flipped.streaming = !bdd_opts.streaming;
     match analyze(tree, &flipped) {
@@ -629,7 +660,7 @@ fn check_backend_bdd(
             "backend_stream_bitwise",
             || {
                 format!(
-                    "bdd engines disagree: streaming={} freq {} exact {:?}; \
+                    "bdd policies disagree: streaming={} freq {} exact {:?}; \
                      flipped freq {} exact {:?}",
                     bdd_opts.streaming,
                     second.frequency,
@@ -641,7 +672,7 @@ fn check_backend_bdd(
         ),
         Err(e) => out.fail(
             "backend_stream_bitwise",
-            format!("opposite-engine --backend bdd analysis failed: {e}"),
+            format!("opposite-policy --backend bdd analysis failed: {e}"),
         ),
     }
 }
@@ -651,8 +682,8 @@ fn check_backend_bdd(
 /// frequencies and cutset lists must be bitwise-identical to MOCUS, the
 /// plan must cover every module, a fully built plan must report an
 /// exact static probability and a plan with external modules must not,
-/// and the hybrid backend must agree with itself across streaming and
-/// batch engines.
+/// and the hybrid backend must agree with itself across the streaming
+/// and phased policies.
 fn check_backend_hybrid(
     tree: &FaultTree,
     base: &AnalysisResult,
@@ -748,7 +779,7 @@ fn check_backend_hybrid(
             "hybrid_stream_bitwise",
             || {
                 format!(
-                    "hybrid engines disagree: streaming={} freq {} exact {:?}; \
+                    "hybrid policies disagree: streaming={} freq {} exact {:?}; \
                      flipped freq {} exact {:?}",
                     hybrid_opts.streaming,
                     second.frequency,
@@ -760,7 +791,7 @@ fn check_backend_hybrid(
         ),
         Err(e) => out.fail(
             "hybrid_stream_bitwise",
-            format!("opposite-engine --backend hybrid analysis failed: {e}"),
+            format!("opposite-policy --backend hybrid analysis failed: {e}"),
         ),
     }
 }

@@ -7,7 +7,6 @@
 //!                        [--backend mocus|bdd|hybrid] [--explain-plan]
 //!                        [--sift on|off] [--max-nodes N] [--fast] [--csv OUT]
 //!                        [--no-steady-state] [--no-stream] [--progress SECS]
-//!                        [--filter-shards K] [--filter-fallback adaptive|always|never]
 //! sdft mcs        <file> [--horizon H] [--cutoff C] [--top N] [--threads N]
 //! sdft exact      <file> [--horizon H]       product-chain reference (small models)
 //! sdft simulate   <file> [--horizon H] [--samples N] [--seed S]
@@ -20,7 +19,7 @@ use sdft::core::{
     analyze, classify_triggering_gates, AnalysisOptions, AnalysisResult, Backend, BackendChoice,
     CoreError, PlanReason, TriggerTreatment,
 };
-use sdft::ft::{dot, format, EventProbabilities, FallbackMode, FaultTree};
+use sdft::ft::{dot, format, EventProbabilities, FaultTree};
 use sdft::mocus::MocusOptions;
 use sdft::product::{failure_probability, ProductOptions};
 use sdft::sim::{simulate, SimOptions};
@@ -41,8 +40,6 @@ struct Args {
     fast: bool,
     steady_state: bool,
     streaming: bool,
-    filter_shards: usize,
-    filter_fallback: FallbackMode,
     progress: Option<f64>,
     csv: Option<String>,
 }
@@ -52,9 +49,8 @@ fn usage() -> ExitCode {
         "usage: sdft <check|analyze|mcs|exact|simulate|importance|metrics|dot> <file> \
          [--horizon H] [--cutoff C] [--top N] [--samples N] [--seed S] [--threads N] \
          [--backend mocus|bdd|hybrid] [--explain-plan] [--sift on|off] [--max-nodes N] \
-         [--fast] [--no-steady-state] [--no-stream] \
-         [--filter-shards K] [--filter-fallback adaptive|always|never] \
-         [--progress SECS] [--csv OUT]"
+         [--fast] [--no-steady-state] [--no-stream] [--progress SECS] [--csv OUT]\n\
+         --no-stream runs phased: every cutset is generated before any is quantified"
     );
     ExitCode::from(2)
 }
@@ -82,8 +78,6 @@ fn main() -> ExitCode {
         fast: false,
         steady_state: true,
         streaming: true,
-        filter_shards: 0,
-        filter_fallback: FallbackMode::Adaptive,
         progress: None,
         csv: None,
     };
@@ -160,19 +154,6 @@ fn main() -> ExitCode {
                 args.streaming = false;
                 Some(())
             }
-            "--filter-shards" => value("--filter-shards")
-                .and_then(|v| v.parse().ok())
-                .map(|v| args.filter_shards = v),
-            "--filter-fallback" => value("--filter-fallback").and_then(|v| match v.parse() {
-                Ok(mode) => {
-                    args.filter_fallback = mode;
-                    Some(())
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    None
-                }
-            }),
             "--progress" => value("--progress")
                 .and_then(|v| v.parse().ok())
                 .filter(|&v: &f64| v.is_finite() && v > 0.0)
@@ -281,12 +262,7 @@ fn analysis_options(args: &Args) -> AnalysisOptions {
     }
     options.steady_state_detection = args.steady_state;
     options.streaming = args.streaming;
-    options.filter_shards = args.filter_shards;
-    options.filter_fallback = args.filter_fallback;
     options.progress = args.progress.map(std::time::Duration::from_secs_f64);
-    if options.progress.is_some() && !options.streaming {
-        eprintln!("note: --progress reports the streaming engine; ignored with --no-stream");
-    }
     if let Some(enabled) = args.sift {
         options.bdd.sift.enabled = enabled;
     }
@@ -404,40 +380,20 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         "stage busy: generation {:?}, filter {:?}, quantification {:?}",
         result.timings.generation_busy, result.timings.filter_busy, result.timings.quant_busy,
     );
-    if result.stats.filter_shards > 0 {
-        let probes: u64 = result
-            .stats
-            .filter_shard_stats
-            .iter()
-            .map(|s| s.probes)
-            .sum();
-        let rejects: u64 = result
-            .stats
-            .filter_shard_stats
-            .iter()
-            .map(|s| s.rejects)
-            .sum();
-        let compactions: u64 = result
-            .stats
-            .filter_shard_stats
-            .iter()
-            .map(|s| s.compactions)
-            .sum();
-        println!(
-            "filter: {} shard{}, {} probes, {} rejects, {} compactions, \
-             {} fallback epochs",
-            result.stats.filter_shards,
-            if result.stats.filter_shards == 1 {
-                ""
-            } else {
-                "s"
-            },
-            probes,
-            rejects,
-            compactions,
-            result.stats.filter_fallback_epochs,
-        );
-    }
+    let shards = &result.stats.filter_shard_stats;
+    println!(
+        "filter: {} shard{}, {} probes, {} rejects, {} compactions, {} fallback epochs",
+        result.stats.filter_shards,
+        if result.stats.filter_shards == 1 {
+            ""
+        } else {
+            "s"
+        },
+        shards.iter().map(|s| s.probes).sum::<u64>(),
+        shards.iter().map(|s| s.rejects).sum::<u64>(),
+        shards.iter().map(|s| s.compactions).sum::<u64>(),
+        result.stats.filter_fallback_epochs,
+    );
     println!("\ntop cutsets:");
     for report in result.cutsets.iter().take(args.top) {
         let names: Vec<&str> = report
@@ -456,7 +412,7 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Render the per-module plan table chosen by the hybrid planner.
+/// Render the per-module plan table of the `bdd` and `hybrid` backends.
 ///
 /// The short form caps the table at 24 rows; `--explain-plan` prints every
 /// module together with the planner score that drove the decision.

@@ -141,6 +141,26 @@ fn bad_input_fails_cleanly() {
 
     let (_, _, ok) = run(&["frobnicate", "/tmp/x"]);
     assert!(!ok);
+
+    // The shard count follows from --threads; there is no filter knob.
+    let file = model_file();
+    for flag in ["--filter-shards", "--filter-fallback"] {
+        let (_, stderr, ok) = run(&["analyze", file.path(), flag, "2"]);
+        assert!(!ok);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn phased_and_streaming_analyses_print_the_same_frequency() {
+    let file = model_file();
+    let (streamed, _, ok) = run(&["analyze", file.path()]);
+    assert!(ok);
+    let (phased, _, ok) = run(&["analyze", file.path(), "--no-stream"]);
+    assert!(ok);
+    let frequency = |out: &str| out.lines().next().unwrap_or_default().to_owned();
+    assert!(frequency(&streamed).starts_with("failure frequency"));
+    assert_eq!(frequency(&streamed), frequency(&phased));
 }
 
 #[test]
