@@ -25,7 +25,7 @@
 
 use crate::error::CoreError;
 use crate::ftc::TriggerTreatment;
-use sdft_ft::{Cutset, FaultTree, NodeId};
+use sdft_ft::{EventSignature, FaultTree};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,13 +46,13 @@ pub struct CanonicalModelKey(Vec<u8>);
 
 impl CanonicalModelKey {
     /// The structural stem of the key: the sorted signatures of the
-    /// cutset's dynamic events (with their trigger cones), the complete
-    /// structural signature of the model tree, and the treatment that
-    /// shaped it.
+    /// cutset's dynamic events (with their trigger cones, as
+    /// [`FaultTree::event_trigger_signature`] gives them, in any order),
+    /// the complete structural signature of the model tree, and the
+    /// treatment that shaped it.
     #[must_use]
     pub(crate) fn stem(
-        tree: &FaultTree,
-        dynamic_events: &[NodeId],
+        mut signatures: Vec<&EventSignature>,
         model_tree: &FaultTree,
         treatment: TriggerTreatment,
     ) -> Self {
@@ -61,11 +61,9 @@ impl CanonicalModelKey {
             TriggerTreatment::Classified => 0,
             TriggerTreatment::CutsetOnly => 1,
         });
-        let signatures = tree
-            .cutset_event_signatures(&Cutset::new(dynamic_events.iter().copied()))
-            .expect("cutset model events are basic events");
+        signatures.sort();
         push_usize(&mut bytes, signatures.len());
-        for signature in &signatures {
+        for signature in signatures {
             push_blob(&mut bytes, signature.as_bytes());
         }
         push_blob(&mut bytes, model_tree.structural_signature().as_bytes());
@@ -304,7 +302,7 @@ mod key_tests {
     use super::*;
     use crate::ftc::{build_ftc_with, FtcContext};
     use sdft_ctmc::erlang;
-    use sdft_ft::FaultTreeBuilder;
+    use sdft_ft::{Cutset, FaultTreeBuilder, NodeId};
 
     /// Example 3 of the paper with every node name prefixed and the
     /// failure rate parameterized; returns the tree and its {b, d}
@@ -362,6 +360,105 @@ mod key_tests {
             classified,
             key_of(&tree, &cutset, TriggerTreatment::CutsetOnly),
         );
+    }
+
+    /// Three trees whose trigger cones overlap in the ways the stored
+    /// signatures must reproduce: two gates sharing a subtree plus one
+    /// gate triggering two events; a chain where a triggered event sits
+    /// in the next event's cone; and a triggering gate nested inside
+    /// another one's cone.
+    fn cone_trees() -> Vec<FaultTree> {
+        let spare = || erlang::spare(1e-3, 0.05).unwrap();
+        let plain = || erlang::repairable(1, 2e-3, 0.05).unwrap();
+        let mut trees = Vec::new();
+
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.1).unwrap();
+        let y = b.dynamic_event("y", plain()).unwrap();
+        let z = b.static_event("z", 0.2).unwrap();
+        let w = b.dynamic_event("w", plain()).unwrap();
+        let d1 = b.triggered_event("d1", spare()).unwrap();
+        let d2 = b.triggered_event("d2", spare()).unwrap();
+        let d3 = b.triggered_event("d3", spare()).unwrap();
+        let shared = b.and("shared", [x, y]).unwrap();
+        let g1 = b.or("g1", [shared, z]).unwrap();
+        let g2 = b.or("g2", [shared, w]).unwrap();
+        let top = b.and("top", [g1, g2, d1, d2, d3]).unwrap();
+        b.trigger(g1, d1).unwrap();
+        b.trigger(g2, d2).unwrap();
+        b.trigger(g2, d3).unwrap();
+        b.top(top);
+        trees.push(b.build().unwrap());
+
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.1).unwrap();
+        let y = b.dynamic_event("y", plain()).unwrap();
+        let d2 = b.triggered_event("d2", spare()).unwrap();
+        let d3 = b.triggered_event("d3", spare()).unwrap();
+        let d4 = b.triggered_event("d4", spare()).unwrap();
+        let g1 = b.or("g1", [x, y]).unwrap();
+        let g2 = b.or("g2", [d2, x]).unwrap();
+        let g3 = b.and("g3", [d3, y]).unwrap();
+        let top = b.or("top", [g1, g2, g3, d4]).unwrap();
+        b.trigger(g1, d2).unwrap();
+        b.trigger(g2, d3).unwrap();
+        b.trigger(g3, d4).unwrap();
+        b.top(top);
+        trees.push(b.build().unwrap());
+
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.1).unwrap();
+        let y = b.dynamic_event("y", plain()).unwrap();
+        let v = b.dynamic_event("v", plain()).unwrap();
+        let d1 = b.triggered_event("d1", spare()).unwrap();
+        let d2 = b.triggered_event("d2", spare()).unwrap();
+        let inner = b.or("inner", [x, y]).unwrap();
+        let outer = b.and("outer", [inner, v]).unwrap();
+        let top = b.and("top", [outer, d1, d2]).unwrap();
+        b.trigger(inner, d1).unwrap();
+        b.trigger(outer, d2).unwrap();
+        b.top(top);
+        trees.push(b.build().unwrap());
+        trees
+    }
+
+    #[test]
+    fn stored_signatures_reproduce_the_cutset_signature_encoding() {
+        for tree in cone_trees() {
+            let ctx = FtcContext::new(&tree).unwrap();
+            let events: Vec<NodeId> = tree.basic_events().collect();
+            let mut checked = 0;
+            // Every set of events, so each dynamic event meets every
+            // other event in some cutset.
+            for mask in 1u32..1 << events.len() {
+                let cutset = Cutset::new(
+                    (0..events.len())
+                        .filter(|i| mask >> i & 1 == 1)
+                        .map(|i| events[i]),
+                );
+                for (treatment, tag) in [
+                    (TriggerTreatment::Classified, 0),
+                    (TriggerTreatment::CutsetOnly, 1),
+                ] {
+                    let model = build_ftc_with(&tree, &ctx, &cutset, treatment).unwrap();
+                    let (Some(key), Some(model_tree)) = (&model.canonical_key, &model.tree) else {
+                        continue;
+                    };
+                    let signatures = tree
+                        .cutset_event_signatures(&Cutset::new(model.dynamic_events.iter().copied()))
+                        .unwrap();
+                    let mut expected = vec![b'K', 2, tag];
+                    push_usize(&mut expected, signatures.len());
+                    for signature in &signatures {
+                        push_blob(&mut expected, signature.as_bytes());
+                    }
+                    push_blob(&mut expected, model_tree.structural_signature().as_bytes());
+                    assert_eq!(key.as_bytes(), expected, "cutset {cutset:?}");
+                    checked += 1;
+                }
+            }
+            assert!(checked > 20, "only {checked} dynamic models");
+        }
     }
 
     #[test]

@@ -37,6 +37,23 @@ pub enum CoreError {
         /// What was expected of the node.
         expected: &'static str,
     },
+    /// An [`crate::FtcContext`] was used with a tree other than the one
+    /// it was built from.
+    ForeignContext {
+        /// Nodes in the tree the context was built from.
+        context_nodes: usize,
+        /// Nodes in the tree it was used with.
+        tree_nodes: usize,
+    },
+    /// A triggering gate or dynamic event is unknown to the
+    /// [`crate::FtcContext`]: the context was built from another tree of
+    /// the same size.
+    UnknownToContext {
+        /// Name of the node in the tree the context was used with.
+        name: String,
+        /// What the node is in that tree.
+        kind: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -62,6 +79,19 @@ impl fmt::Display for CoreError {
             CoreError::UnexpectedNode { name, expected } => {
                 write!(f, "node {name:?} is not {expected}")
             }
+            CoreError::ForeignContext {
+                context_nodes,
+                tree_nodes,
+            } => write!(
+                f,
+                "FT_C context was built from a tree of {context_nodes} nodes \
+                 but used with one of {tree_nodes}"
+            ),
+            CoreError::UnknownToContext { name, kind } => write!(
+                f,
+                "{kind} {name:?} is unknown to the FT_C context \
+                 (built from another tree)"
+            ),
         }
     }
 }

@@ -2,26 +2,58 @@ use crate::canonical::CanonicalModelKey;
 use crate::classify::{classify_gate, TriggerClass};
 use crate::error::CoreError;
 use crate::translate::unique_name;
-use sdft_ft::{Behavior, Cutset, EventProbabilities, FaultTree, FaultTreeBuilder, NodeId};
+use sdft_ft::{
+    Behavior, Cutset, CutsetList, EventProbabilities, EventSignature, FaultTree, FaultTreeBuilder,
+    NodeId,
+};
 use sdft_mocus::{minimal_cutsets_rooted, Assumptions, MocusOptions};
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Precomputed, cutset-independent data for [`build_ftc`]: the
-/// classification of every triggering gate and the dynamic/static events
-/// of its subtree. Build it once per tree and reuse it for every cutset.
-#[derive(Debug, Clone)]
+/// Precomputed, cutset-independent data for [`build_ftc`], bound to the
+/// tree it was built from: the classification and subtree events of
+/// every triggering gate, every dynamic event's signature, and a memo of
+/// the triggering gates' minimal failing subsets. Build it once per tree
+/// and share it between every cutset and worker.
+#[derive(Debug)]
 pub struct FtcContext {
-    classes: HashMap<NodeId, TriggerClass>,
-    /// Triggering gate → (dynamic events, static events) of its subtree.
-    subtree_events: HashMap<NodeId, (Vec<NodeId>, Vec<NodeId>)>,
+    /// Node count of the tree the context was built from.
+    nodes: usize,
+    gates: HashMap<NodeId, TriggeringGate>,
     /// Static events appearing in the subtrees of two or more triggering
     /// gates. These may couple several trigger logics, so they must stay
     /// distinct frozen bits in the model; statics private to one gate can
     /// be merged into a single equivalent bit (see [`build_ftc_with`]).
     shared_statics: HashSet<NodeId>,
+    /// Every dynamic event's signature including its trigger cone: the
+    /// per-event part of the [`CanonicalModelKey`].
+    signatures: HashMap<NodeId, EventSignature>,
     /// Unit probabilities (statics keep their own values) — MOCUS runs on
     /// trigger subtrees without a cutoff, so values are irrelevant.
     probs: EventProbabilities,
+    /// The minimal failing subsets of each rooted MOCUS input seen so far.
+    failing_subsets: Mutex<HashMap<FailingSubsetsKey, Arc<CutsetList>>>,
+}
+
+/// A triggering gate's classification and the events of its subtree,
+/// each list sorted by id.
+#[derive(Debug)]
+struct TriggeringGate {
+    class: TriggerClass,
+    dynamic: Vec<NodeId>,
+    statics: Vec<NodeId>,
+}
+
+/// Everything a rooted MOCUS run over a triggering gate reads besides
+/// the tree and the context's fixed probabilities and options: the gate,
+/// the cutset's statics inside its subtree (assumed failed) and the
+/// subtree's dynamic events outside `Rel_a` (assumed functional), each
+/// sorted by id. Equal keys therefore give equal failing subsets.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct FailingSubsetsKey {
+    gate: NodeId,
+    failed: Vec<NodeId>,
+    functional: Vec<NodeId>,
 }
 
 impl FtcContext {
@@ -32,43 +64,90 @@ impl FtcContext {
     /// Returns an error if the tree has an invalid probability (cannot
     /// happen for built trees).
     pub fn new(tree: &FaultTree) -> Result<Self, CoreError> {
-        let mut classes = HashMap::new();
-        let mut subtree_events = HashMap::new();
+        let is_dynamic = |e: &NodeId| tree.behavior(*e).is_some_and(Behavior::is_dynamic);
+        let mut gates = HashMap::new();
+        let mut static_uses: HashMap<NodeId, usize> = HashMap::new();
         for gate in tree.gates() {
             if tree.triggers_of(gate).is_empty() {
                 continue;
             }
-            classes.insert(gate, classify_gate(tree, gate));
-            let events = tree.subtree_basic_events(gate);
-            let (dynamic, stat): (Vec<NodeId>, Vec<NodeId>) = events
+            let (dynamic, statics): (Vec<NodeId>, Vec<NodeId>) = tree
+                .subtree_basic_events(gate)
                 .into_iter()
-                .partition(|&e| tree.behavior(e).is_some_and(Behavior::is_dynamic));
-            subtree_events.insert(gate, (dynamic, stat));
-        }
-        let mut static_uses: HashMap<NodeId, usize> = HashMap::new();
-        for (_, stat) in subtree_events.values() {
-            for &e in stat {
+                .partition(is_dynamic);
+            for &e in &statics {
                 *static_uses.entry(e).or_default() += 1;
             }
+            gates.insert(
+                gate,
+                TriggeringGate {
+                    class: classify_gate(tree, gate),
+                    dynamic,
+                    statics,
+                },
+            );
         }
         let shared_statics = static_uses
             .into_iter()
             .filter(|&(_, uses)| uses > 1)
             .map(|(e, _)| e)
             .collect();
+        let signatures = tree
+            .basic_events()
+            .filter(is_dynamic)
+            .map(|e| (e, tree.event_trigger_signature(e).expect("basic event")))
+            .collect();
         let probs = EventProbabilities::with_dynamic(tree, |_| Ok(1.0))?;
         Ok(FtcContext {
-            classes,
-            subtree_events,
+            nodes: tree.len(),
+            gates,
             shared_statics,
+            signatures,
             probs,
+            failing_subsets: Mutex::default(),
         })
     }
 
     /// The classification of a triggering gate, if `gate` is one.
     #[must_use]
     pub fn class_of(&self, gate: NodeId) -> Option<TriggerClass> {
-        self.classes.get(&gate).copied()
+        self.gates.get(&gate).map(|g| g.class)
+    }
+
+    /// The minimal failing subsets `A_i` for `key`, running rooted MOCUS
+    /// only on a miss. Workers that miss the same key at once each run
+    /// it; the first to finish stores its (identical) result.
+    fn failing_subsets(
+        &self,
+        tree: &FaultTree,
+        key: FailingSubsetsKey,
+    ) -> Result<Arc<CutsetList>, CoreError> {
+        if let Some(subsets) = self.memo().get(&key) {
+            return Ok(Arc::clone(subsets));
+        }
+        let mut assumptions = Assumptions::new(tree);
+        for &e in &key.failed {
+            assumptions.assume_failed(e)?;
+        }
+        for &e in &key.functional {
+            assumptions.assume_ok(e)?;
+        }
+        // One thread: this runs inside a quantification worker, and the
+        // engine's workers already occupy the cores.
+        let options = MocusOptions {
+            threads: 1,
+            ..MocusOptions::exhaustive()
+        };
+        let subsets = minimal_cutsets_rooted(tree, key.gate, &self.probs, &options, &assumptions)?;
+        Ok(Arc::clone(
+            self.memo().entry(key).or_insert_with(|| Arc::new(subsets)),
+        ))
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<FailingSubsetsKey, Arc<CutsetList>>> {
+        self.failing_subsets
+            .lock()
+            .expect("no worker panics while holding the FT_C memo")
     }
 }
 
@@ -142,8 +221,10 @@ pub enum TriggerTreatment {
 ///
 /// # Errors
 ///
-/// Returns an error if the cutset references gates or the construction
-/// exceeds MOCUS budgets (possible for hostile general-case subtrees).
+/// Returns an error if the cutset references gates, the construction
+/// exceeds MOCUS budgets (possible for hostile general-case subtrees), or
+/// `ctx` was built from another tree: the node counts differ, or a
+/// triggering gate or dynamic event the model needs is unknown to it.
 pub fn build_ftc(
     tree: &FaultTree,
     ctx: &FtcContext,
@@ -164,6 +245,12 @@ pub fn build_ftc_with(
     cutset: &Cutset,
     treatment: TriggerTreatment,
 ) -> Result<CutsetModel, CoreError> {
+    if tree.len() != ctx.nodes {
+        return Err(CoreError::ForeignContext {
+            context_nodes: ctx.nodes,
+            tree_nodes: tree.len(),
+        });
+    }
     let mut static_events = Vec::new();
     let mut dynamic_events = Vec::new();
     for &event in cutset.events() {
@@ -191,7 +278,6 @@ pub fn build_ftc_with(
         });
     }
 
-    let statics_in_c: HashSet<NodeId> = static_events.iter().copied().collect();
     let mut builder = FaultTreeBuilder::new();
     let mut event_map: HashMap<NodeId, NodeId> = HashMap::new();
     let mut gate_map: HashMap<NodeId, NodeId> = HashMap::new();
@@ -267,73 +353,49 @@ pub fn build_ftc_with(
             builder.trigger(new_gate, event_map[&event])?;
             continue;
         }
+        let info = ctx
+            .gates
+            .get(&gate)
+            .ok_or_else(|| CoreError::UnknownToContext {
+                name: tree.name(gate).to_owned(),
+                kind: "triggering gate",
+            })?;
         let class = match treatment {
             TriggerTreatment::CutsetOnly => TriggerClass::StaticBranching,
-            TriggerTreatment::Classified if first_pass => ctx
-                .class_of(gate)
-                .unwrap_or_else(|| classify_gate(tree, gate)),
+            TriggerTreatment::Classified if first_pass => info.class,
             TriggerTreatment::Classified => TriggerClass::General,
         };
         classes_used.push((gate, class));
-        let fallback: (Vec<NodeId>, Vec<NodeId>);
-        let (dyn_events, sta_events) = match ctx.subtree_events.get(&gate) {
-            Some(pair) => pair,
-            None => {
-                let events = tree.subtree_basic_events(gate);
-                fallback = events
-                    .into_iter()
-                    .partition(|&e| tree.behavior(e).is_some_and(Behavior::is_dynamic));
-                &fallback
-            }
-        };
+        used_general |= class == TriggerClass::General;
 
-        // Rel_a per §V-C step 2.
-        let relevant: HashSet<NodeId> = match class {
-            TriggerClass::StaticBranching => dyn_events
-                .iter()
-                .copied()
-                .filter(|e| cutset.contains(*e))
-                .collect(),
-            TriggerClass::StaticJoins | TriggerClass::StaticJoinsUniform => {
-                dyn_events.iter().copied().collect()
-            }
-            TriggerClass::General => {
-                used_general = true;
-                dyn_events
-                    .iter()
-                    .chain(sta_events.iter())
-                    .copied()
-                    .filter(|e| !statics_in_c.contains(e))
-                    .collect()
-            }
-        };
-
-        // Assumptions: statics of C are failed; dynamic events outside
-        // Rel_a are functional. Static events outside C stay *free* so
-        // the rooted MOCUS pass emits them into the minimal failing
-        // subsets as frozen bits — dropping them instead (as an earlier
-        // revision did) loses trigger paths that fire at time zero
+        // Rooted MOCUS inputs (§V-C step 2): statics of C are failed, and
+        // dynamic events outside Rel_a are functional. Rel_a holds every
+        // dynamic event of the subtree, except under static branching,
+        // where it holds only those in C. Static events outside C stay
+        // *free* so the rooted MOCUS pass emits them into the minimal
+        // failing subsets as frozen bits — dropping them instead (as an
+        // earlier revision did) loses trigger paths that fire at time zero
         // through a static branch. Those paths belong to non-minimal
         // cutsets that subsumption removed, so the per-cutset model is
         // the only place left that can account for them.
-        let mut assumptions = Assumptions::new(tree);
-        for &e in sta_events.iter() {
-            if statics_in_c.contains(&e) {
-                assumptions.assume_failed(e).map_err(CoreError::Mocus)?;
-            }
-        }
-        for &e in dyn_events.iter() {
-            if !relevant.contains(&e) {
-                assumptions.assume_ok(e).map_err(CoreError::Mocus)?;
-            }
-        }
-        let a_sets = minimal_cutsets_rooted(
-            tree,
+        let key = FailingSubsetsKey {
             gate,
-            &ctx.probs,
-            &MocusOptions::exhaustive(),
-            &assumptions,
-        )?;
+            failed: static_events
+                .iter()
+                .copied()
+                .filter(|e| info.statics.binary_search(e).is_ok())
+                .collect(),
+            functional: match class {
+                TriggerClass::StaticBranching => info
+                    .dynamic
+                    .iter()
+                    .copied()
+                    .filter(|&e| !cutset.contains(e))
+                    .collect(),
+                _ => Vec::new(),
+            },
+        };
+        let a_sets = ctx.failing_subsets(tree, key)?;
 
         // Build the triggering fault tree: OR over one AND (or leaf) per
         // minimal failing subset. Degenerate cases: no subset → the gate
@@ -356,7 +418,7 @@ pub fn build_ftc_with(
         // only through this one OR, so all such subsets merge into a
         // single frozen bit carrying their combined probability.
         let mut occurrences: HashMap<NodeId, usize> = HashMap::new();
-        for a_set in &a_sets {
+        for a_set in a_sets.iter() {
             for &m in a_set.events() {
                 *occurrences.entry(m).or_default() += 1;
             }
@@ -439,7 +501,18 @@ pub fn build_ftc_with(
     let top = builder.and(&unique_name(&builder, "ftc", "__top"), top_inputs)?;
     builder.top(top);
     let model_tree = builder.build()?;
-    let canonical_key = CanonicalModelKey::stem(tree, &dynamic_events, &model_tree, treatment);
+    let signatures = dynamic_events
+        .iter()
+        .map(|e| {
+            ctx.signatures
+                .get(e)
+                .ok_or_else(|| CoreError::UnknownToContext {
+                    name: tree.name(*e).to_owned(),
+                    kind: "dynamic event",
+                })
+        })
+        .collect::<Result<_, _>>()?;
+    let canonical_key = CanonicalModelKey::stem(signatures, &model_tree, treatment);
 
     Ok(CutsetModel {
         tree: Some(model_tree),
@@ -690,6 +763,87 @@ mod tests {
         let t1 = ftc.trigger_source(ftc.node_by_name("d1").unwrap());
         let t2 = ftc.trigger_source(ftc.node_by_name("d2").unwrap());
         assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn context_from_another_tree_is_rejected() {
+        let t = example3();
+        let cutset = cutset_of(&t, &["b", "d"]);
+
+        // A different node count.
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.1).unwrap();
+        let top = b.or("top", [x]).unwrap();
+        b.top(top);
+        let small = FtcContext::new(&b.build().unwrap()).unwrap();
+        assert!(matches!(
+            build_ftc(&t, &small, &cutset),
+            Err(CoreError::ForeignContext {
+                context_nodes: 2,
+                tree_nodes: 9
+            })
+        ));
+
+        // The same node count, but pump 1 and pump 2 created in the
+        // other order: the triggering gate has another id.
+        let mut b = FaultTreeBuilder::new();
+        let a = b.static_event("a", 3e-3).unwrap();
+        let bb = b.dynamic_event("b", plain()).unwrap();
+        let c = b.static_event("c", 3e-3).unwrap();
+        let d = b.triggered_event("d", spare()).unwrap();
+        let e = b.static_event("e", 3e-6).unwrap();
+        let p2 = b.or("pump2", [c, d]).unwrap();
+        let p1 = b.or("pump1", [a, bb]).unwrap();
+        let pumps = b.and("pumps", [p1, p2]).unwrap();
+        let top = b.or("cooling", [pumps, e]).unwrap();
+        b.trigger(p1, d).unwrap();
+        b.top(top);
+        let swapped = FtcContext::new(&b.build().unwrap()).unwrap();
+        let unknown = |ctx: &FtcContext| match build_ftc(&t, ctx, &cutset) {
+            Err(CoreError::UnknownToContext { name, kind }) => (name, kind),
+            other => panic!("expected UnknownToContext, got {other:?}"),
+        };
+        assert_eq!(unknown(&swapped), ("pump1".to_owned(), "triggering gate"));
+
+        // The same gates, but a and b created in the other order: b's id
+        // is a static event in the context's tree.
+        let mut b = FaultTreeBuilder::new();
+        let bb = b.dynamic_event("b", plain()).unwrap();
+        let a = b.static_event("a", 3e-3).unwrap();
+        let c = b.static_event("c", 3e-3).unwrap();
+        let d = b.triggered_event("d", spare()).unwrap();
+        let e = b.static_event("e", 3e-6).unwrap();
+        let p1 = b.or("pump1", [a, bb]).unwrap();
+        let p2 = b.or("pump2", [c, d]).unwrap();
+        let pumps = b.and("pumps", [p1, p2]).unwrap();
+        let top = b.or("cooling", [pumps, e]).unwrap();
+        b.trigger(p1, d).unwrap();
+        b.top(top);
+        let reordered = FtcContext::new(&b.build().unwrap()).unwrap();
+        assert_eq!(unknown(&reordered), ("b".to_owned(), "dynamic event"));
+    }
+
+    #[test]
+    fn memo_key_holds_only_what_rooted_mocus_reads() {
+        // pump1 = OR(a, b) triggers d; c and e lie outside its subtree.
+        let t = example3();
+        let ctx = FtcContext::new(&t).unwrap();
+        let entries = || ctx.memo().len();
+        let bd = build_ftc(&t, &ctx, &cutset_of(&t, &["b", "d"])).unwrap();
+        assert_eq!(entries(), 1);
+        // c is outside pump1's subtree: same MOCUS input, same model.
+        let bcd = build_ftc(&t, &ctx, &cutset_of(&t, &["b", "c", "d"])).unwrap();
+        assert_eq!(entries(), 1);
+        assert_eq!(
+            bd.tree.unwrap().structural_signature(),
+            bcd.tree.unwrap().structural_signature()
+        );
+        // a is inside it and assumed failed: a new input.
+        build_ftc(&t, &ctx, &cutset_of(&t, &["a", "d"])).unwrap();
+        assert_eq!(entries(), 2);
+        // Static branching with b outside C: b is assumed functional.
+        build_ftc(&t, &ctx, &cutset_of(&t, &["d", "e"])).unwrap();
+        assert_eq!(entries(), 3);
     }
 
     #[test]

@@ -134,22 +134,31 @@ impl FaultTree {
     /// a gate.
     #[must_use]
     pub fn cutset_event_signatures(&self, cutset: &Cutset) -> Option<Vec<EventSignature>> {
-        let mut out = Vec::with_capacity(cutset.order());
-        for &event in cutset.events() {
-            let behavior = self.behavior(event)?;
-            let mut w = Writer::default();
-            write_behavior(behavior, &mut w);
-            match self.trigger_source(event) {
-                None => w.tag(0),
-                Some(gate) => {
-                    w.tag(1);
-                    w.blob(self.cone_signature(gate).as_bytes());
-                }
-            }
-            out.push(EventSignature(w.bytes));
-        }
+        let mut out = cutset
+            .events()
+            .iter()
+            .map(|&event| self.event_trigger_signature(event))
+            .collect::<Option<Vec<_>>>()?;
         out.sort();
         Some(out)
+    }
+
+    /// The signature of the basic event `id` *including its triggering
+    /// logic*: its behaviour, then for a triggered event the
+    /// [`FaultTree::cone_signature`] of its triggering gate. One entry of
+    /// [`FaultTree::cutset_event_signatures`]; `None` if `id` is a gate.
+    #[must_use]
+    pub fn event_trigger_signature(&self, id: NodeId) -> Option<EventSignature> {
+        let mut w = Writer::default();
+        write_behavior(self.behavior(id)?, &mut w);
+        match self.trigger_source(id) {
+            None => w.tag(0),
+            Some(gate) => {
+                w.tag(1);
+                w.blob(self.cone_signature(gate).as_bytes());
+            }
+        }
+        Some(EventSignature(w.bytes))
     }
 
     /// The structural signature of the cone (reachable sub-DAG) rooted at
