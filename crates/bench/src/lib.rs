@@ -458,7 +458,7 @@ pub struct CutoffRow {
     pub partials: u64,
     /// Partials MOCUS pruned via cutoff / look-ahead.
     pub partials_pruned: u64,
-    /// Subset tests the minimization pass performed.
+    /// Subset tests the subsumption filter performed.
     pub subsumption_comparisons: u64,
     /// Peak cutsets resident between generation and quantification.
     pub peak_pending_cutsets: usize,
@@ -495,7 +495,12 @@ pub fn cutoff_sweep(scale: f64, cutoffs: &[f64], horizon: f64) -> Vec<CutoffRow>
                 time: begin.elapsed(),
                 partials: result.stats.mocus_partials_processed,
                 partials_pruned: result.stats.mocus_partials_pruned,
-                subsumption_comparisons: result.stats.mocus_subsumption_comparisons,
+                subsumption_comparisons: result
+                    .stats
+                    .filter_shard_stats
+                    .iter()
+                    .map(|filter| filter.probes)
+                    .sum(),
                 peak_pending_cutsets: result.stats.peak_pending_cutsets,
                 peak_candidate_bytes: result.stats.mocus_peak_candidate_bytes,
             }
@@ -584,8 +589,8 @@ pub fn backend_contrast(scale: f64, cutoffs: &[f64], horizon: f64) -> Vec<Backen
                 abs_error: (bdd.static_rea - exact).abs(),
                 mocus_time,
                 bdd_time,
-                mocus_generation: mocus.timings.mcs_generation,
-                bdd_generation: bdd.timings.mcs_generation,
+                mocus_generation: mocus.timings.generation_busy,
+                bdd_generation: bdd.timings.generation_busy,
                 bdd_modules: bdd.stats.bdd_modules,
                 bdd_nodes: bdd.stats.bdd_total_nodes,
             }

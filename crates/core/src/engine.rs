@@ -3,10 +3,10 @@
 //! Every analysis runs one stage graph over bounded channels:
 //!
 //! ```text
-//! generator ──GenMsg──▶ dispatcher ──ShardMsg──▶ K shard minimizers
-//! (calling   (bounded)  (routes by   ◀─antichain─ (incremental
-//!  thread)               shard key,               subsumption
-//!                        reconciles)              per epoch)
+//! generator ──GenMsg──▶ dispatcher
+//! (calling   (bounded)  (one candidate buffer per open epoch,
+//!  thread)               batch-minimized as it grows and at the
+//!                        epoch's watermark)
 //!                            │
 //!                            │ released cutsets (bounded)
 //!                            ▼
@@ -15,13 +15,13 @@
 //!                  pooled kernel workspaces)
 //! ```
 //!
-//! with `K = clamp(threads, 1, 4)` shards and `N = threads` workers.
-//! The dispatcher routes each candidate to a shard by a deterministic
-//! key of its event set ([`Cutset::shard_key`]); the shards probe and
-//! compact independently, and at each epoch watermark the dispatcher
-//! reconciles the K per-shard antichains with one batch minimize before
-//! releasing, so the released sequence is bitwise-identical for every
-//! shard and thread count.
+//! with `N = threads` workers. The dispatcher appends each delivery to
+//! its epoch's buffer and re-minimizes the buffer with
+//! [`CutsetList::minimize_with_stats`] whenever it reaches twice its
+//! last minimal size, and at least 4096 (see [`EpochBuffer`]); at the
+//! epoch watermark it minimizes the buffer once more and releases it. The released
+//! sequence is the canonical (order, events) minimal antichain of the
+//! epoch's candidates, whatever their arrival order.
 //!
 //! The release policy is the only switch ([`AnalysisOptions::streaming`]):
 //! *streaming* hands each epoch's minimal cutsets to quantification the
@@ -55,9 +55,7 @@ use crate::pipeline::{
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
 use sdft_ctmc::WorkspacePool;
-use sdft_ft::{
-    Cutset, CutsetList, EventProbabilities, FaultTree, FilterStats, IncrementalMinimizer,
-};
+use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree};
 use sdft_mocus::{CandidateSink, MocusError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -68,16 +66,6 @@ use std::time::{Duration, Instant};
 /// holds at most the generator's flush threshold of 512 candidates).
 const GEN_CHANNEL_BATCHES: usize = 64;
 
-/// Dispatcher→shard channel capacity, in routed sub-batches.
-const SHARD_CHANNEL_BATCHES: usize = 16;
-
-/// Shard→dispatcher reply channel capacity, in finished epochs.
-const SHARD_REPLY_EPOCHS: usize = 4;
-
-/// Most shard minimizers the dispatcher runs: subsumption filtering
-/// saturates well before quantification does.
-const MAX_SHARDS: usize = 4;
-
 /// Cutsets per dispatcher→quantification delivery batch (one channel
 /// send and one wakeup per batch instead of per cutset).
 const QUANT_BATCH: usize = 256;
@@ -87,6 +75,9 @@ const QUANT_BATCH: usize = 256;
 /// quantification to 4096.
 const QUANT_CHANNEL_BATCHES: usize = 16;
 
+/// Smallest length at which an epoch buffer is re-minimized.
+const MIN_BUFFER_LIMIT: usize = 4096;
+
 /// What the engine hands back to the pipeline: per-horizon reports in
 /// canonical cutset order, plus per-stage statistics.
 pub(crate) struct EngineOutput {
@@ -94,13 +85,9 @@ pub(crate) struct EngineOutput {
     /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
     pub(crate) gen_stats: GenerationStats,
-    /// Subset tests the shard minimizers and the reconciliation
-    /// performed (the online arrival order makes this
-    /// scheduling-dependent).
-    pub(crate) subsumption_comparisons: u64,
     /// Peak cutsets resident between generation and quantification:
-    /// live shard minimal sets, plus released cutsets the phased policy
-    /// holds.
+    /// buffered candidates of open epochs, plus released cutsets the
+    /// phased policy holds.
     pub(crate) peak_pending_cutsets: usize,
     /// Peak models enqueued-or-quantifying downstream of the dispatcher.
     pub(crate) peak_inflight_models: usize,
@@ -114,15 +101,16 @@ pub(crate) struct EngineOutput {
     /// Stage-seconds the generation and quantification spans overlapped
     /// (zero under the phased policy).
     pub(crate) overlap: Duration,
-    /// Time the filter stage spent working (not blocked on the
-    /// generator channel), summed over the dispatcher and every shard.
+    /// Time the dispatcher spent buffering, minimizing and releasing
+    /// candidates: not blocked on the generator channel, nor on a full
+    /// quantification channel.
     pub(crate) filter_busy: Duration,
     /// Time quantification workers spent solving models, summed over
     /// workers (not blocked on the dispatcher channel).
     pub(crate) quant_busy: Duration,
-    /// Per-shard filter counters, indexed by shard (one entry per shard
-    /// minimizer the filter stage ran).
-    pub(crate) filter_shard_stats: Vec<FilterShardStats>,
+    /// The filter's counters (the candidate arrival order makes its
+    /// probe count scheduling-dependent).
+    pub(crate) filter_stats: FilterShardStats,
 }
 
 /// A bounded MPMC channel on `Mutex` + `Condvar` (std only). `send`
@@ -236,28 +224,14 @@ impl CandidateSink for ChannelSink<'_> {
     }
 }
 
-/// Dispatcher→shard messages: a shard's slice of one delivery batch,
-/// and the epoch watermark requesting the shard's finished antichain.
-enum ShardMsg {
-    Batch(u32, Vec<Cutset>),
-    Complete(u32),
-}
-
-/// A shard's answer to a watermark: the epoch, its minimal antichain in
-/// canonical (order, events) order, and the epoch's filter counters.
-type ShardReply = (u32, Vec<Cutset>, FilterStats);
-
 struct FilterOutput {
-    comparisons: u64,
     peak_pending: usize,
     first_release: Option<Instant>,
-    /// Time spent processing messages (routing, reconciling, releasing),
-    /// i.e. not blocked waiting on the generator channel; summed over
-    /// the dispatcher and the shard workers. Includes any backpressure
-    /// wait while handing batches downstream.
+    /// Time spent buffering, minimizing and releasing candidates:
+    /// neither blocked on the generator channel nor blocked handing
+    /// batches to a full quantification channel.
     busy: Duration,
-    /// Per-shard counters, aggregated over epochs.
-    shard_stats: Vec<FilterShardStats>,
+    stats: FilterShardStats,
 }
 
 /// Live progress counters, shared by all stages. Updated with relaxed
@@ -266,6 +240,9 @@ struct FilterOutput {
 #[derive(Default)]
 struct Progress {
     candidates: AtomicU64,
+    /// Candidates the filter buffers over all open epochs, plus the
+    /// cutsets the phased policy holds.
+    pending: AtomicUsize,
     finalized: AtomicU64,
     quantified: AtomicU64,
 }
@@ -312,12 +289,17 @@ struct Releaser<'a> {
     /// `Some` under the phased policy: released cutsets (original ids)
     /// waiting for generation to end.
     held: Option<Vec<Cutset>>,
+    /// When the first batch went to quantification.
+    first_release: Option<Instant>,
+    /// Time spent in quantification-channel sends: almost all of it
+    /// blocked on a full channel, so it is not filter work.
+    blocked: Duration,
 }
 
 impl Releaser<'_> {
     /// `false` when the pipeline was aborted mid-release; the caller
     /// should unwind.
-    fn release(&mut self, sorted: Vec<Cutset>, out: &mut FilterOutput) -> bool {
+    fn release(&mut self, sorted: Vec<Cutset>) -> bool {
         self.progress
             .finalized
             .fetch_add(sorted.len() as u64, Ordering::Relaxed);
@@ -330,7 +312,7 @@ impl Releaser<'_> {
                 held.extend(cutsets);
                 true
             }
-            None => self.send(cutsets, out),
+            None => self.send(cutsets),
         }
     }
 
@@ -340,289 +322,175 @@ impl Releaser<'_> {
     }
 
     /// End of generation: hand over whatever the phased policy held and
-    /// close the quantification channel. `false` when aborted.
-    fn close(&mut self, out: &mut FilterOutput) -> bool {
+    /// close the quantification channel (a no-op once it is aborted).
+    fn close(&mut self) {
         if let Some(held) = self.held.take() {
-            if !self.send(held, out) {
-                return false;
-            }
+            self.send(held);
         }
         self.quant_tx.close();
-        true
     }
 
-    fn send(&self, cutsets: impl IntoIterator<Item = Cutset>, out: &mut FilterOutput) -> bool {
+    fn send(&mut self, cutsets: impl IntoIterator<Item = Cutset>) -> bool {
         let mut batch: Vec<Cutset> = Vec::with_capacity(QUANT_BATCH);
         for cutset in cutsets {
             batch.push(cutset);
             if batch.len() == QUANT_BATCH
-                && !self.send_batch(
-                    std::mem::replace(&mut batch, Vec::with_capacity(QUANT_BATCH)),
-                    out,
-                )
+                && !self.send_batch(std::mem::replace(
+                    &mut batch,
+                    Vec::with_capacity(QUANT_BATCH),
+                ))
             {
                 return false;
             }
         }
-        batch.is_empty() || self.send_batch(batch, out)
+        batch.is_empty() || self.send_batch(batch)
     }
 
-    fn send_batch(&self, batch: Vec<Cutset>, out: &mut FilterOutput) -> bool {
-        out.first_release.get_or_insert_with(Instant::now);
+    fn send_batch(&mut self, batch: Vec<Cutset>) -> bool {
+        let begin = Instant::now();
+        self.first_release.get_or_insert(begin);
         let n = batch.len();
         let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
         self.peak_inflight.fetch_max(now, Ordering::Relaxed);
-        if self.quant_tx.send(batch) {
-            return true;
+        let sent = self.quant_tx.send(batch);
+        self.blocked += begin.elapsed();
+        if !sent {
+            self.inflight.fetch_sub(n, Ordering::Relaxed);
         }
-        self.inflight.fetch_sub(n, Ordering::Relaxed);
-        false
+        sent
     }
 }
 
-/// Merge the per-shard antichains of one epoch into the epoch's minimal
-/// cutsets. Each piece is internally minimal and canonically sorted;
-/// when at most one is non-empty the union already is the answer.
-/// Otherwise a cross-shard set can subsume another shard's set (the
-/// shard key is order- and content-sensitive, so a subset and its
-/// superset generally land on different shards) and a batch minimize
-/// over the concatenation settles it. The result is identical to
-/// minimizing the epoch's full candidate multiset in one place: every
-/// truly minimal set survives its own shard (nothing in its shard beats
-/// it, duplicates co-locate by key), so the union contains the answer,
-/// and the reconcile pass removes exactly the cross-shard casualties.
-fn reconcile(pieces: Vec<Vec<Cutset>>, threads: usize) -> (Vec<Cutset>, u64) {
-    let non_empty = pieces.iter().filter(|p| !p.is_empty()).count();
-    if non_empty <= 1 {
-        let piece = pieces
-            .into_iter()
-            .find(|p| !p.is_empty())
-            .unwrap_or_default();
-        return (piece, 0);
-    }
-    let mut union: Vec<Cutset> = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-    for piece in pieces {
-        union.extend(piece);
-    }
-    let (minimal, comparisons) = CutsetList::from_vec(union).minimize_with_stats(threads);
-    (minimal.into_iter().collect(), comparisons)
+/// One open epoch's candidates. Deliveries are appended unfiltered;
+/// once the buffer reaches `max(MIN_BUFFER_LIMIT, 2 × its length after
+/// the last minimize)` it is re-minimized in place. The buffer thus
+/// holds at most twice the minimal sets found so far (or
+/// [`MIN_BUFFER_LIMIT`]) plus one delivery, and every candidate takes
+/// part in amortized O(1) minimize passes.
+struct EpochBuffer {
+    cutsets: Vec<Cutset>,
+    /// Length at which the buffer is next re-minimized.
+    limit: usize,
 }
 
-/// The filter stage on the dispatcher thread: route each candidate to
-/// one of the `shard_pending.len()` shard workers by
-/// [`Cutset::shard_key`]; at an epoch watermark forward the watermark
-/// to every shard, collect the per-shard antichains in shard order,
-/// reconcile them ([`reconcile`]) and release the result. Determinism:
-/// the shard key is a pure function of the event set, each shard's
-/// antichain is the unique minimal antichain of its sub-multiset
-/// (arrival order is irrelevant), and reconciliation is a canonical
-/// batch minimize — so the released sequence is bitwise-identical for
-/// every shard count.
-fn dispatch(
-    gen_rx: &Channel<GenMsg>,
-    releaser: &mut Releaser<'_>,
-    shard_pending: &[AtomicUsize],
-) -> FilterOutput {
-    let k = shard_pending.len();
-    let mut out = FilterOutput {
-        comparisons: 0,
-        peak_pending: 0,
-        first_release: None,
-        busy: Duration::ZERO,
-        shard_stats: vec![FilterShardStats::default(); k],
-    };
-    let inputs: Vec<Channel<ShardMsg>> = (0..k)
-        .map(|_| Channel::new(SHARD_CHANNEL_BATCHES))
-        .collect();
-    let replies: Vec<Channel<ShardReply>> =
-        (0..k).map(|_| Channel::new(SHARD_REPLY_EPOCHS)).collect();
-    let pending = AtomicUsize::new(0);
-    let peak_pending = AtomicUsize::new(0);
-    // One epoch's minimal cutsets from its shard antichains, with the
-    // residency peak taken while the union is held.
-    let settle = |pieces: Vec<Vec<Cutset>>, held: usize, out: &mut FilterOutput| {
-        let union_len: usize = pieces.iter().map(Vec::len).sum();
-        peak_pending.fetch_max(
-            pending.load(Ordering::Relaxed) + union_len + held,
-            Ordering::Relaxed,
-        );
-        let (minimal, comparisons) = reconcile(pieces, k);
-        out.comparisons += comparisons;
-        minimal
-    };
-    let workers_busy = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|i| {
-                let (input, reply, occupancy) = (&inputs[i], &replies[i], &shard_pending[i]);
-                let (pending, peak_pending) = (&pending, &peak_pending);
-                std::thread::Builder::new()
-                    .name(format!("sdft-shard-{i}"))
-                    .spawn_scoped(scope, move || {
-                        shard_worker(input, reply, occupancy, pending, peak_pending)
-                    })
-                    .expect("spawn shard worker")
-            })
-            .collect();
-
-        let dispatched = 'dispatch: {
-            let mut route: Vec<Vec<Cutset>> = (0..k).map(|_| Vec::new()).collect();
-            while let Some(msg) = gen_rx.recv() {
-                let work_begin = Instant::now();
-                let ok = match msg {
-                    GenMsg::Batch(epoch, cutsets) => {
-                        for cutset in cutsets {
-                            route[cutset.shard_key(k)].push(cutset);
-                        }
-                        inputs.iter().zip(route.iter_mut()).all(|(input, bucket)| {
-                            bucket.is_empty()
-                                || input.send(ShardMsg::Batch(epoch, std::mem::take(bucket)))
-                        })
-                    }
-                    GenMsg::EpochComplete(epoch) => 'settle: {
-                        for input in &inputs {
-                            if !input.send(ShardMsg::Complete(epoch)) {
-                                break 'settle false;
-                            }
-                        }
-                        // Each worker answers watermarks in input order,
-                        // so the next reply on shard i's channel is for
-                        // this epoch.
-                        let mut pieces: Vec<Vec<Cutset>> = Vec::with_capacity(k);
-                        for (i, reply) in replies.iter().enumerate() {
-                            let Some((e, sorted, stats)) = reply.recv() else {
-                                break 'settle false;
-                            };
-                            debug_assert_eq!(e, epoch);
-                            out.shard_stats[i].absorb(stats);
-                            pieces.push(sorted);
-                        }
-                        let minimal = settle(pieces, releaser.held(), &mut out);
-                        releaser.release(minimal, &mut out)
-                    }
-                };
-                out.busy += work_begin.elapsed();
-                if !ok {
-                    break 'dispatch false;
-                }
-            }
-            // Channel closed (or aborted): leftover epochs only exist
-            // on the abort path. Close the shard inputs so the workers
-            // flush whatever they still hold, then drain their replies
-            // grouped by epoch and settle each in epoch order.
-            let drain_begin = Instant::now();
-            for input in &inputs {
-                input.close();
-            }
-            let mut leftovers: HashMap<u32, Vec<Vec<Cutset>>> = HashMap::new();
-            for (i, reply) in replies.iter().enumerate() {
-                while let Some((epoch, sorted, stats)) = reply.recv() {
-                    out.shard_stats[i].absorb(stats);
-                    leftovers.entry(epoch).or_default().push(sorted);
-                }
-            }
-            let mut rest: Vec<(u32, Vec<Vec<Cutset>>)> = leftovers.into_iter().collect();
-            rest.sort_unstable_by_key(|&(epoch, _)| epoch);
-            let mut ok = true;
-            for (_, pieces) in rest {
-                let minimal = settle(pieces, releaser.held(), &mut out);
-                ok = ok && releaser.release(minimal, &mut out);
-            }
-            out.busy += drain_begin.elapsed();
-            // Not filter work: under the phased policy this hand-over
-            // waits on the quantification workers for the whole list.
-            ok && releaser.close(&mut out)
-        };
-        if !dispatched {
-            // Unblock any worker stuck sending a reply before joining.
-            for input in &inputs {
-                input.abort();
-            }
-            for reply in &replies {
-                reply.abort();
-            }
+impl EpochBuffer {
+    fn new() -> Self {
+        EpochBuffer {
+            cutsets: Vec::new(),
+            limit: MIN_BUFFER_LIMIT,
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker does not panic"))
-            .sum::<Duration>()
-    });
-    out.busy += workers_busy;
-    out.peak_pending = peak_pending.into_inner();
-    out
+    }
+
+    /// Replace the buffer by its minimal antichain in canonical
+    /// (order, events) order, counting the subset tests and rejects
+    /// into `stats`; returns the candidates removed.
+    fn minimize(&mut self, stats: &mut FilterShardStats) -> usize {
+        let before = self.cutsets.len();
+        let (minimal, probes) =
+            CutsetList::from_vec(std::mem::take(&mut self.cutsets)).minimize_with_stats(1);
+        self.cutsets = minimal.into_iter().collect();
+        self.limit = (2 * self.cutsets.len()).max(MIN_BUFFER_LIMIT);
+        let removed = before - self.cutsets.len();
+        stats.probes += probes;
+        stats.rejects += removed as u64;
+        removed
+    }
 }
 
-/// One shard worker: per-epoch incremental minimizers over the
-/// candidates routed to this shard, answering each watermark with the
-/// epoch's finished antichain. Returns its busy time.
-fn shard_worker(
-    input: &Channel<ShardMsg>,
-    reply: &Channel<ShardReply>,
-    occupancy: &AtomicUsize,
-    pending: &AtomicUsize,
-    peak_pending: &AtomicUsize,
-) -> Duration {
-    let mut minimizers: HashMap<u32, IncrementalMinimizer> = HashMap::new();
-    let mut live = 0usize;
+/// The filter stage's state on the dispatcher thread: one
+/// [`EpochBuffer`] per open epoch, and the filter's counters.
+#[derive(Default)]
+struct Filter {
+    epochs: HashMap<u32, EpochBuffer>,
+    /// Candidates buffered over all open epochs.
+    buffered: usize,
+    /// Peak of `buffered` plus the cutsets the phased policy holds,
+    /// sampled before every minimize, when a buffer is at its longest.
+    peak_pending: usize,
+    stats: FilterShardStats,
+}
+
+impl Filter {
+    /// Append one delivery to its epoch's buffer, re-minimizing the
+    /// buffer once it reaches its limit. `held` is what the releaser
+    /// holds (for the residency peak).
+    fn absorb(&mut self, epoch: u32, batch: Vec<Cutset>, held: usize) {
+        self.stats.offered += batch.len() as u64;
+        self.buffered += batch.len();
+        let buffer = self.epochs.entry(epoch).or_insert_with(EpochBuffer::new);
+        buffer.cutsets.extend(batch);
+        if buffer.cutsets.len() >= buffer.limit {
+            self.peak_pending = self.peak_pending.max(self.buffered + held);
+            self.buffered -= buffer.minimize(&mut self.stats);
+        }
+    }
+
+    /// Close `epoch`: its minimal cutsets in canonical order.
+    fn finish(&mut self, epoch: u32, held: usize) -> Vec<Cutset> {
+        let mut buffer = self.epochs.remove(&epoch).unwrap_or_else(EpochBuffer::new);
+        self.peak_pending = self.peak_pending.max(self.buffered + held);
+        self.buffered -= buffer.cutsets.len();
+        buffer.minimize(&mut self.stats);
+        buffer.cutsets
+    }
+}
+
+/// The filter stage on the dispatcher thread: buffer each delivery in
+/// its epoch's [`EpochBuffer`], and at an epoch watermark release the
+/// epoch's minimal cutsets. Determinism: minimal sets of a multiset are
+/// unique and [`CutsetList::minimize_with_stats`] returns them in
+/// canonical order, so the released sequence does not depend on how
+/// deliveries arrive or when buffers were re-minimized.
+fn dispatch(gen_rx: &Channel<GenMsg>, releaser: &mut Releaser<'_>) -> FilterOutput {
+    let mut filter = Filter::default();
     let mut busy = Duration::ZERO;
-    let track = |live: usize, delta_before: usize, delta_after: usize| {
-        occupancy.store(live, Ordering::Relaxed);
-        let total = if delta_after >= delta_before {
-            let grow = delta_after - delta_before;
-            pending.fetch_add(grow, Ordering::Relaxed) + grow
-        } else {
-            let shrink = delta_before - delta_after;
-            pending
-                .fetch_sub(shrink, Ordering::Relaxed)
-                .saturating_sub(shrink)
+    let mut ok = true;
+    while let Some(msg) = gen_rx.recv() {
+        let begin = Instant::now();
+        let blocked = releaser.blocked;
+        ok = match msg {
+            GenMsg::Batch(epoch, cutsets) => {
+                filter.absorb(epoch, cutsets, releaser.held());
+                true
+            }
+            GenMsg::EpochComplete(epoch) => {
+                let minimal = filter.finish(epoch, releaser.held());
+                releaser.release(minimal)
+            }
         };
-        peak_pending.fetch_max(total, Ordering::Relaxed);
-    };
-    while let Some(msg) = input.recv() {
-        let work_begin = Instant::now();
-        match msg {
-            ShardMsg::Batch(epoch, cutsets) => {
-                let minimizer = minimizers.entry(epoch).or_default();
-                let before = minimizer.len();
-                for cutset in cutsets {
-                    minimizer.absorb(cutset);
-                }
-                let after = minimizer.len();
-                live = live - before + after;
-                track(live, before, after);
-                busy += work_begin.elapsed();
-            }
-            ShardMsg::Complete(epoch) => {
-                // A shard that saw no candidates for the epoch still
-                // answers the watermark (with an empty antichain) so
-                // the dispatcher's shard-order collection stays lined
-                // up.
-                let minimizer = minimizers.remove(&epoch).unwrap_or_default();
-                let held = minimizer.len();
-                live -= held;
-                track(live, held, 0);
-                let (sorted, stats) = minimizer.finish();
-                busy += work_begin.elapsed();
-                if !reply.send((epoch, sorted, stats)) {
-                    return busy;
-                }
-            }
+        releaser
+            .progress
+            .pending
+            .store(filter.buffered + releaser.held(), Ordering::Relaxed);
+        busy += begin.elapsed().saturating_sub(releaser.blocked - blocked);
+        if !ok {
+            break;
         }
     }
-    // Input closed with epochs still open: the pipeline is tearing
-    // down. Flush them (sorted by epoch) so the dispatcher's drain sees
-    // every epoch exactly once per shard.
-    let mut rest: Vec<(u32, IncrementalMinimizer)> = minimizers.into_iter().collect();
-    rest.sort_unstable_by_key(|&(epoch, _)| epoch);
-    for (epoch, minimizer) in rest {
-        let flush_begin = Instant::now();
-        let (sorted, stats) = minimizer.finish();
-        busy += flush_begin.elapsed();
-        if !reply.send((epoch, sorted, stats)) {
-            return busy;
+    if ok {
+        // Channel closed (or aborted). A backend completes every epoch
+        // before it returns, so open epochs only remain on the abort
+        // path; settle them in epoch order all the same, so that a
+        // missed watermark cannot drop cutsets.
+        let begin = Instant::now();
+        let blocked = releaser.blocked;
+        let mut open: Vec<u32> = filter.epochs.keys().copied().collect();
+        open.sort_unstable();
+        let settled = open.into_iter().all(|epoch| {
+            let minimal = filter.finish(epoch, releaser.held());
+            releaser.release(minimal)
+        });
+        if settled {
+            releaser.close();
         }
+        busy += begin.elapsed().saturating_sub(releaser.blocked - blocked);
     }
-    reply.close();
-    busy
+    FilterOutput {
+        peak_pending: filter.peak_pending,
+        first_release: releaser.first_release,
+        busy,
+        stats: filter.stats,
+    }
 }
 
 /// One quantification worker: drain cutsets, build and solve their
@@ -675,9 +543,9 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the analysis: generation on the calling thread, the dispatcher
-/// with its shard workers, `threads` quantification workers, and (when
-/// enabled) a progress monitor — all joined before returning.
+/// Run the analysis: generation on the calling thread, the dispatcher,
+/// `threads` quantification workers, and (when enabled) a progress
+/// monitor — all joined before returning.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     tree: &FaultTree,
@@ -702,8 +570,6 @@ pub(crate) fn run(
         treatment: options.treatment,
         steady_state_detection: options.steady_state_detection,
     };
-    let shards = threads.clamp(1, MAX_SHARDS);
-    let shard_pending: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
     let cache = options.cache.then(QuantCache::new);
     let pool = WorkspacePool::new();
     let gen_channel: Channel<GenMsg> = Channel::new(GEN_CHANNEL_BATCHES);
@@ -737,8 +603,10 @@ pub(crate) fn run(
                         inflight: &inflight,
                         peak_inflight: &peak_inflight,
                         held: (!options.streaming).then(Vec::new),
+                        first_release: None,
+                        blocked: Duration::ZERO,
                     };
-                    dispatch(&gen_channel, &mut releaser, &shard_pending)
+                    dispatch(&gen_channel, &mut releaser)
                 })
                 .expect("spawn dispatcher");
             let quant_handles: Vec<_> = (0..threads)
@@ -755,7 +623,6 @@ pub(crate) fn run(
                 let monitor_done = &monitor_done;
                 let progress = &progress;
                 let cache = cache.as_ref();
-                let shard_pending = &shard_pending;
                 scope.spawn(move || {
                     let (lock, condvar) = monitor_done;
                     let mut done = lock.lock().expect("monitor flag poisoned");
@@ -774,15 +641,12 @@ pub(crate) fn run(
                         } else {
                             100.0 * stats.hits as f64 / consultations as f64
                         };
-                        let occupancy: Vec<usize> = shard_pending
-                            .iter()
-                            .map(|p| p.load(Ordering::Relaxed))
-                            .collect();
                         eprintln!(
-                            "progress: {} candidates, {} cutsets finalized, \
-                             {} models quantified, cache hit rate {rate:.1}%, \
-                             shard occupancy {occupancy:?}",
+                            "progress: {} candidates, {} pending in the filter, \
+                             {} cutsets finalized, {} models quantified, \
+                             cache hit rate {rate:.1}%",
                             progress.candidates.load(Ordering::Relaxed),
+                            progress.pending.load(Ordering::Relaxed),
                             progress.finalized.load(Ordering::Relaxed),
                             progress.quantified.load(Ordering::Relaxed),
                         );
@@ -885,7 +749,6 @@ pub(crate) fn run(
     Ok(EngineOutput {
         per_horizon,
         gen_stats,
-        subsumption_comparisons: filter_out.comparisons,
         peak_pending_cutsets: filter_out.peak_pending,
         peak_inflight_models: peak_inflight.into_inner(),
         cache_stats: cache.as_ref().map(QuantCache::stats).unwrap_or_default(),
@@ -895,6 +758,88 @@ pub(crate) fn run(
         overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
         filter_busy: filter_out.busy,
         quant_busy,
-        filter_shard_stats: filter_out.shard_stats,
+        filter_stats: filter_out.stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdft_ft::NodeId;
+
+    /// A deterministic candidate stream for one epoch: `batches`
+    /// deliveries of `batch_len` random sets of order 2 to 4 over 32
+    /// events. Repeats are exact duplicates, and pairs drawn late
+    /// subsume triples and quadruples kept earlier.
+    fn random_deliveries(batches: usize, batch_len: usize) -> Vec<Vec<Cutset>> {
+        let mut state: u64 = 0x5eed_f11e;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        (0..batches)
+            .map(|_| {
+                (0..batch_len)
+                    .map(|_| {
+                        let order = 2 + next(3);
+                        Cutset::new((0..order).map(|_| NodeId::from_index(next(32) as usize)))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_epoch_buffer_is_reminimized_within_its_bound() {
+        const DELIVERY: usize = 512;
+        let mut deliveries = random_deliveries(26, DELIVERY);
+        // Late deliveries: the first one again (exact duplicates of sets
+        // kept long ago), then singletons that subsume kept pairs.
+        deliveries.push(deliveries[0].clone());
+        deliveries.push(
+            [3, 17, 29]
+                .map(|e| Cutset::new([NodeId::from_index(e)]))
+                .to_vec(),
+        );
+        let stream: Vec<Cutset> = deliveries.iter().flatten().cloned().collect();
+        assert!(stream.len() >= 3 * MIN_BUFFER_LIMIT);
+
+        let mut filter = Filter::default();
+        let mut seen: Vec<Cutset> = Vec::new();
+        let mut most_minimal = 0;
+        let mut shrank = false;
+        for delivery in deliveries {
+            seen.extend(delivery.iter().cloned());
+            most_minimal = most_minimal.max(CutsetList::from_vec(seen.clone()).minimize().len());
+            let before = filter.buffered;
+            filter.absorb(0, delivery, 0);
+            let buffer = filter.epochs[&0].cutsets.len();
+            assert_eq!(buffer, filter.buffered);
+            shrank |= buffer < before;
+            let bound = MIN_BUFFER_LIMIT.max(2 * most_minimal) + DELIVERY;
+            assert!(
+                buffer <= bound,
+                "buffer of {buffer} candidates after {} delivered (bound {bound})",
+                seen.len()
+            );
+            assert!(filter.peak_pending <= bound);
+        }
+        assert!(shrank, "the buffer was never re-minimized mid-epoch");
+
+        let released = filter.finish(0, 0);
+        let reference: Vec<Cutset> = CutsetList::from_vec(stream.clone())
+            .minimize()
+            .into_iter()
+            .collect();
+        assert_eq!(released, reference);
+        assert!(filter.epochs.is_empty());
+        assert_eq!(filter.buffered, 0);
+        assert_eq!(filter.stats.offered, stream.len() as u64);
+        assert_eq!(
+            filter.stats.offered - filter.stats.rejects,
+            released.len() as u64
+        );
+    }
 }

@@ -36,8 +36,9 @@ pub struct AnalysisOptions {
     pub bdd: ModularBddOptions,
     /// Truncation error for all transient analyses.
     pub epsilon: f64,
-    /// Worker threads for cutset quantification; `0` uses all available
-    /// cores. The subsumption filter runs `clamp(threads, 1, 4)` shards.
+    /// Worker threads for cutset quantification, and for MOCUS unless
+    /// [`MocusOptions::threads`] is set; `0` uses all available cores.
+    /// The subsumption filter always runs on one dispatcher thread.
     pub threads: usize,
     /// State budget for each per-cutset product chain.
     pub max_chain_states: usize,
@@ -127,8 +128,6 @@ pub struct Timings {
     pub worst_case: Duration,
     /// Translating to the static tree `FT̄` (§V-B1).
     pub translation: Duration,
-    /// MOCUS cutset generation.
-    pub mcs_generation: Duration,
     /// Total dynamic quantification (all cutsets, wall clock).
     pub quantification: Duration,
     /// Wall-clock the quantification cache saved: solve time the cache
@@ -141,12 +140,13 @@ pub struct Timings {
     /// ran concurrently (zero under the phased policy, which runs them
     /// strictly in sequence).
     pub stream_overlap: Duration,
-    /// Busy seconds of the generation stage (MOCUS/BDD enumeration on
-    /// the calling thread; equals `mcs_generation`).
+    /// Busy seconds of the generation stage: MOCUS/BDD cutset
+    /// enumeration on the calling thread, wall clock.
     pub generation_busy: Duration,
-    /// Busy seconds of the subsumption filter stage: time actually spent
-    /// minimizing and releasing candidates, excluding channel waits,
-    /// summed over the dispatcher and its shards.
+    /// Busy seconds of the subsumption filter on the dispatcher thread:
+    /// time spent buffering, minimizing and releasing candidates. It
+    /// excludes channel waits, both for the next delivery and for room
+    /// in a full quantification channel.
     pub filter_busy: Duration,
     /// Busy seconds summed over quantification workers: time spent
     /// solving models, excluding channel waits. Exceeds wall-clock
@@ -161,36 +161,17 @@ pub struct Timings {
     pub total: Duration,
 }
 
-/// Per-shard counters of the subsumption filter, aggregated
-/// over every epoch the shard minimized. All scheduling-dependent: the
-/// split of probes across shards follows the deterministic shard key,
-/// but the counts themselves depend on candidate arrival order.
+/// Counters of the subsumption filter, aggregated over every epoch.
+/// `offered` and `rejects` are schedule-independent; `probes` depends on
+/// when buffers were re-minimized, hence on candidate arrival order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterShardStats {
-    /// Candidates routed to this shard.
+    /// Candidates the generator delivered.
     pub offered: u64,
-    /// Subset tests the shard performed.
+    /// Subset tests the filter's minimize passes performed.
     pub probes: u64,
-    /// Candidates rejected as duplicates or subsumed.
+    /// Candidates dropped as duplicates or subsumed.
     pub rejects: u64,
-    /// Kept sets evicted by a later-accepted subset.
-    pub evictions: u64,
-    /// Deferred-eviction sweeps run at compaction points.
-    pub compactions: u64,
-    /// Epochs this shard minimized through the batch fallback.
-    pub fallback_epochs: u64,
-}
-
-impl FilterShardStats {
-    /// Fold one epoch's filter counters into the shard totals.
-    pub(crate) fn absorb(&mut self, stats: sdft_ft::FilterStats) {
-        self.offered += stats.offered;
-        self.probes += stats.probes;
-        self.rejects += stats.rejects;
-        self.evictions += stats.evictions;
-        self.compactions += stats.compactions;
-        self.fallback_epochs += u64::from(stats.fell_back);
-    }
 }
 
 /// Aggregate statistics of an analysis run (the quantities behind the
@@ -239,15 +220,12 @@ pub struct AnalysisStats {
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
     /// look-ahead bound (schedule-independent).
     pub mocus_partials_pruned: u64,
-    /// Subset tests the cutset minimization performed
-    /// (schedule-independent).
-    pub mocus_subsumption_comparisons: u64,
     /// MOCUS tasks claimed from the shared work queue beyond each
     /// worker's first — 0 single-threaded; varies with scheduling.
     pub mocus_stolen_tasks: u64,
     /// Peak cutsets resident between generation and quantification: the
-    /// filter stage's live minimal sets, plus the released cutsets the
-    /// phased policy holds (scheduling-dependent).
+    /// candidates the filter buffers for open epochs, plus the released
+    /// cutsets the phased policy holds (scheduling-dependent).
     pub peak_pending_cutsets: usize,
     /// Peak cutset models enqueued-or-quantifying at once, bounded by
     /// the engine's channel capacity plus the worker count.
@@ -261,12 +239,9 @@ pub struct AnalysisStats {
     pub mocus_peak_live_candidates: u64,
     /// Approximate peak bytes held by resident candidates.
     pub mocus_peak_candidate_bytes: u64,
-    /// Shard count of the subsumption filter (`clamp(threads, 1, 4)`).
-    pub filter_shards: usize,
-    /// Epochs the filter minimized through the batch fallback, summed
-    /// over shards (scheduling-dependent).
-    pub filter_fallback_epochs: u64,
-    /// Per-shard filter counters, in shard order.
+    /// The subsumption filter's counters: one entry, for the one filter
+    /// (zeroed by [`deterministic`](Self::deterministic), since `probes`
+    /// is scheduling-dependent).
     pub filter_shard_stats: Vec<FilterShardStats>,
     /// Which backend generated the cutsets.
     pub backend: Backend,
@@ -334,24 +309,20 @@ impl AnalysisStats {
     }
 
     /// The same statistics with every scheduling-dependent field zeroed
-    /// — work-stealing counts, memory high-water marks, the subsumption
-    /// comparisons (whose count depends on candidate arrival order), and
-    /// the filter's shard layout. What remains is identical across
-    /// thread counts *and* across both release policies for the same
-    /// analysis.
+    /// — work-stealing counts, memory high-water marks and the filter's
+    /// counters (whose probe count depends on candidate arrival order).
+    /// What remains is identical across thread counts *and* across both
+    /// release policies for the same analysis.
     #[must_use]
     pub fn deterministic(mut self) -> Self {
         self.kernel_csr_reuses = 0;
         self.mocus_stolen_tasks = 0;
-        self.mocus_subsumption_comparisons = 0;
         self.peak_pending_cutsets = 0;
         self.peak_inflight_models = 0;
         self.mocus_peak_live_partials = 0;
         self.mocus_peak_partial_bytes = 0;
         self.mocus_peak_live_candidates = 0;
         self.mocus_peak_candidate_bytes = 0;
-        self.filter_shards = 0;
-        self.filter_fallback_epochs = 0;
         self.filter_shard_stats = Vec::new();
         self
     }
@@ -593,11 +564,6 @@ pub fn analyze_horizons(
         &probs_per_horizon,
         &ctx,
     )?;
-    let filter_fallback_epochs: u64 = engine
-        .filter_shard_stats
-        .iter()
-        .map(|s| s.fallback_epochs)
-        .sum();
     let (cache_stats, kernel_usage, gen_stats) =
         (&engine.cache_stats, &engine.kernel_usage, &engine.gen_stats);
     let mocus_stats = &gen_stats.mocus;
@@ -632,7 +598,6 @@ pub fn analyze_horizons(
             kernel_csr_reuses: kernel_usage.stats.csr_reuses,
             mocus_partials_processed: mocus_stats.partials_processed,
             mocus_partials_pruned: mocus_stats.partials_pruned,
-            mocus_subsumption_comparisons: engine.subsumption_comparisons,
             mocus_stolen_tasks: mocus_stats.stolen_tasks,
             peak_pending_cutsets: engine.peak_pending_cutsets,
             peak_inflight_models: engine.peak_inflight_models,
@@ -640,9 +605,7 @@ pub fn analyze_horizons(
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
             mocus_peak_live_candidates: mocus_stats.peak_live_candidates,
             mocus_peak_candidate_bytes: mocus_stats.peak_candidate_bytes,
-            filter_shards: engine.filter_shard_stats.len(),
-            filter_fallback_epochs,
-            filter_shard_stats: engine.filter_shard_stats.clone(),
+            filter_shard_stats: vec![engine.filter_stats],
             backend: options.backend,
             ..AnalysisStats::default()
         };
@@ -682,7 +645,6 @@ pub fn analyze_horizons(
             timings: Timings {
                 worst_case: worst_case_time,
                 translation: translation_time,
-                mcs_generation: engine.generation_span,
                 quantification: engine.quantification_span,
                 quantification_saved: cache_stats.time_saved,
                 csr_build: kernel_usage.csr_build,
@@ -1182,10 +1144,12 @@ mod streaming_tests {
                     opts.streaming = streaming;
                     opts.threads = threads;
                     let run = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-                    assert_eq!(run[0].stats.filter_shards, threads.clamp(1, 4));
+                    let [filter] = run[0].stats.filter_shard_stats[..] else {
+                        panic!("one filter, one counter entry");
+                    };
                     assert_eq!(
-                        run[0].stats.filter_shard_stats.len(),
-                        run[0].stats.filter_shards
+                        filter.offered - filter.rejects,
+                        run[0].stats.num_cutsets as u64
                     );
                     assert_same_results(
                         &reference,
@@ -1263,10 +1227,10 @@ mod streaming_tests {
 
     #[test]
     fn quantification_errors_abort_the_pipeline_under_both_policies() {
-        // With four threads the filter runs four shards, which may be
-        // mid-compaction (or blocked on a reply channel) when the abort
-        // lands; returning at all proves every stage unblocked and
-        // joined, and the error kind proves it came from quantification.
+        // With four threads the dispatcher may be blocked handing
+        // cutsets to four busy workers when the abort lands; returning
+        // at all proves every stage unblocked and joined, and the error
+        // kind proves it came from quantification.
         for tree in [example3(), parallel_trains(6)] {
             for streaming in [true, false] {
                 for threads in [1, 4] {

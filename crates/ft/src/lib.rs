@@ -63,7 +63,7 @@ mod signature;
 pub mod transform;
 mod tree;
 
-pub use cutset::{Cutset, CutsetList, FallbackMode, FilterStats, IncrementalMinimizer};
+pub use cutset::{Cutset, CutsetList};
 pub use error::FtError;
 pub use hash::{FxBuild, FxHasher};
 pub use modules::{module_profiles, modules, ModuleProfile};

@@ -84,9 +84,8 @@ pub struct CheckConfig {
     /// (the driver cycles it per tree; sifting must be invisible in
     /// every delivered result).
     pub sift: bool,
-    /// Engine threads: quantification workers, and `clamp(threads, 1, 4)`
-    /// subsumption shards (`run_oracle` cycles it per tree so the campaign
-    /// covers the sharded reconciliation paths).
+    /// Engine threads: the quantification workers (`run_oracle` cycles
+    /// it per tree so the campaign covers several worker counts).
     pub threads: usize,
 }
 

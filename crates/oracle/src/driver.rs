@@ -121,10 +121,9 @@ pub fn run_oracle(cfg: &OracleConfig) -> OracleReport {
         let spec = generate_seeded(&preset, tree_seed);
         let mut check = cfg.check.clone();
         check.sim_seed = splitmix64(tree_seed ^ 0x51D);
-        // Cycle the engine's thread count so the campaign exercises the
-        // sharded reconciliation at several widths (1, 2 and 4 shards,
-        // up to 8 quantification workers); results are
-        // thread-count-invariant, so the digest must not move.
+        // Cycle the engine's thread count (1 to 8 quantification
+        // workers); results are thread-count-invariant, so the digest
+        // must not move.
         check.threads = [1, 2, 4, 8][index % 4];
         // Cycle sifting on/off and the hybrid planner's node budget:
         // reordering is semantically invisible and the hybrid backend is

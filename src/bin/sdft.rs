@@ -350,11 +350,9 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         result.stats.kernel_spmv_nonzeros, result.timings.spmv, spmv_rate,
     );
     println!(
-        "mocus: {} partials processed, {} pruned, {} subsumption tests, \
-         {} tasks stolen",
+        "mocus: {} partials processed, {} pruned, {} tasks stolen",
         result.stats.mocus_partials_processed,
         result.stats.mocus_partials_pruned,
-        result.stats.mocus_subsumption_comparisons,
         result.stats.mocus_stolen_tasks,
     );
     println!(
@@ -372,7 +370,7 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
          stage overlap {:?}",
         result.timings.worst_case,
         result.timings.translation,
-        result.timings.mcs_generation,
+        result.timings.generation_busy,
         result.timings.quantification,
         result.timings.stream_overlap,
     );
@@ -380,20 +378,12 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         "stage busy: generation {:?}, filter {:?}, quantification {:?}",
         result.timings.generation_busy, result.timings.filter_busy, result.timings.quant_busy,
     );
-    let shards = &result.stats.filter_shard_stats;
-    println!(
-        "filter: {} shard{}, {} probes, {} rejects, {} compactions, {} fallback epochs",
-        result.stats.filter_shards,
-        if result.stats.filter_shards == 1 {
-            ""
-        } else {
-            "s"
-        },
-        shards.iter().map(|s| s.probes).sum::<u64>(),
-        shards.iter().map(|s| s.rejects).sum::<u64>(),
-        shards.iter().map(|s| s.compactions).sum::<u64>(),
-        result.stats.filter_fallback_epochs,
-    );
+    if let Some(filter) = result.stats.filter_shard_stats.first() {
+        println!(
+            "filter: {} candidates, {} probes, {} rejects",
+            filter.offered, filter.probes, filter.rejects,
+        );
+    }
     println!("\ntop cutsets:");
     for report in result.cutsets.iter().take(args.top) {
         let names: Vec<&str> = report

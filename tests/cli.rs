@@ -142,7 +142,7 @@ fn bad_input_fails_cleanly() {
     let (_, _, ok) = run(&["frobnicate", "/tmp/x"]);
     assert!(!ok);
 
-    // The shard count follows from --threads; there is no filter knob.
+    // The subsumption filter has no knob.
     let file = model_file();
     for flag in ["--filter-shards", "--filter-fallback"] {
         let (_, stderr, ok) = run(&["analyze", file.path(), flag, "2"]);

@@ -24,9 +24,20 @@ fn fixed_seed_campaign_has_no_disagreements() {
         report.summary()
     );
     // Sanity: the run exercised real checks rather than skipping
-    // everything (the exact tallies are locked by the digest test on a
-    // smaller prefix, not here, so adding checks doesn't break CI).
+    // everything.
     assert!(report.outcome.passed > 10 * cfg.trees);
+    // The digest pin. The digest folds every tree's seed and check
+    // tallies (passed, skipped, disagreeing), so a change that makes any
+    // check pass, skip or fail differently moves it. The default config
+    // is the `oracle_long --trees 220` campaign, which prints the same
+    // digest. A change that adds or removes a check arm moves it on
+    // purpose, and updates this pin in the same diff.
+    assert_eq!(
+        format!("{:016x}", report.digest),
+        "e1fe0214d6fd8e96",
+        "oracle digest moved:\n{}",
+        report.summary()
+    );
 }
 
 /// Determinism lock: two runs of the same prefix produce bitwise-equal

@@ -304,59 +304,9 @@ proptest! {
         }
     }
 
-    /// The sharded streaming filter reassembles to the sequential
-    /// incremental minimizer and the batch minimize: partitioning the
-    /// stream by shard key, minimizing each shard independently and
-    /// reconciling the union gives exactly the minimal antichain, for
-    /// every shard count and fallback mode.
-    #[test]
-    fn sharded_filter_matches_sequential_and_batch(
-        sets in prop::collection::vec(prop::collection::vec(0usize..12, 1..6), 1..60),
-        mode_sel in 0u8..3,
-    ) {
-        use sdft::ft::{FallbackMode, IncrementalMinimizer};
-        let mode = match mode_sel {
-            0 => FallbackMode::Adaptive,
-            1 => FallbackMode::Always,
-            _ => FallbackMode::Never,
-        };
-        let input: Vec<Cutset> = sets
-            .iter()
-            .map(|s| Cutset::new(s.iter().map(|&i| NodeId::from_index(i))))
-            .collect();
-        let mut batch: Vec<Cutset> =
-            CutsetList::from_vec(input.clone()).minimize().into_iter().collect();
-        batch.sort();
-        let mut sequential = IncrementalMinimizer::with_mode(mode);
-        for c in input.clone() {
-            sequential.absorb(c);
-        }
-        let mut seq = sequential.into_sorted();
-        seq.sort();
-        prop_assert_eq!(&seq, &batch, "sequential vs batch, mode = {}", mode);
-        for shards in [1usize, 2, 4, 8] {
-            let mut minimizers: Vec<IncrementalMinimizer> =
-                (0..shards).map(|_| IncrementalMinimizer::with_mode(mode)).collect();
-            for c in input.clone() {
-                let key = c.shard_key(shards);
-                prop_assert!(key < shards);
-                minimizers[key].absorb(c);
-            }
-            let union: Vec<Cutset> = minimizers
-                .into_iter()
-                .flat_map(IncrementalMinimizer::into_sorted)
-                .collect();
-            let mut reconciled: Vec<Cutset> =
-                CutsetList::from_vec(union).minimize().into_iter().collect();
-            reconciled.sort();
-            prop_assert_eq!(&reconciled, &batch, "shards = {}, mode = {}", shards, mode);
-        }
-    }
-
-    /// The engine's two release policies and every thread count (1 to
-    /// 4 subsumption shards, up to 8 quantification workers) deliver
-    /// bitwise-identical results, and the cutset list equals the batch
-    /// MOCUS enumeration.
+    /// The engine's two release policies and every thread count (up to
+    /// 8 quantification workers) deliver bitwise-identical results, and
+    /// the cutset list equals the batch MOCUS enumeration.
     #[test]
     fn engine_policies_and_thread_counts_match_batch_mocus(spec in arb_tree_spec()) {
         use sdft::core::{analyze, AnalysisOptions};
