@@ -126,7 +126,7 @@ pub(crate) trait CutsetBackend: Sync {
         tree: &FaultTree,
         probs: &EventProbabilities,
         exact_probe: &[EventProbabilities],
-        sink: &dyn CandidateSink,
+        sink: &mut dyn CandidateSink,
     ) -> Result<GenerationStats, GenError>;
 }
 
@@ -141,7 +141,7 @@ impl CutsetBackend for MocusBackend {
         tree: &FaultTree,
         probs: &EventProbabilities,
         _exact_probe: &[EventProbabilities],
-        sink: &dyn CandidateSink,
+        sink: &mut dyn CandidateSink,
     ) -> Result<GenerationStats, GenError> {
         match stream_minimal_cutsets(tree, probs, &self.options, sink) {
             Ok(stats) => Ok(GenerationStats {
@@ -199,7 +199,7 @@ fn emit(
     modular: &mut ModularBdd,
     options: &MocusOptions,
     probs: &EventProbabilities,
-    sink: &dyn CandidateSink,
+    sink: &mut dyn CandidateSink,
     mut stats: GenerationStats,
 ) -> Result<GenerationStats, GenError> {
     let mut epoch: u32 = 0;
@@ -347,7 +347,7 @@ impl CutsetBackend for HybridBackend {
         tree: &FaultTree,
         probs: &EventProbabilities,
         exact_probe: &[EventProbabilities],
-        sink: &dyn CandidateSink,
+        sink: &mut dyn CandidateSink,
     ) -> Result<GenerationStats, GenError> {
         let (mut modular, bdd_stats, mocus) = match self.build(tree, probs, exact_probe) {
             Ok(built) => built,

@@ -108,8 +108,7 @@ pub(crate) struct EngineOutput {
     /// Time quantification workers spent solving models, summed over
     /// workers (not blocked on the dispatcher channel).
     pub(crate) quant_busy: Duration,
-    /// The filter's counters (the candidate arrival order makes its
-    /// probe count scheduling-dependent).
+    /// The filter's counters.
     pub(crate) filter_stats: FilterShardStats,
 }
 
@@ -212,14 +211,14 @@ struct ChannelSink<'a> {
 }
 
 impl CandidateSink for ChannelSink<'_> {
-    fn deliver(&self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
+    fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
         self.candidates
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         self.channel
             .send(GenMsg::Batch(epoch, std::mem::take(batch)))
     }
 
-    fn epoch_complete(&self, epoch: u32) -> bool {
+    fn epoch_complete(&mut self, epoch: u32) -> bool {
         self.channel.send(GenMsg::EpochComplete(epoch))
     }
 }
@@ -387,7 +386,7 @@ impl EpochBuffer {
     fn minimize(&mut self, stats: &mut FilterShardStats) -> usize {
         let before = self.cutsets.len();
         let (minimal, probes) =
-            CutsetList::from_vec(std::mem::take(&mut self.cutsets)).minimize_with_stats(1);
+            CutsetList::from_vec(std::mem::take(&mut self.cutsets)).minimize_with_stats();
         self.cutsets = minimal.into_iter().collect();
         self.limit = (2 * self.cutsets.len()).max(MIN_BUFFER_LIMIT);
         let removed = before - self.cutsets.len();
@@ -654,14 +653,14 @@ pub(crate) fn run(
                 });
             }
 
-            // Generation runs on the calling thread (its own worker pool
-            // lives inside the backend).
-            let sink = ChannelSink {
+            // Generation runs on the calling thread.
+            let mut sink = ChannelSink {
                 channel: &gen_channel,
                 candidates: &progress.candidates,
             };
             let gen_start = Instant::now();
-            let gen_result = backend.generate(&translated.tree, static_probs, exact_probe, &sink);
+            let gen_result =
+                backend.generate(&translated.tree, static_probs, exact_probe, &mut sink);
             let generation_span = gen_start.elapsed();
             if gen_result.is_ok() {
                 gen_channel.close();

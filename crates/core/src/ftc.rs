@@ -132,13 +132,13 @@ impl FtcContext {
         for &e in &key.functional {
             assumptions.assume_ok(e)?;
         }
-        // One thread: this runs inside a quantification worker, and the
-        // engine's workers already occupy the cores.
-        let options = MocusOptions {
-            threads: 1,
-            ..MocusOptions::exhaustive()
-        };
-        let subsets = minimal_cutsets_rooted(tree, key.gate, &self.probs, &options, &assumptions)?;
+        let subsets = minimal_cutsets_rooted(
+            tree,
+            key.gate,
+            &self.probs,
+            &MocusOptions::exhaustive(),
+            &assumptions,
+        )?;
         Ok(Arc::clone(
             self.memo().entry(key).or_insert_with(|| Arc::new(subsets)),
         ))

@@ -36,9 +36,9 @@ pub struct AnalysisOptions {
     pub bdd: ModularBddOptions,
     /// Truncation error for all transient analyses.
     pub epsilon: f64,
-    /// Worker threads for cutset quantification, and for MOCUS unless
-    /// [`MocusOptions::threads`] is set; `0` uses all available cores.
-    /// The subsumption filter always runs on one dispatcher thread.
+    /// Worker threads for cutset quantification; `0` uses all available
+    /// cores. Cutset generation always runs on the calling thread, and
+    /// the subsumption filter on one dispatcher thread.
     pub threads: usize,
     /// State budget for each per-cutset product chain.
     pub max_chain_states: usize,
@@ -162,8 +162,9 @@ pub struct Timings {
 }
 
 /// Counters of the subsumption filter, aggregated over every epoch.
-/// `offered` and `rejects` are schedule-independent; `probes` depends on
-/// when buffers were re-minimized, hence on candidate arrival order.
+/// All three are deterministic: the one generator thread delivers
+/// candidates in a fixed order, so buffers are re-minimized at the same
+/// points on every run, whatever the thread count or release policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterShardStats {
     /// Candidates the generator delivered.
@@ -215,22 +216,21 @@ pub struct AnalysisStats {
     /// Solves that reused a workspace's memoized CSR instead of
     /// rebuilding it (depends on which worker saw which model when).
     pub kernel_csr_reuses: usize,
-    /// Partial cutsets MOCUS processed (schedule-independent).
+    /// Partial cutsets MOCUS processed.
     pub mocus_partials_processed: u64,
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
-    /// look-ahead bound (schedule-independent).
+    /// look-ahead bound.
     pub mocus_partials_pruned: u64,
-    /// MOCUS tasks claimed from the shared work queue beyond each
-    /// worker's first — 0 single-threaded; varies with scheduling.
-    pub mocus_stolen_tasks: u64,
     /// Peak cutsets resident between generation and quantification: the
     /// candidates the filter buffers for open epochs, plus the released
-    /// cutsets the phased policy holds (scheduling-dependent).
+    /// cutsets the phased policy holds (so it depends on the release
+    /// policy).
     pub peak_pending_cutsets: usize,
     /// Peak cutset models enqueued-or-quantifying at once, bounded by
-    /// the engine's channel capacity plus the worker count.
+    /// the engine's channel capacity plus the worker count
+    /// (scheduling-dependent).
     pub peak_inflight_models: usize,
-    /// Peak live partial cutsets inside MOCUS (scheduling-dependent).
+    /// Peak live partial cutsets inside MOCUS.
     pub mocus_peak_live_partials: u64,
     /// Approximate peak bytes held by live MOCUS partials.
     pub mocus_peak_partial_bytes: u64,
@@ -239,9 +239,7 @@ pub struct AnalysisStats {
     pub mocus_peak_live_candidates: u64,
     /// Approximate peak bytes held by resident candidates.
     pub mocus_peak_candidate_bytes: u64,
-    /// The subsumption filter's counters: one entry, for the one filter
-    /// (zeroed by [`deterministic`](Self::deterministic), since `probes`
-    /// is scheduling-dependent).
+    /// The subsumption filter's counters: one entry, for the one filter.
     pub filter_shard_stats: Vec<FilterShardStats>,
     /// Which backend generated the cutsets.
     pub backend: Backend,
@@ -308,22 +306,16 @@ impl AnalysisStats {
         }
     }
 
-    /// The same statistics with every scheduling-dependent field zeroed
-    /// — work-stealing counts, memory high-water marks and the filter's
-    /// counters (whose probe count depends on candidate arrival order).
-    /// What remains is identical across thread counts *and* across both
-    /// release policies for the same analysis.
+    /// The same statistics with the fields zeroed that depend on the
+    /// quantification schedule (`kernel_csr_reuses`,
+    /// `peak_inflight_models`) or on the release policy
+    /// (`peak_pending_cutsets`). What remains is identical across thread
+    /// counts *and* across both release policies for the same analysis.
     #[must_use]
     pub fn deterministic(mut self) -> Self {
         self.kernel_csr_reuses = 0;
-        self.mocus_stolen_tasks = 0;
-        self.peak_pending_cutsets = 0;
         self.peak_inflight_models = 0;
-        self.mocus_peak_live_partials = 0;
-        self.mocus_peak_partial_bytes = 0;
-        self.mocus_peak_live_candidates = 0;
-        self.mocus_peak_candidate_bytes = 0;
-        self.filter_shard_stats = Vec::new();
+        self.peak_pending_cutsets = 0;
         self
     }
 }
@@ -504,12 +496,6 @@ pub fn analyze_horizons(
     let translation_time = t1.elapsed();
 
     let static_probs = EventProbabilities::from_static(&translated.tree)?;
-    // MOCUS inherits the analysis-level thread count unless the caller
-    // pinned one explicitly on the MOCUS options.
-    let mut mocus_options = options.mocus;
-    if mocus_options.threads == 0 {
-        mocus_options.threads = options.threads;
-    }
 
     let ctx = FtcContext::new(tree)?;
     // Per-horizon worst-case probabilities (the REA comparator).
@@ -526,10 +512,10 @@ pub fn analyze_horizons(
 
     let backend: Box<dyn CutsetBackend> = match options.backend {
         Backend::Mocus => Box::new(MocusBackend {
-            options: mocus_options,
+            options: options.mocus,
         }),
         Backend::Bdd | Backend::Hybrid => Box::new(HybridBackend {
-            mocus_options,
+            mocus_options: options.mocus,
             bdd_options: options.bdd,
             all_bdd: options.backend == Backend::Bdd,
         }),
@@ -598,7 +584,6 @@ pub fn analyze_horizons(
             kernel_csr_reuses: kernel_usage.stats.csr_reuses,
             mocus_partials_processed: mocus_stats.partials_processed,
             mocus_partials_pruned: mocus_stats.partials_pruned,
-            mocus_stolen_tasks: mocus_stats.stolen_tasks,
             peak_pending_cutsets: engine.peak_pending_cutsets,
             peak_inflight_models: engine.peak_inflight_models,
             mocus_peak_live_partials: mocus_stats.peak_live_partials,
@@ -769,8 +754,8 @@ mod tests {
         opts.threads = 4;
         let parallel = analyze(&t, &opts).unwrap();
         assert!((sequential.frequency - parallel.frequency).abs() < 1e-18);
-        // Work-stealing counts and memory peaks vary with scheduling;
-        // everything else is schedule-independent.
+        // Only the quantification schedule's own counters vary; the
+        // MOCUS peaks and the filter's counters match.
         assert_eq!(
             sequential.stats.clone().deterministic(),
             parallel.stats.clone().deterministic()
@@ -996,8 +981,7 @@ mod cache_tests {
         let sequential = analyze(&t, &opts).unwrap();
         opts.threads = 4;
         let parallel = analyze(&t, &opts).unwrap();
-        // Misses are one-per-class regardless of scheduling; only the
-        // work distribution and memory peaks depend on it.
+        // Misses are one-per-class regardless of scheduling.
         assert_eq!(
             sequential.stats.clone().deterministic(),
             parallel.stats.clone().deterministic()

@@ -3,9 +3,7 @@ use crate::error::MocusError;
 use crate::options::MocusOptions;
 use crate::stats::MocusStats;
 use crate::stream::StreamCtx;
-use sdft_ft::{modules, Cutset, CutsetList, EventProbabilities, FaultTree, GateKind, NodeId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, GateKind, NodeId};
 
 /// Generate the minimal cutsets of `tree` above the configured cutoff.
 ///
@@ -14,8 +12,7 @@ use std::sync::{Condvar, Mutex};
 /// trigger edges are ignored — callers analysing SD trees first translate
 /// triggers into AND gates (§V-B1), as `sdft-core` does.
 ///
-/// Expansion runs on [`MocusOptions::threads`] workers; the returned list
-/// is identical for every thread count.
+/// Expansion runs depth-first on the calling thread.
 ///
 /// # Errors
 ///
@@ -31,7 +28,7 @@ pub fn minimal_cutsets(
 
 /// Like [`minimal_cutsets`], but also returning the run's counters
 /// ([`MocusStats`]): partials processed and pruned, candidates emitted,
-/// subsumption comparisons, and the work-distribution figures.
+/// subsumption comparisons, and the residency peaks.
 ///
 /// # Errors
 ///
@@ -98,7 +95,7 @@ pub fn minimal_cutsets_rooted_with_stats(
         }
     }
     assumptions.validate(tree)?;
-    Engine::new(tree, probs, options, assumptions).run(root)
+    Engine::new(tree, probs, options, assumptions).run(root, None)
 }
 
 #[derive(Debug, Clone)]
@@ -129,17 +126,35 @@ enum Outcome {
     Dead,
 }
 
-/// Per-worker mutable state: the local partial stack, the cutsets found,
-/// recycled `Partial` allocations, and the scratch buffers `within_bounds`
-/// needs — everything the sequential engine kept in one struct, sharded so
-/// workers never contend on it.
-struct Worker {
-    /// Local DFS stack (also the BFS frontier during seeding).
-    local: Vec<Partial>,
-    /// Cutset candidates this worker emitted (batch mode).
+/// A live quantity and its high-water mark.
+#[derive(Default)]
+struct Gauge {
+    live: usize,
+    peak: usize,
+}
+
+impl Gauge {
+    fn add(&mut self, n: usize) {
+        self.live += n;
+        self.peak = self.peak.max(self.live);
+    }
+
+    fn sub(&mut self, n: usize) {
+        self.live -= n;
+    }
+}
+
+/// The mutable state of one run: the partial stack, the candidates
+/// found, recycled `Partial` allocations, the scratch buffers
+/// `within_bounds` needs, the budget and residency counters, and the
+/// streaming context.
+struct Worker<'s> {
+    /// Depth-first stack of live partials.
+    stack: Vec<Partial>,
+    /// Cutset candidates emitted (batch mode).
     found: Vec<Cutset>,
-    /// Per-epoch buffers of candidates awaiting delivery (streaming).
-    stream_found: Vec<Vec<Cutset>>,
+    /// The sink, epoch plan and per-epoch state of a streaming run.
+    stream: Option<StreamCtx<'s>>,
     /// Recycled partials: branching pulls allocations from here instead
     /// of cloning fresh vectors for every child.
     pool: Vec<Partial>,
@@ -147,54 +162,49 @@ struct Worker {
     scratch: Vec<u64>,
     /// Scratch list for sorting pending gates by upper bound.
     gate_scratch: Vec<NodeId>,
+    /// Partials processed, against `max_partials`.
+    processed: usize,
+    /// Cutset candidates emitted, against `max_cutsets`.
+    candidates: usize,
     /// Branches discarded by the cutoff / order / look-ahead bounds.
     pruned: u64,
-    /// Tasks claimed from the shared queue.
-    pulls: u64,
-    /// Epoch of the last partial this worker expanded (streaming).
-    /// Depth-first traversal keeps an epoch's partials contiguous, so a
-    /// switch means the worker is done contributing to the previous
-    /// epoch for now — its buffer is flushed immediately, letting the
-    /// watermark fire mid-run instead of at the final drain.
-    last_epoch: Option<u32>,
-    /// Outstanding-count releases deferred for `debt_epoch` (streaming).
-    /// Expansion releases one count per processed partial and re-takes
-    /// counts for the children it pushes; batching the releases locally
-    /// and cancelling them against the next pushes removes two atomic
-    /// RMWs from almost every expansion. The shared counter only ever
-    /// over-counts (debt is non-negative), so an epoch can never
-    /// complete early — the debt is settled at the same boundaries that
-    /// flush the candidate buffer (epoch switch, idle, retirement).
-    debt_epoch: Option<u32>,
-    debt: usize,
+    /// Queued partials, by count and by approximate bytes.
+    partials: Gauge,
+    partial_bytes: Gauge,
+    /// Candidates resident in the generator, by count and by
+    /// approximate bytes.
+    resident: Gauge,
+    resident_bytes: Gauge,
 }
 
-/// Cap on recycled partials per worker, bounding idle memory.
+/// Cap on recycled partials, bounding idle memory.
 const POOL_LIMIT: usize = 256;
 
-/// Candidates buffered per epoch before a worker flushes to the sink.
+/// Candidates buffered per epoch before they are flushed to the sink.
 /// Large enough that the per-delivery channel cost (mutex, condvar
 /// wakeup, and — on few-core hosts — a context switch to the filter
 /// thread) amortizes to noise against the expansion work behind each
 /// candidate; deep presets move millions of candidates, so delivery
 /// count matters more than per-epoch buffer residency (bounded at
-/// `STREAM_BATCH × epochs × workers` candidates).
+/// `STREAM_BATCH × epochs` candidates).
 const STREAM_BATCH: usize = 512;
 
-impl Worker {
-    fn new(words: usize, epochs: usize) -> Self {
+impl<'s> Worker<'s> {
+    fn new(words: usize, stream: Option<StreamCtx<'s>>) -> Self {
         Worker {
-            local: Vec::new(),
+            stack: Vec::new(),
             found: Vec::new(),
-            stream_found: (0..epochs).map(|_| Vec::new()).collect(),
+            stream,
             pool: Vec::new(),
             scratch: vec![0u64; words],
             gate_scratch: Vec::new(),
+            processed: 0,
+            candidates: 0,
             pruned: 0,
-            pulls: 0,
-            last_epoch: None,
-            debt_epoch: None,
-            debt: 0,
+            partials: Gauge::default(),
+            partial_bytes: Gauge::default(),
+            resident: Gauge::default(),
+            resident_bytes: Gauge::default(),
         }
     }
 
@@ -222,146 +232,54 @@ impl Worker {
         }
     }
 
-    /// Tasks claimed beyond the worker's first are steals.
-    fn stolen(&self) -> u64 {
-        self.pulls.saturating_sub(1)
-    }
-}
-
-/// Coordination state shared by all workers: the injector queue with its
-/// termination protocol, the global safety budgets, and the first error.
-struct Shared {
-    queue: Mutex<Queue>,
-    ready: Condvar,
-    /// Workers currently waiting for work — donors check this without
-    /// taking the queue lock.
-    hungry: AtomicUsize,
-    /// Partials processed, against `max_partials`.
-    processed: AtomicUsize,
-    /// Cutset candidates emitted, against `max_cutsets`.
-    candidates: AtomicUsize,
-    /// Set on the first error; workers abandon their stacks promptly.
-    abort: AtomicBool,
-    error: Mutex<Option<MocusError>>,
-    workers: usize,
-    /// Memory high-water tracking: live partials / resident candidates
-    /// (count and approximate bytes) with their peaks.
-    live_partials: AtomicUsize,
-    peak_partials: AtomicUsize,
-    live_partial_bytes: AtomicUsize,
-    peak_partial_bytes: AtomicUsize,
-    live_candidates: AtomicUsize,
-    peak_candidates: AtomicUsize,
-    live_candidate_bytes: AtomicUsize,
-    peak_candidate_bytes: AtomicUsize,
-}
-
-struct Queue {
-    tasks: Vec<Partial>,
-    idle: usize,
-    done: bool,
-}
-
-impl Shared {
-    fn new(workers: usize) -> Self {
-        Shared {
-            queue: Mutex::new(Queue {
-                tasks: Vec::new(),
-                idle: 0,
-                done: false,
-            }),
-            ready: Condvar::new(),
-            hungry: AtomicUsize::new(0),
-            processed: AtomicUsize::new(0),
-            candidates: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            error: Mutex::new(None),
-            workers,
-            live_partials: AtomicUsize::new(0),
-            peak_partials: AtomicUsize::new(0),
-            live_partial_bytes: AtomicUsize::new(0),
-            peak_partial_bytes: AtomicUsize::new(0),
-            live_candidates: AtomicUsize::new(0),
-            peak_candidates: AtomicUsize::new(0),
-            live_candidate_bytes: AtomicUsize::new(0),
-            peak_candidate_bytes: AtomicUsize::new(0),
+    /// Push a surviving partial onto the stack, counting it live
+    /// (residency is measured over *queued* partials, whose size is
+    /// fixed while they wait) and giving it an outstanding count in
+    /// streaming mode.
+    fn push_live(&mut self, partial: Partial) {
+        self.partials.add(1);
+        self.partial_bytes.add(partial_bytes(&partial));
+        if let Some(ctx) = &mut self.stream {
+            ctx.inc(partial.epoch);
         }
+        self.stack.push(partial);
     }
 
-    /// A partial came alive (allocated or copied for a branch).
-    fn partial_created(&self, partial: &Partial) {
-        let count = self.live_partials.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_partials.fetch_max(count, Ordering::Relaxed);
-        let bytes = partial_bytes(partial);
-        let total = self.live_partial_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_partial_bytes.fetch_max(total, Ordering::Relaxed);
-    }
-
-    /// A partial died (pruned, dead, or finalized into a candidate).
-    fn partial_dropped(&self, partial: &Partial) {
-        self.live_partials.fetch_sub(1, Ordering::Relaxed);
-        self.live_partial_bytes
-            .fetch_sub(partial_bytes(partial), Ordering::Relaxed);
-    }
-
-    /// A candidate cutset became resident in the generator.
-    fn candidate_created(&self, cutset: &Cutset) {
-        let count = self.live_candidates.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_candidates.fetch_max(count, Ordering::Relaxed);
-        let bytes = cutset_bytes(cutset);
-        let total = self
-            .live_candidate_bytes
-            .fetch_add(bytes, Ordering::Relaxed)
-            + bytes;
-        self.peak_candidate_bytes
-            .fetch_max(total, Ordering::Relaxed);
-    }
-
-    /// `n` buffered candidates totalling `bytes` left the generator.
-    fn candidates_dropped(&self, n: usize, bytes: usize) {
-        self.live_candidates.fetch_sub(n, Ordering::Relaxed);
-        self.live_candidate_bytes
-            .fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Record the first error and wake everyone up.
-    fn fail(&self, error: MocusError) {
-        {
-            let mut slot = self.error.lock().expect("error slot");
-            if slot.is_none() {
-                *slot = Some(error);
+    /// Drop the outstanding count of a partial that was expanded rather
+    /// than finalized into a candidate; the zero crossing completes its
+    /// epoch.
+    fn release(&mut self, epoch: u32) -> Result<(), MocusError> {
+        if let Some(ctx) = &mut self.stream {
+            if !ctx.release(epoch, 1) {
+                return Err(MocusError::Aborted);
             }
         }
-        self.abort.store(true, Ordering::Relaxed);
-        let mut queue = self.queue.lock().expect("work queue");
-        queue.done = true;
-        self.ready.notify_all();
-        drop(queue);
+        Ok(())
     }
 
-    /// Claim a task from the shared queue, blocking until one appears or
-    /// every worker is idle (then the expansion is complete).
-    fn steal(&self) -> Option<Partial> {
-        let mut queue = self.queue.lock().expect("work queue");
-        loop {
-            if queue.done || self.abort.load(Ordering::Relaxed) {
-                return None;
-            }
-            if let Some(task) = queue.tasks.pop() {
-                return Some(task);
-            }
-            queue.idle += 1;
-            if queue.idle == self.workers {
-                // Every local stack and the shared queue are empty: done.
-                queue.done = true;
-                queue.idle -= 1;
-                self.ready.notify_all();
-                return None;
-            }
-            self.hungry.fetch_add(1, Ordering::Relaxed);
-            queue = self.ready.wait(queue).expect("work queue");
-            self.hungry.fetch_sub(1, Ordering::Relaxed);
-            queue.idle -= 1;
+    /// Deliver one epoch's buffered candidates to the sink, then drop
+    /// their outstanding counts. The delivery happens *before* the
+    /// counts are released, so the epoch's completion (fired by the
+    /// zero crossing, possibly right here) is ordered after every
+    /// delivery for it.
+    fn flush_epoch(&mut self, epoch: u32) -> Result<(), MocusError> {
+        let Some(ctx) = &mut self.stream else {
+            return Ok(());
+        };
+        let buffer = &mut ctx.found[epoch as usize];
+        if buffer.is_empty() {
+            return Ok(());
+        }
+        let n = buffer.len();
+        self.resident.sub(n);
+        self.resident_bytes
+            .sub(buffer.iter().map(cutset_bytes).sum());
+        let delivered = ctx.sink.deliver(epoch, buffer);
+        buffer.clear();
+        if delivered && ctx.release(epoch, n) {
+            Ok(())
+        } else {
+            Err(MocusError::Aborted)
         }
     }
 }
@@ -382,27 +300,23 @@ struct Engine<'a> {
     masks: Vec<Vec<u64>>,
     /// Words per event bitmask.
     words: usize,
-    /// Streaming context: candidates are delivered to its sink on
-    /// finalize instead of accumulating in `Worker::found`.
-    stream: Option<&'a StreamCtx<'a>>,
 }
 
 /// Streaming driver used by [`crate::stream::stream_minimal_cutsets`]:
-/// same expansion engine and work-stealing pool, candidates routed to
-/// the context's sink with epoch watermarks instead of being merged and
-/// minimized here.
-pub(crate) fn run_streaming<'a>(
-    tree: &'a FaultTree,
+/// the same expansion, with candidates routed to the context's sink
+/// under epoch watermarks instead of being merged and minimized here.
+pub(crate) fn run_streaming(
+    tree: &FaultTree,
     root: NodeId,
-    probs: &'a EventProbabilities,
-    options: &'a MocusOptions,
-    assumptions: &'a Assumptions,
-    ctx: &'a StreamCtx<'a>,
+    probs: &EventProbabilities,
+    options: &MocusOptions,
+    assumptions: &Assumptions,
+    ctx: StreamCtx<'_>,
 ) -> Result<MocusStats, MocusError> {
     assumptions.validate(tree)?;
-    let mut engine = Engine::new(tree, probs, options, assumptions);
-    engine.stream = Some(ctx);
-    engine.run(root).map(|(_, stats)| stats)
+    Engine::new(tree, probs, options, assumptions)
+        .run(root, Some(ctx))
+        .map(|(_, stats)| stats)
 }
 
 impl<'a> Engine<'a> {
@@ -420,7 +334,7 @@ impl<'a> Engine<'a> {
         }
         let words = num_events.div_ceil(64);
 
-        let (upper_bound, masks) = if options.cutoff.is_some() && options.lookahead {
+        let (upper_bound, masks) = if options.cutoff.is_some() {
             let mut ub = vec![0.0f64; tree.len()];
             let mut masks: Vec<Vec<u64>> = vec![Vec::new(); tree.len()];
             // Node ids are topological (inputs precede gates).
@@ -515,395 +429,148 @@ impl<'a> Engine<'a> {
             event_index,
             masks,
             words,
-            stream: None,
         }
     }
 
-    fn run(&self, root: NodeId) -> Result<(CutsetList, MocusStats), MocusError> {
+    /// Expand everything below `root` depth-first. A streaming run
+    /// (`stream` set) hands its candidates to the sink and returns an
+    /// empty list; a batch run minimizes them here.
+    fn run(
+        &self,
+        root: NodeId,
+        stream: Option<StreamCtx<'_>>,
+    ) -> Result<(CutsetList, MocusStats), MocusError> {
         let tree = self.tree;
-        let threads = match self.options.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
-        let base_stats = MocusStats {
-            workers: threads,
-            ..MocusStats::default()
-        };
+        let mut worker = Worker::new(self.words, stream);
         // A basic-event root degenerates to a single obligation.
         let initial = if tree.is_basic(root) {
             if self.assumptions.is_failed(root) {
-                if let Some(ctx) = self.stream {
-                    let mut batch = vec![Cutset::new(std::iter::empty())];
-                    if !ctx.sink.deliver(0, &mut batch) || !ctx.complete_all() {
-                        return Err(MocusError::Aborted);
-                    }
-                    return Ok((CutsetList::new(), base_stats));
+                // Already failed: the empty cutset is the only one.
+                let mut empty = vec![Cutset::new(std::iter::empty())];
+                let Some(ctx) = &mut worker.stream else {
+                    return Ok((CutsetList::from_vec(empty), MocusStats::default()));
+                };
+                if !ctx.sink.deliver(0, &mut empty) || !ctx.complete_all() {
+                    return Err(MocusError::Aborted);
                 }
-                return Ok((
-                    CutsetList::from_vec(vec![Cutset::new(std::iter::empty())]),
-                    base_stats,
-                ));
+                return Ok((CutsetList::new(), MocusStats::default()));
             }
-            if self.assumptions.is_ok(root) {
-                if let Some(ctx) = self.stream {
-                    if !ctx.complete_all() {
-                        return Err(MocusError::Aborted);
-                    }
-                }
-                return Ok((CutsetList::new(), base_stats));
-            }
-            Partial {
+            (!self.assumptions.is_ok(root)).then(|| Partial {
                 events: vec![root],
                 gates: Vec::new(),
                 prob: self.probs.get(root),
                 epoch: 0,
-            }
+            })
         } else {
-            Partial {
+            Some(Partial {
                 events: Vec::new(),
                 gates: vec![root],
                 prob: 1.0,
                 epoch: 0,
-            }
+            })
         };
-
-        let epochs = self.stream.map_or(0, |ctx| ctx.epochs() as usize);
-        let mut workers: Vec<Worker> = (0..threads)
-            .map(|_| Worker::new(self.words, epochs))
-            .collect();
-        if !self.within_bounds(&mut workers[0], &initial) {
-            if let Some(ctx) = self.stream {
-                if !ctx.complete_all() {
-                    return Err(MocusError::Aborted);
-                }
-            }
-            return Ok((
-                CutsetList::new(),
-                MocusStats {
-                    partials_pruned: 1,
-                    ..base_stats
-                },
-            ));
-        }
-        let shared = Shared::new(threads);
-        let mut stats = base_stats;
-
-        shared.partial_created(&initial);
-        if let Some(ctx) = self.stream {
-            ctx.inc(initial.epoch);
-        }
-        workers[0].local.push(initial);
-        if threads > 1 {
-            // Module-aware seeding: expand breadth-first in the calling
-            // thread, parking partials whose next obligation heads an
-            // independent module (a self-contained subtree — a natural
-            // task unit), until there is one task per worker with slack.
-            let module_heads = {
-                let mut heads = vec![false; tree.len()];
-                for m in modules(tree) {
-                    heads[m.index()] = true;
-                }
-                // The root module is the whole problem, not a task.
-                heads[root.index()] = false;
-                heads
-            };
-            let target = 4 * threads;
-            let mut budget = 64usize.saturating_mul(threads);
-            let worker = &mut workers[0];
-            let mut parked: Vec<Partial> = Vec::new();
-            while !worker.local.is_empty()
-                && parked.len() + worker.local.len() < target
-                && budget > 0
-            {
-                let partial = worker.local.remove(0);
-                if partial
-                    .gates
-                    .last()
-                    .is_some_and(|g| module_heads[g.index()])
-                {
-                    parked.push(partial);
-                    continue;
-                }
-                budget -= 1;
-                self.expand_one(worker, &shared, partial)?;
-            }
-            let mut queue = shared.queue.lock().expect("work queue");
-            queue.tasks.extend(parked);
-            queue.tasks.append(&mut worker.local);
-            stats.seed_tasks = queue.tasks.len() as u64;
-            drop(queue);
-
-            std::thread::scope(|scope| {
-                for worker in &mut workers {
-                    let shared = &shared;
-                    scope.spawn(move || self.worker_loop(shared, worker));
-                }
-            });
-            if let Some(error) = shared.error.lock().expect("error slot").take() {
-                return Err(error);
-            }
-        } else {
-            stats.seed_tasks = 1;
-            self.worker_loop(&shared, &mut workers[0]);
-            if let Some(error) = shared.error.lock().expect("error slot").take() {
-                return Err(error);
+        if let Some(initial) = initial {
+            if self.within_bounds(&mut worker, &initial) {
+                worker.push_live(initial);
+            } else {
+                worker.pruned += 1;
             }
         }
 
-        stats.partials_processed = shared.processed.load(Ordering::Relaxed) as u64;
-        stats.cutset_candidates = shared.candidates.load(Ordering::Relaxed) as u64;
-        stats.partials_pruned = workers.iter().map(|w| w.pruned).sum();
-        stats.stolen_tasks = workers.iter().map(Worker::stolen).sum();
-        stats.peak_live_partials = shared.peak_partials.load(Ordering::Relaxed) as u64;
-        stats.peak_partial_bytes = shared.peak_partial_bytes.load(Ordering::Relaxed) as u64;
-        stats.peak_live_candidates = shared.peak_candidates.load(Ordering::Relaxed) as u64;
-        stats.peak_candidate_bytes = shared.peak_candidate_bytes.load(Ordering::Relaxed) as u64;
+        while let Some(partial) = worker.stack.pop() {
+            // Crossing into a different epoch: hand the previous epoch's
+            // buffered candidates to the sink now, so its watermark can
+            // fire mid-run instead of at the final flush.
+            let left = worker
+                .stream
+                .as_mut()
+                .and_then(|ctx| ctx.last_epoch.replace(partial.epoch))
+                .filter(|&prev| prev != partial.epoch);
+            if let Some(prev) = left {
+                worker.flush_epoch(prev)?;
+            }
+            self.expand_one(&mut worker, partial)?;
+        }
 
-        if let Some(ctx) = self.stream {
-            // Worker buffers were flushed before each worker retired;
-            // sweep any epoch that never received work. Minimization
+        let epochs = worker.stream.as_ref().map_or(0, |ctx| ctx.found.len());
+        for epoch in 0..epochs {
+            worker.flush_epoch(epoch as u32)?;
+        }
+        let mut stats = MocusStats {
+            partials_processed: worker.processed as u64,
+            partials_pruned: worker.pruned,
+            cutset_candidates: worker.candidates as u64,
+            peak_live_partials: worker.partials.peak as u64,
+            peak_partial_bytes: worker.partial_bytes.peak as u64,
+            peak_live_candidates: worker.resident.peak as u64,
+            peak_candidate_bytes: worker.resident_bytes.peak as u64,
+            ..MocusStats::default()
+        };
+        if let Some(ctx) = &mut worker.stream {
+            // Sweep the epochs that never received work. Minimization
             // (and its comparison count) belongs to the consumer.
-            debug_assert!(workers
-                .iter()
-                .all(|w| w.stream_found.iter().all(Vec::is_empty)));
             if !ctx.complete_all() {
                 return Err(MocusError::Aborted);
             }
             return Ok((CutsetList::new(), stats));
         }
 
-        // Deterministic merge: the candidate set is schedule-independent
-        // (pruning is per-branch and order-independent), and minimization
-        // canonically sorts, so the final list is identical for every
-        // thread count.
-        let total: usize = workers.iter().map(|w| w.found.len()).sum();
-        let mut all: Vec<Cutset> = Vec::with_capacity(total);
-        for worker in &mut workers {
-            all.append(&mut worker.found);
-        }
+        // The candidate set is order-independent (pruning is
+        // per-branch), and minimization canonically sorts.
         let minimize_begin = std::time::Instant::now();
-        let (minimized, comparisons) = CutsetList::from_vec(all).minimize_with_stats(threads);
+        let (minimized, comparisons) = CutsetList::from_vec(worker.found).minimize_with_stats();
         stats.minimize_time = minimize_begin.elapsed();
         stats.subsumption_comparisons = comparisons;
         Ok((minimized, stats))
     }
 
-    /// One worker: drain the local stack depth-first, donating the bottom
-    /// half whenever other workers starve, then fall back to stealing
-    /// from the shared queue. Errors are published through `shared`.
-    fn worker_loop(&self, shared: &Shared, worker: &mut Worker) {
-        loop {
-            while let Some(partial) = worker.local.pop() {
-                if shared.abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                // Crossing into a different epoch: hand the previous
-                // epoch's buffered candidates to the sink now. Without
-                // this, a busy worker only flushes on the batch
-                // threshold or when it idles — single-threaded that is
-                // the very end of the run, which defeats the watermark.
-                if let Some(ctx) = self.stream {
-                    if let Some(prev) = worker.last_epoch {
-                        if prev != partial.epoch {
-                            if let Err(error) = self.flush_epoch(shared, worker, ctx, prev as usize)
-                            {
-                                shared.fail(error);
-                                return;
-                            }
-                        }
-                    }
-                    worker.last_epoch = Some(partial.epoch);
-                }
-                if let Err(error) = self.expand_one(worker, shared, partial) {
-                    shared.fail(error);
-                    return;
-                }
-                if worker.local.len() > 1 && shared.hungry.load(Ordering::Relaxed) > 0 {
-                    self.donate(shared, worker);
-                }
-            }
-            // Flush buffered candidates before blocking (or retiring):
-            // an idle worker must not sit on undelivered work, and the
-            // termination protocol relies on every buffer being empty
-            // when the last worker detects completion.
-            if let Some(ctx) = self.stream {
-                if let Err(error) = self.flush_all(shared, worker, ctx) {
-                    shared.fail(error);
-                    return;
-                }
-            }
-            match shared.steal() {
-                Some(partial) => {
-                    worker.pulls += 1;
-                    worker.local.push(partial);
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Move the bottom half of the local stack — the shallowest partials,
-    /// carrying the largest unexpanded subtrees — into the shared queue.
-    fn donate(&self, shared: &Shared, worker: &mut Worker) {
-        let give = worker.local.len() / 2;
-        if give == 0 {
-            return;
-        }
-        let mut queue = shared.queue.lock().expect("work queue");
-        queue.tasks.extend(worker.local.drain(..give));
-        shared.ready.notify_all();
-        drop(queue);
-    }
-
-    /// Deliver one epoch's buffered candidates to the sink, then drop
-    /// their outstanding counts. The delivery happens *before* the
-    /// counts are released, so the epoch's completion (fired by the
-    /// zero crossing, possibly right here) is ordered after every
-    /// delivery for it.
-    fn flush_epoch(
-        &self,
-        shared: &Shared,
-        worker: &mut Worker,
-        ctx: &StreamCtx<'_>,
-        epoch: usize,
-    ) -> Result<(), MocusError> {
-        // Settle this epoch's deferred releases in the same counter
-        // operation as the delivered batch.
-        let debt = if worker.debt_epoch == Some(epoch as u32) {
-            worker.debt_epoch = None;
-            std::mem::take(&mut worker.debt)
-        } else {
-            0
-        };
-        if worker.stream_found[epoch].is_empty() {
-            if debt > 0 && !ctx.release(epoch as u32, debt) {
-                return Err(MocusError::Aborted);
-            }
-            return Ok(());
-        }
-        let buf = &mut worker.stream_found[epoch];
-        let n = buf.len();
-        let bytes: usize = buf.iter().map(cutset_bytes).sum();
-        let ok = ctx.sink.deliver(epoch as u32, buf);
-        buf.clear();
-        shared.candidates_dropped(n, bytes);
-        if !ok || !ctx.release(epoch as u32, n + debt) {
-            return Err(MocusError::Aborted);
-        }
-        Ok(())
-    }
-
-    /// Flush every non-empty epoch buffer of `worker`.
-    fn flush_all(
-        &self,
-        shared: &Shared,
-        worker: &mut Worker,
-        ctx: &StreamCtx<'_>,
-    ) -> Result<(), MocusError> {
-        for epoch in 0..worker.stream_found.len() {
-            self.flush_epoch(shared, worker, ctx, epoch)?;
-        }
-        Ok(())
-    }
-
-    /// Push a surviving partial onto the local stack, counting it live
-    /// (residency is measured over *queued* partials, whose size is
-    /// fixed while they wait) and giving it an outstanding count in
-    /// streaming mode.
-    fn push_live(&self, worker: &mut Worker, shared: &Shared, partial: Partial) {
-        shared.partial_created(&partial);
-        if let Some(ctx) = self.stream {
-            if worker.debt_epoch == Some(partial.epoch) && worker.debt > 0 {
-                // Transfer a deferred release of the same epoch to the
-                // new partial: the shared counter is untouched instead
-                // of paying a fetch_add/fetch_sub pair per expansion.
-                worker.debt -= 1;
-            } else {
-                ctx.inc(partial.epoch);
-            }
-        }
-        worker.local.push(partial);
-    }
-
-    /// Drop the count the partial entering `expand_one` held (it was
-    /// not finalized into a candidate). The release is deferred into the
-    /// worker's local debt rather than hitting the shared counter: the
-    /// counter then only ever over-counts, so completion can never fire
-    /// early, and the debt is settled — firing the zero crossing if due
-    /// — at the same boundaries that flush the candidate buffers (epoch
-    /// switch, batch flush, idle, retirement).
-    fn release_entry(&self, worker: &mut Worker, epoch: u32) -> Result<(), MocusError> {
-        if self.stream.is_some() {
-            if worker.debt_epoch == Some(epoch) {
-                worker.debt += 1;
-            } else {
-                self.settle_debt(worker)?;
-                worker.debt_epoch = Some(epoch);
-                worker.debt = 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Hand the worker's deferred releases back to the shared epoch
-    /// counter.
-    fn settle_debt(&self, worker: &mut Worker) -> Result<(), MocusError> {
-        if worker.debt > 0 {
-            let ctx = self.stream.expect("debt only accrues in streaming mode");
-            let epoch = worker.debt_epoch.expect("debt carries its epoch");
-            let n = std::mem::take(&mut worker.debt);
-            if !ctx.release(epoch, n) {
-                return Err(MocusError::Aborted);
-            }
-        }
-        Ok(())
-    }
-
     /// Expand one partial cutset: leaves become candidates, AND extends,
     /// OR branches (reusing the parent allocation for the last child),
     /// at-least enumerates combinations. Surviving branches are pushed
-    /// onto the worker's local stack.
-    fn expand_one(
-        &self,
-        worker: &mut Worker,
-        shared: &Shared,
-        mut partial: Partial,
-    ) -> Result<(), MocusError> {
+    /// onto the stack.
+    fn expand_one(&self, worker: &mut Worker<'_>, mut partial: Partial) -> Result<(), MocusError> {
         let entry_epoch = partial.epoch;
-        // The partial left its queue; it is re-counted if re-pushed.
-        shared.partial_dropped(&partial);
-        let processed = shared.processed.fetch_add(1, Ordering::Relaxed) + 1;
-        if processed > self.options.max_partials {
+        // The partial left the stack; it is re-counted if re-pushed.
+        worker.partials.sub(1);
+        worker.partial_bytes.sub(partial_bytes(&partial));
+        worker.processed += 1;
+        if worker.processed > self.options.max_partials {
             return Err(MocusError::TooManyPartials {
                 limit: self.options.max_partials,
             });
         }
         let Some(gate) = partial.gates.pop() else {
-            let candidates = shared.candidates.fetch_add(1, Ordering::Relaxed) + 1;
-            if candidates > self.options.max_cutsets {
+            worker.candidates += 1;
+            if worker.candidates > self.options.max_cutsets {
                 return Err(MocusError::TooManyCutsets {
                     limit: self.options.max_cutsets,
                 });
             }
             let Partial { events, gates, .. } = partial;
             let cutset = Cutset::new(events);
-            shared.candidate_created(&cutset);
+            worker.resident.add(1);
+            worker.resident_bytes.add(cutset_bytes(&cutset));
             worker.recycle(Partial {
                 events: Vec::new(),
                 gates,
                 prob: 1.0,
                 epoch: 0,
             });
-            if let Some(ctx) = self.stream {
-                // The entry count transfers to the buffered candidate;
-                // it is released when the batch is delivered.
-                let epoch = entry_epoch as usize;
-                worker.stream_found[epoch].push(cutset);
-                if worker.stream_found[epoch].len() >= STREAM_BATCH {
-                    self.flush_epoch(shared, worker, ctx, epoch)?;
+            // Streaming: the entry count transfers to the buffered
+            // candidate; it is released when the batch is delivered.
+            let full = match &mut worker.stream {
+                Some(ctx) => {
+                    let buffer = &mut ctx.found[entry_epoch as usize];
+                    buffer.push(cutset);
+                    buffer.len() >= STREAM_BATCH
                 }
-            } else {
-                worker.found.push(cutset);
+                None => {
+                    worker.found.push(cutset);
+                    false
+                }
+            };
+            if full {
+                worker.flush_epoch(entry_epoch)?;
             }
             return Ok(());
         };
@@ -916,12 +583,9 @@ impl<'a> Engine<'a> {
                         break;
                     }
                 }
-                if !alive {
-                    worker.recycle(partial);
-                } else if self.within_bounds(worker, &partial) {
-                    self.push_live(worker, shared, partial);
+                if alive {
+                    self.keep_if_bounded(worker, partial);
                 } else {
-                    worker.pruned += 1;
                     worker.recycle(partial);
                 }
             }
@@ -933,49 +597,53 @@ impl<'a> Engine<'a> {
                     .iter()
                     .any(|&c| self.tree.is_basic(c) && self.assumptions.is_failed(c));
                 if satisfied {
-                    self.push_live(worker, shared, partial);
-                    return self.release_entry(worker, entry_epoch);
+                    worker.push_live(partial);
+                    return worker.release(entry_epoch);
                 }
                 let skip = |c: NodeId| self.tree.is_basic(c) && self.assumptions.is_ok(c);
                 let Some(last) = inputs.iter().rposition(|&c| !skip(c)) else {
                     worker.recycle(partial);
-                    return self.release_entry(worker, entry_epoch);
+                    return worker.release(entry_epoch);
                 };
                 for &child in &inputs[..last] {
                     if skip(child) {
                         continue;
                     }
                     let mut branch = worker.alloc_copy(&partial);
-                    if let Some(ctx) = self.stream {
+                    if let Some(ctx) = &worker.stream {
                         branch.epoch = ctx.branch_epoch(gate, entry_epoch, child);
                     }
                     if matches!(self.add_child(&mut branch, child), Outcome::Dead) {
                         worker.recycle(branch);
-                    } else if self.within_bounds(worker, &branch) {
-                        self.push_live(worker, shared, branch);
                     } else {
-                        worker.pruned += 1;
-                        worker.recycle(branch);
+                        self.keep_if_bounded(worker, branch);
                     }
                 }
                 // Reuse the parent allocation for the final branch.
-                if let Some(ctx) = self.stream {
+                if let Some(ctx) = &worker.stream {
                     partial.epoch = ctx.branch_epoch(gate, entry_epoch, inputs[last]);
                 }
                 if matches!(self.add_child(&mut partial, inputs[last]), Outcome::Dead) {
                     worker.recycle(partial);
-                } else if self.within_bounds(worker, &partial) {
-                    self.push_live(worker, shared, partial);
                 } else {
-                    worker.pruned += 1;
-                    worker.recycle(partial);
+                    self.keep_if_bounded(worker, partial);
                 }
             }
             GateKind::AtLeast(k) => {
-                self.expand_atleast(worker, shared, gate, k as usize, partial)?;
+                self.expand_atleast(worker, gate, k as usize, partial)?;
             }
         }
-        self.release_entry(worker, entry_epoch)
+        worker.release(entry_epoch)
+    }
+
+    /// Push `partial` if it survives the bounds, else count it pruned.
+    fn keep_if_bounded(&self, worker: &mut Worker<'_>, partial: Partial) {
+        if self.within_bounds(worker, &partial) {
+            worker.push_live(partial);
+        } else {
+            worker.pruned += 1;
+            worker.recycle(partial);
+        }
     }
 
     /// Add one child requirement to a partial cutset.
@@ -1007,7 +675,7 @@ impl<'a> Engine<'a> {
     /// chosen events *and* from the other counted subtrees contributes at
     /// most its best single completion (`upper_bound`), so the product is
     /// a sound upper bound on any refinement of the partial.
-    fn within_bounds(&self, worker: &mut Worker, partial: &Partial) -> bool {
+    fn within_bounds(&self, worker: &mut Worker<'_>, partial: &Partial) -> bool {
         if let Some(max_order) = self.options.max_order {
             if partial.events.len() > max_order {
                 return false;
@@ -1019,7 +687,7 @@ impl<'a> Engine<'a> {
         if partial.prob <= cutoff {
             return false;
         }
-        if partial.gates.is_empty() || self.masks.is_empty() {
+        if partial.gates.is_empty() {
             return true;
         }
         // Greedy disjoint look-ahead: cheapest gates first for the
@@ -1057,8 +725,7 @@ impl<'a> Engine<'a> {
 
     fn expand_atleast(
         &self,
-        worker: &mut Worker,
-        shared: &Shared,
+        worker: &mut Worker<'_>,
         gate: NodeId,
         k: usize,
         partial: Partial,
@@ -1081,7 +748,7 @@ impl<'a> Engine<'a> {
             candidates.push(child);
         }
         if threshold == 0 {
-            self.push_live(worker, shared, partial);
+            worker.push_live(partial);
             return Ok(());
         }
         if threshold > candidates.len() {
@@ -1106,12 +773,9 @@ impl<'a> Engine<'a> {
                     break;
                 }
             }
-            if !alive {
-                worker.recycle(branch);
-            } else if self.within_bounds(worker, &branch) {
-                self.push_live(worker, shared, branch);
+            if alive {
+                self.keep_if_bounded(worker, branch);
             } else {
-                worker.pruned += 1;
                 worker.recycle(branch);
             }
             // Advance to the next combination in lexicographic order.
@@ -1574,15 +1238,8 @@ mod tests {
         assert_eq!(mcs.len(), 1);
         assert_eq!(mcs.get(0).unwrap().order(), 50);
     }
-}
 
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use sdft_ft::FaultTreeBuilder;
-
-    /// A moderately wide tree with shared events, an at-least gate and
-    /// enough structure to exercise seeding and stealing.
+    /// A moderately wide tree with shared events and an at-least gate.
     fn wide_tree() -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let mut lines = Vec::new();
@@ -1605,84 +1262,8 @@ mod parallel_tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn thread_counts_agree_bitwise() {
-        let t = wide_tree();
-        let probs = EventProbabilities::from_static(&t).unwrap();
-        for options in [
-            MocusOptions::exhaustive(),
-            MocusOptions::with_cutoff(1e-4),
-            MocusOptions::default(),
-        ] {
-            let base = MocusOptions {
-                threads: 1,
-                ..options
-            };
-            let (reference, ref_stats) = minimal_cutsets_with_stats(&t, &probs, &base).unwrap();
-            for threads in [2, 4, 8] {
-                let opts = MocusOptions { threads, ..options };
-                let (mcs, stats) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
-                assert_eq!(reference, mcs, "threads = {threads}");
-                assert_eq!(
-                    ref_stats.deterministic(),
-                    stats.deterministic(),
-                    "threads = {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgets_abort_under_parallelism() {
-        let t = wide_tree();
-        let probs = EventProbabilities::from_static(&t).unwrap();
-        for threads in [2, 4, 8] {
-            let opts = MocusOptions {
-                max_partials: 3,
-                threads,
-                ..MocusOptions::exhaustive()
-            };
-            assert!(matches!(
-                minimal_cutsets(&t, &probs, &opts),
-                Err(MocusError::TooManyPartials { limit: 3 })
-            ));
-            let opts = MocusOptions {
-                max_cutsets: 2,
-                threads,
-                ..MocusOptions::exhaustive()
-            };
-            assert!(matches!(
-                minimal_cutsets(&t, &probs, &opts),
-                Err(MocusError::TooManyCutsets { limit: 2 })
-            ));
-        }
-    }
-
-    #[test]
-    fn stats_count_the_sequential_run() {
-        let t = wide_tree();
-        let probs = EventProbabilities::from_static(&t).unwrap();
-        let opts = MocusOptions {
-            threads: 1,
-            ..MocusOptions::exhaustive()
-        };
-        let (mcs, stats) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
-        assert!(stats.partials_processed > 0);
-        assert!(stats.cutset_candidates as usize >= mcs.len());
-        assert!(stats.subsumption_comparisons > 0);
-        assert_eq!(stats.stolen_tasks, 0);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.seed_tasks, 1);
-    }
-}
-
-#[cfg(test)]
-mod lookahead_tests {
-    use super::*;
-    use sdft_ft::FaultTreeBuilder;
-
-    #[test]
-    fn disabling_lookahead_changes_nothing_semantically() {
+    /// An AND of three ORs over a likely and an unlikely event each.
+    fn and_of_pairs() -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let mut pairs = Vec::new();
         for i in 0..3 {
@@ -1692,25 +1273,48 @@ mod lookahead_tests {
         }
         let top = b.and("top", pairs).unwrap();
         b.top(top);
-        let t = b.build().unwrap();
-        let probs = EventProbabilities::from_static(&t).unwrap();
-        let with = minimal_cutsets(&t, &probs, &MocusOptions::with_cutoff(1e-7)).unwrap();
-        let opts = MocusOptions {
-            lookahead: false,
-            ..MocusOptions::with_cutoff(1e-7)
-        };
-        let without = minimal_cutsets(&t, &probs, &opts).unwrap();
-        let mut a: Vec<&Cutset> = with.iter().collect();
-        let mut b: Vec<&Cutset> = without.iter().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        b.build().unwrap()
     }
 
     #[test]
-    fn lookahead_reduces_explored_partials() {
-        // A wide AND of improbable ORs: without the bound every branch of
-        // the first gates is explored; with it the root dies instantly.
+    fn stats_count_the_run() {
+        let t = wide_tree();
+        let probs = EventProbabilities::from_static(&t).unwrap();
+        let (mcs, stats) =
+            minimal_cutsets_with_stats(&t, &probs, &MocusOptions::exhaustive()).unwrap();
+        assert!(stats.partials_processed > 0);
+        assert!(stats.cutset_candidates as usize >= mcs.len());
+        assert!(stats.subsumption_comparisons > 0);
+        assert_eq!(stats.peak_live_candidates, stats.cutset_candidates);
+    }
+
+    #[test]
+    fn cutoff_runs_keep_exactly_the_exhaustive_cutsets_above_the_cutoff() {
+        // No cutoff value sits on a cutset probability, so the rounding
+        // of the two products cannot decide a verdict.
+        for (t, cutoffs) in [(and_of_pairs(), [5e-8, 5e-9]), (wide_tree(), [4e-4, 1e-3])] {
+            let probs = EventProbabilities::from_static(&t).unwrap();
+            let exhaustive = minimal_cutsets(&t, &probs, &MocusOptions::exhaustive()).unwrap();
+            for cutoff in cutoffs {
+                let (kept, stats) =
+                    minimal_cutsets_with_stats(&t, &probs, &MocusOptions::with_cutoff(cutoff))
+                        .unwrap();
+                let above: Vec<&Cutset> = exhaustive
+                    .iter()
+                    .filter(|c| c.probability_with(|e| probs.get(e)) > cutoff)
+                    .collect();
+                assert!(!above.is_empty() && above.len() < exhaustive.len());
+                assert_eq!(kept.iter().collect::<Vec<_>>(), above, "cutoff {cutoff}");
+                assert!(stats.partials_pruned > 0, "cutoff {cutoff}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookahead_prunes_the_root_of_a_hopeless_product() {
+        // A wide AND of improbable ORs: every cutset has probability
+        // 1e-16 < 1e-12, and the bound discards the root before any
+        // expansion.
         let mut b = FaultTreeBuilder::new();
         let mut gates = Vec::new();
         for i in 0..4 {
@@ -1723,20 +1327,13 @@ mod lookahead_tests {
         b.top(top);
         let t = b.build().unwrap();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        // Every cutset has probability 1e-16 < 1e-12: nothing survives.
         let tight = MocusOptions {
             max_partials: 5,
             ..MocusOptions::with_cutoff(1e-12)
         };
-        assert!(minimal_cutsets(&t, &probs, &tight).unwrap().is_empty());
-        let blind = MocusOptions {
-            max_partials: 5,
-            lookahead: false,
-            ..MocusOptions::with_cutoff(1e-12)
-        };
-        assert!(matches!(
-            minimal_cutsets(&t, &probs, &blind),
-            Err(MocusError::TooManyPartials { .. })
-        ));
+        let (mcs, stats) = minimal_cutsets_with_stats(&t, &probs, &tight).unwrap();
+        assert!(mcs.is_empty());
+        assert_eq!(stats.partials_processed, 0);
+        assert_eq!(stats.partials_pruned, 1);
     }
 }

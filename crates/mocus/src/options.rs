@@ -9,7 +9,10 @@ pub struct MocusOptions {
     ///
     /// For coherent trees the cutoff is conservative: refining a partial
     /// cutset can only multiply its probability by further factors ≤ 1, so
-    /// no cutset above the cutoff is ever lost (§IV-B).
+    /// no cutset above the cutoff is ever lost (§IV-B). With a cutoff
+    /// set, a look-ahead bound also prunes partial cutsets whose pending
+    /// gates can no longer reach it (per-gate best-completion bounds over
+    /// disjoint subtrees; equally sound).
     pub cutoff: Option<f64>,
     /// Discard any (partial) cutset with more events than this.
     pub max_order: Option<usize>,
@@ -20,17 +23,9 @@ pub struct MocusOptions {
     /// Abort when a single at-least gate would expand into more than this
     /// many combinations.
     pub max_combinations: u128,
-    /// Enable the look-ahead bound: partial cutsets whose pending gates
-    /// can no longer reach the cutoff are pruned using per-gate
-    /// best-completion bounds over disjoint subtrees. Sound; disable only
-    /// to measure its effect (it routinely cuts the explored partial
-    /// space by orders of magnitude on event-tree-shaped models).
-    pub lookahead: bool,
-    /// Worker threads for cutset expansion and minimization; `0` uses all
-    /// available cores. The resulting cutset list is identical for every
-    /// thread count (expansion and pruning decisions are per-branch and
-    /// order-independent, and the merged list is canonically sorted), so
-    /// this is purely a performance knob.
+    /// Ignored. Expansion and minimization always run on the calling
+    /// thread; the field remains so that existing option literals keep
+    /// compiling.
     pub threads: usize,
 }
 
@@ -42,7 +37,6 @@ impl Default for MocusOptions {
             max_cutsets: 10_000_000,
             max_partials: 200_000_000,
             max_combinations: 1_000_000,
-            lookahead: true,
             threads: 0,
         }
     }

@@ -1,13 +1,9 @@
 /// Counters describing one MOCUS run.
 ///
-/// `partials_processed`, `partials_pruned`, `cutset_candidates` and
-/// `subsumption_comparisons` are *schedule-independent*: every surviving
-/// partial cutset is expanded exactly once and every candidate cutset is
-/// checked against the full candidate set the same way, so the counts are
-/// identical for every thread count (when no safety budget aborts the
-/// run). `stolen_tasks`, `seed_tasks` and `workers` describe the work
-/// distribution, and the `peak_*` high-water marks describe memory
-/// residency; both naturally vary with the thread count and scheduling.
+/// Expansion runs depth-first on one thread, so every counter is a
+/// function of the tree and the options alone (when no safety budget
+/// aborts the run): repeated runs report the same values. Only
+/// `minimize_time` is a wall-clock measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MocusStats {
     /// Partial cutsets processed (popped and expanded), leaves included.
@@ -18,15 +14,8 @@ pub struct MocusStats {
     pub cutset_candidates: u64,
     /// Subset tests the minimization pass performed.
     pub subsumption_comparisons: u64,
-    /// Partials a worker claimed from the shared queue beyond its first
-    /// task (always 0 in single-threaded runs).
-    pub stolen_tasks: u64,
-    /// Tasks seeded into the shared queue before the workers started.
-    pub seed_tasks: u64,
-    /// Worker threads used for expansion and minimization.
-    pub workers: usize,
-    /// Peak number of live partial cutsets (allocated and not yet
-    /// consumed) across all workers. Scheduling-dependent.
+    /// Peak number of live partial cutsets (queued and not yet
+    /// expanded).
     pub peak_live_partials: u64,
     /// Approximate peak bytes held by live partial cutsets.
     pub peak_partial_bytes: u64,
@@ -38,23 +27,4 @@ pub struct MocusStats {
     /// Wall-clock time of the one-pass batch minimization (zero when
     /// streaming — the filter stage owns minimization there).
     pub minimize_time: std::time::Duration,
-}
-
-impl MocusStats {
-    /// The same counters with the scheduling-dependent fields
-    /// (`stolen_tasks`, `seed_tasks`, `workers`) zeroed, leaving exactly
-    /// the schedule-independent ones — convenient for comparing runs at
-    /// different thread counts.
-    #[must_use]
-    pub fn deterministic(mut self) -> Self {
-        self.stolen_tasks = 0;
-        self.seed_tasks = 0;
-        self.workers = 0;
-        self.peak_live_partials = 0;
-        self.peak_partial_bytes = 0;
-        self.peak_live_candidates = 0;
-        self.peak_candidate_bytes = 0;
-        self.minimize_time = std::time::Duration::ZERO;
-        self
-    }
 }

@@ -2,7 +2,7 @@
 //!
 //! The batch entry points materialize every cutset candidate before
 //! minimization. Streaming instead pushes candidates to a
-//! [`CandidateSink`] as workers finalize them, in *epochs* carrying a
+//! [`CandidateSink`] as expansion finalizes them, in *epochs* carrying a
 //! subsumption watermark. Two children `a`, `b` of a top-level OR are
 //! *separable* — no candidate of one can ever subsume (or equal) a
 //! candidate of the other — when either
@@ -39,32 +39,32 @@ use crate::error::MocusError;
 use crate::options::MocusOptions;
 use crate::stats::MocusStats;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree, GateKind, NodeId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Consumer side of a streaming MOCUS run. Implementations must be
-/// thread-safe: any worker may call either method at any time, though
-/// for a given epoch every [`deliver`](Self::deliver) happens before
-/// its single [`epoch_complete`](Self::epoch_complete).
+/// Consumer side of a streaming MOCUS run. The generator calls it from
+/// one thread, in a fixed order for a given tree and options; for a
+/// given epoch every [`deliver`](Self::deliver) happens before its
+/// single [`epoch_complete`](Self::epoch_complete).
 ///
 /// Returning `false` from either method aborts generation promptly
 /// (the run ends with [`MocusError::Aborted`]); use it when the
 /// downstream pipeline has failed or shut down.
-pub trait CandidateSink: Sync {
+pub trait CandidateSink {
     /// Take a batch of cutset candidates belonging to `epoch`. The sink
     /// owns the drained contents; the vector is cleared afterwards
     /// either way.
-    fn deliver(&self, epoch: u32, batch: &mut Vec<Cutset>) -> bool;
+    fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool;
 
     /// All candidates of `epoch` have been delivered; no candidate of
     /// any epoch can subsume them now, so they may be minimized among
     /// themselves and released downstream.
-    fn epoch_complete(&self, epoch: u32) -> bool;
+    fn epoch_complete(&mut self, epoch: u32) -> bool;
 }
 
-/// Shared state of one streaming run: the sink, the epoch plan, and the
-/// per-epoch outstanding counters implementing the watermark.
+/// State of one streaming run: the sink, the epoch plan, the per-epoch
+/// candidate buffers, and the per-epoch outstanding counters
+/// implementing the watermark.
 pub(crate) struct StreamCtx<'s> {
-    pub(crate) sink: &'s dyn CandidateSink,
+    pub(crate) sink: &'s mut dyn CandidateSink,
     /// The gate whose OR expansion assigns epochs (the run's root);
     /// only consulted when `epochs > 1`.
     top: NodeId,
@@ -72,8 +72,15 @@ pub(crate) struct StreamCtx<'s> {
     child_epoch: Vec<u32>,
     epochs: u32,
     /// Live partials plus buffered candidates per epoch.
-    outstanding: Vec<AtomicUsize>,
-    completed: Vec<AtomicBool>,
+    outstanding: Vec<usize>,
+    completed: Vec<bool>,
+    /// Candidates awaiting delivery, per epoch.
+    pub(crate) found: Vec<Vec<Cutset>>,
+    /// Epoch of the last partial expanded. Depth-first traversal keeps
+    /// an epoch's partials together, so a switch means expansion is done
+    /// with the previous epoch for now: its buffer is flushed then,
+    /// letting the watermark fire mid-run instead of at the final flush.
+    pub(crate) last_epoch: Option<u32>,
 }
 
 impl<'s> StreamCtx<'s> {
@@ -86,7 +93,7 @@ impl<'s> StreamCtx<'s> {
         tree: &FaultTree,
         root: NodeId,
         assumptions: &Assumptions,
-        sink: &'s dyn CandidateSink,
+        sink: &'s mut dyn CandidateSink,
     ) -> Self {
         let mut child_epoch = vec![0u32; tree.len()];
         let mut epochs = 1u32;
@@ -198,13 +205,11 @@ impl<'s> StreamCtx<'s> {
             top: root,
             child_epoch,
             epochs,
-            outstanding: (0..epochs).map(|_| AtomicUsize::new(0)).collect(),
-            completed: (0..epochs).map(|_| AtomicBool::new(false)).collect(),
+            outstanding: vec![0; epochs as usize],
+            completed: vec![false; epochs as usize],
+            found: vec![Vec::new(); epochs as usize],
+            last_epoch: None,
         }
-    }
-
-    pub(crate) fn epochs(&self) -> u32 {
-        self.epochs
     }
 
     /// The epoch of a child branched off `gate` by a partial of
@@ -219,37 +224,27 @@ impl<'s> StreamCtx<'s> {
     }
 
     /// A partial or buffered candidate of `epoch` came alive.
-    pub(crate) fn inc(&self, epoch: u32) {
-        self.outstanding[epoch as usize].fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn inc(&mut self, epoch: u32) {
+        self.outstanding[epoch as usize] += 1;
     }
 
     /// Release `n` counts of `epoch`; the zero crossing fires the
     /// epoch's completion. Returns `false` if the sink rejected.
-    pub(crate) fn release(&self, epoch: u32, n: usize) -> bool {
-        if n == 0 {
-            return true;
-        }
-        let prev = self.outstanding[epoch as usize].fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(prev >= n, "outstanding counter underflow");
-        if prev == n {
-            self.complete(epoch)
-        } else {
-            true
-        }
+    pub(crate) fn release(&mut self, epoch: u32, n: usize) -> bool {
+        let outstanding = &mut self.outstanding[epoch as usize];
+        *outstanding -= n;
+        *outstanding > 0 || self.complete(epoch)
     }
 
-    fn complete(&self, epoch: u32) -> bool {
-        if self.completed[epoch as usize].swap(true, Ordering::AcqRel) {
-            true
-        } else {
-            self.sink.epoch_complete(epoch)
-        }
+    fn complete(&mut self, epoch: u32) -> bool {
+        let completed = std::mem::replace(&mut self.completed[epoch as usize], true);
+        completed || self.sink.epoch_complete(epoch)
     }
 
     /// Fire completion for every epoch not yet completed — the final
     /// sweep covering epochs that never received work (pruned at
     /// creation, skipped children, degenerate roots).
-    pub(crate) fn complete_all(&self) -> bool {
+    pub(crate) fn complete_all(&mut self) -> bool {
         let mut ok = true;
         for e in 0..self.epochs {
             ok &= self.complete(e);
@@ -264,8 +259,9 @@ impl<'s> StreamCtx<'s> {
 /// `subsumption_comparisons` — minimization belongs to the consumer.
 ///
 /// The candidate set (and therefore the minimal cutsets the consumer
-/// derives) is identical to [`minimal_cutsets`](crate::minimal_cutsets)
-/// for every thread count; only delivery order and batching vary.
+/// derives) is identical to [`minimal_cutsets`](crate::minimal_cutsets),
+/// and the sequence of deliveries and completions is the same on every
+/// run.
 ///
 /// # Errors
 ///
@@ -276,7 +272,7 @@ pub fn stream_minimal_cutsets(
     tree: &FaultTree,
     probs: &EventProbabilities,
     options: &MocusOptions,
-    sink: &dyn CandidateSink,
+    sink: &mut dyn CandidateSink,
 ) -> Result<MocusStats, MocusError> {
     if let Some(c) = options.cutoff {
         if !c.is_finite() || c < 0.0 {
@@ -285,7 +281,7 @@ pub fn stream_minimal_cutsets(
     }
     let assumptions = Assumptions::new(tree);
     let ctx = StreamCtx::new(tree, tree.top(), &assumptions, sink);
-    run_streaming(tree, tree.top(), probs, options, &assumptions, &ctx)
+    run_streaming(tree, tree.top(), probs, options, &assumptions, ctx)
 }
 
 #[cfg(test)]
@@ -294,38 +290,39 @@ mod tests {
     use crate::minimal_cutsets_with_stats;
     use sdft_ft::{CutsetList, FaultTreeBuilder};
     use std::collections::HashMap;
-    use std::sync::Mutex;
 
-    /// Collects deliveries per epoch and asserts the watermark
-    /// contract: no delivery after an epoch completed, one completion
-    /// per epoch.
-    #[derive(Default)]
-    struct CollectingSink {
-        state: Mutex<SinkState>,
+    /// One call the generator made on its sink.
+    #[derive(Debug, PartialEq, Eq)]
+    enum SinkCall {
+        Deliver(u32, Vec<Cutset>),
+        Complete(u32),
     }
 
+    /// Records every call and checks the watermark contract: no
+    /// delivery after an epoch completed, one completion per epoch.
     #[derive(Default)]
-    struct SinkState {
+    struct CollectingSink {
+        calls: Vec<SinkCall>,
         delivered: HashMap<u32, Vec<Cutset>>,
         completed: HashMap<u32, u32>,
         violations: Vec<String>,
     }
 
     impl CandidateSink for CollectingSink {
-        fn deliver(&self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
-            let mut s = self.state.lock().unwrap();
-            if s.completed.contains_key(&epoch) {
-                s.violations
+        fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
+            if self.completed.contains_key(&epoch) {
+                self.violations
                     .push(format!("delivery after completion of epoch {epoch}"));
             }
             let drained = std::mem::take(batch);
-            s.delivered.entry(epoch).or_default().extend(drained);
+            self.calls.push(SinkCall::Deliver(epoch, drained.clone()));
+            self.delivered.entry(epoch).or_default().extend(drained);
             true
         }
 
-        fn epoch_complete(&self, epoch: u32) -> bool {
-            let mut s = self.state.lock().unwrap();
-            *s.completed.entry(epoch).or_insert(0) += 1;
+        fn epoch_complete(&mut self, epoch: u32) -> bool {
+            self.calls.push(SinkCall::Complete(epoch));
+            *self.completed.entry(epoch).or_insert(0) += 1;
             true
         }
     }
@@ -334,11 +331,11 @@ mod tests {
     struct RejectingSink;
 
     impl CandidateSink for RejectingSink {
-        fn deliver(&self, _epoch: u32, _batch: &mut Vec<Cutset>) -> bool {
+        fn deliver(&mut self, _epoch: u32, _batch: &mut Vec<Cutset>) -> bool {
             false
         }
 
-        fn epoch_complete(&self, _epoch: u32) -> bool {
+        fn epoch_complete(&mut self, _epoch: u32) -> bool {
             true
         }
     }
@@ -364,102 +361,97 @@ mod tests {
     }
 
     #[test]
-    fn streamed_candidates_match_batch_for_every_thread_count() {
+    fn streamed_candidates_match_batch() {
         let t = epoch_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        let batch_opts = MocusOptions {
-            threads: 1,
-            ..MocusOptions::exhaustive()
+        let opts = MocusOptions::exhaustive();
+        let (reference, ref_stats) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
+        let mut sink = CollectingSink::default();
+        let stats = stream_minimal_cutsets(&t, &probs, &opts, &mut sink).unwrap();
+        assert!(sink.violations.is_empty(), "{:?}", sink.violations);
+        // Every epoch completed exactly once, and more than one epoch
+        // exists (the top split into independent children).
+        assert!(sink.completed.values().all(|&n| n == 1));
+        assert!(sink.completed.len() > 1, "expected a multi-epoch plan");
+        // The candidate multiset matches the batch run.
+        let all: Vec<Cutset> = sink.delivered.values().flatten().cloned().collect();
+        assert_eq!(stats.cutset_candidates as usize, all.len());
+        assert_eq!(ref_stats.partials_processed, stats.partials_processed);
+        // Global minimization of the streamed candidates equals the
+        // batch minimal cutsets...
+        let global = CutsetList::from_vec(all).minimize();
+        assert_eq!(reference, global);
+        // ...and so does per-epoch minimization (the watermark
+        // guarantee: epochs cannot subsume across each other).
+        let mut per_epoch: Vec<Cutset> = sink
+            .delivered
+            .values()
+            .flat_map(|v| CutsetList::from_vec(v.clone()).minimize())
+            .collect();
+        per_epoch.sort_unstable_by(|a, b| {
+            a.order()
+                .cmp(&b.order())
+                .then_with(|| a.events().cmp(b.events()))
+        });
+        let flat: Vec<Cutset> = reference.iter().cloned().collect();
+        assert_eq!(flat, per_epoch);
+    }
+
+    #[test]
+    fn every_run_makes_the_same_sink_calls() {
+        let t = epoch_tree();
+        let probs = EventProbabilities::from_static(&t).unwrap();
+        let run = || {
+            let mut sink = CollectingSink::default();
+            stream_minimal_cutsets(&t, &probs, &MocusOptions::exhaustive(), &mut sink).unwrap();
+            sink.calls
         };
-        let (reference, ref_stats) = minimal_cutsets_with_stats(&t, &probs, &batch_opts).unwrap();
-        for threads in [1, 2, 4] {
-            let sink = CollectingSink::default();
-            let opts = MocusOptions {
-                threads,
-                ..MocusOptions::exhaustive()
-            };
-            let stats = stream_minimal_cutsets(&t, &probs, &opts, &sink).unwrap();
-            let state = sink.state.into_inner().unwrap();
-            assert!(state.violations.is_empty(), "{:?}", state.violations);
-            // Every epoch completed exactly once, and more than one
-            // epoch exists (the top split into independent children).
-            assert!(state.completed.values().all(|&n| n == 1));
-            assert!(state.completed.len() > 1, "expected a multi-epoch plan");
-            // The candidate multiset matches the batch run.
-            let all: Vec<Cutset> = state.delivered.values().flatten().cloned().collect();
-            assert_eq!(
-                stats.cutset_candidates as usize,
-                all.len(),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                ref_stats.deterministic().partials_processed,
-                stats.deterministic().partials_processed,
-                "threads = {threads}"
-            );
-            // Global minimization of the streamed candidates equals the
-            // batch minimal cutsets...
-            let global = CutsetList::from_vec(all).minimize();
-            assert_eq!(reference, global, "threads = {threads}");
-            // ...and so does per-epoch minimization (the watermark
-            // guarantee: epochs cannot subsume across each other).
-            let mut per_epoch: Vec<Cutset> = state
-                .delivered
-                .values()
-                .flat_map(|v| CutsetList::from_vec(v.clone()).minimize())
-                .collect();
-            per_epoch.sort_unstable_by(|a, b| {
-                a.order()
-                    .cmp(&b.order())
-                    .then_with(|| a.events().cmp(b.events()))
-            });
-            let flat: Vec<Cutset> = reference.iter().cloned().collect();
-            assert_eq!(flat, per_epoch, "threads = {threads}");
+        let (first, second) = (run(), run());
+        assert_eq!(first.len(), second.len());
+        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert_eq!(a, b, "sink call {i}");
         }
+        // Some epoch completes before the last delivery: the watermark
+        // fires mid-run.
+        let last_delivery = first
+            .iter()
+            .rposition(|call| matches!(call, SinkCall::Deliver(..)))
+            .unwrap();
+        assert!(first[..last_delivery]
+            .iter()
+            .any(|call| matches!(call, SinkCall::Complete(_))));
     }
 
     #[test]
     fn rejecting_sink_aborts_generation() {
         let t = epoch_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        for threads in [1, 4] {
-            let opts = MocusOptions {
-                threads,
-                ..MocusOptions::exhaustive()
-            };
-            assert!(matches!(
-                stream_minimal_cutsets(&t, &probs, &opts, &RejectingSink),
-                Err(MocusError::Aborted)
-            ));
-        }
+        assert!(matches!(
+            stream_minimal_cutsets(&t, &probs, &MocusOptions::exhaustive(), &mut RejectingSink),
+            Err(MocusError::Aborted)
+        ));
     }
 
     #[test]
     fn budgets_abort_streaming_runs() {
         let t = epoch_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        for threads in [1, 4] {
-            let sink = CollectingSink::default();
-            let opts = MocusOptions {
-                max_cutsets: 2,
-                threads,
-                ..MocusOptions::exhaustive()
-            };
-            assert!(matches!(
-                stream_minimal_cutsets(&t, &probs, &opts, &sink),
-                Err(MocusError::TooManyCutsets { limit: 2 })
-            ));
-        }
+        let mut sink = CollectingSink::default();
+        let opts = MocusOptions {
+            max_cutsets: 2,
+            ..MocusOptions::exhaustive()
+        };
+        assert!(matches!(
+            stream_minimal_cutsets(&t, &probs, &opts, &mut sink),
+            Err(MocusError::TooManyCutsets { limit: 2 })
+        ));
     }
 
     #[test]
     fn peak_residency_counters_are_populated() {
         let t = epoch_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        let opts = MocusOptions {
-            threads: 1,
-            ..MocusOptions::exhaustive()
-        };
+        let opts = MocusOptions::exhaustive();
         let (list, batch) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
         assert!(batch.peak_live_partials > 0);
         assert!(batch.peak_partial_bytes > 0);
@@ -467,8 +459,8 @@ mod tests {
         assert_eq!(batch.peak_live_candidates, batch.cutset_candidates);
         assert!(batch.peak_candidate_bytes > 0);
         assert!(!list.is_empty());
-        let sink = CollectingSink::default();
-        let stream = stream_minimal_cutsets(&t, &probs, &opts, &sink).unwrap();
+        let mut sink = CollectingSink::default();
+        let stream = stream_minimal_cutsets(&t, &probs, &opts, &mut sink).unwrap();
         // Streaming delivers in batches, so resident candidates stay at
         // or below the flush threshold (tiny tree: far below).
         assert!(stream.peak_live_candidates <= batch.peak_live_candidates);

@@ -179,13 +179,12 @@ pub fn leq_slack(a: f64, b: f64, rel: f64) -> bool {
 
 /// The pipeline options every oracle analysis uses: exhaustive MOCUS
 /// (no cutoff — metamorphic rewrites must not shift borderline
-/// cutsets) on one generator thread, and `cfg.threads` engine threads
-/// (results are thread-count-invariant).
+/// cutsets), and `cfg.threads` quantification threads (results are
+/// thread-count-invariant).
 #[must_use]
 pub fn analysis_options(cfg: &CheckConfig) -> AnalysisOptions {
     let mut opts = AnalysisOptions::new(cfg.horizon);
     opts.mocus = MocusOptions::exhaustive();
-    opts.mocus.threads = 1;
     opts.threads = cfg.threads;
     opts.epsilon = cfg.epsilon;
     opts.bdd.sift.enabled = cfg.sift;
@@ -833,9 +832,8 @@ fn check_translated_static(
             return;
         }
     };
-    let mut mocus_opts = MocusOptions::exhaustive();
-    mocus_opts.threads = 1;
-    let mocus_list = match sdft_mocus::minimal_cutsets(ft_bar, &probs, &mocus_opts) {
+    let mocus_list = match sdft_mocus::minimal_cutsets(ft_bar, &probs, &MocusOptions::exhaustive())
+    {
         Ok(l) => l,
         Err(e) => {
             out.fail("mocus_on_translated", format!("MOCUS failed on FT̄: {e}"));

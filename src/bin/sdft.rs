@@ -7,7 +7,7 @@
 //!                        [--backend mocus|bdd|hybrid] [--explain-plan]
 //!                        [--sift on|off] [--max-nodes N] [--fast] [--csv OUT]
 //!                        [--no-steady-state] [--no-stream] [--progress SECS]
-//! sdft mcs        <file> [--horizon H] [--cutoff C] [--top N] [--threads N]
+//! sdft mcs        <file> [--horizon H] [--cutoff C] [--top N]
 //! sdft exact      <file> [--horizon H]       product-chain reference (small models)
 //! sdft simulate   <file> [--horizon H] [--samples N] [--seed S]
 //! sdft importance <file> [--horizon H] [--top N]
@@ -350,10 +350,8 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         result.stats.kernel_spmv_nonzeros, result.timings.spmv, spmv_rate,
     );
     println!(
-        "mocus: {} partials processed, {} pruned, {} tasks stolen",
-        result.stats.mocus_partials_processed,
-        result.stats.mocus_partials_pruned,
-        result.stats.mocus_stolen_tasks,
+        "mocus: {} partials processed, {} pruned",
+        result.stats.mocus_partials_processed, result.stats.mocus_partials_pruned,
     );
     println!(
         "memory peaks: {} partials ({} B), {} candidates ({} B), \
@@ -493,8 +491,7 @@ fn cmd_mcs(tree: &FaultTree, args: &Args) -> CliResult {
     let probs = sdft::core::worst_case_probabilities(tree, args.horizon, 1e-12)?;
     let translated = sdft::core::translate(tree, &probs)?;
     let static_probs = EventProbabilities::from_static(&translated.tree)?;
-    let mut mocus_options = MocusOptions::with_cutoff(args.cutoff);
-    mocus_options.threads = args.threads;
+    let mocus_options = MocusOptions::with_cutoff(args.cutoff);
     let mcs = sdft::mocus::minimal_cutsets(&translated.tree, &static_probs, &mocus_options)?;
     let mut list = translated.cutsets_to_original(&mcs);
     list.sort_by_probability_desc(|e| probs.get(e));

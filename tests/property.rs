@@ -227,57 +227,6 @@ proptest! {
         }
     }
 
-    /// Parallel MOCUS (2, 4, 8 threads) is bitwise-identical to the
-    /// single-threaded engine on random trees with cutoffs, assumptions
-    /// and at-least gates — both the cutset list and the
-    /// schedule-independent counters.
-    #[test]
-    fn parallel_mocus_matches_single_thread(
-        spec in arb_tree_spec(),
-        cutoff in 1e-6f64..1e-1,
-        assume_mask in any::<u16>(),
-    ) {
-        use sdft::mocus::{minimal_cutsets_rooted_with_stats, Assumptions};
-        let tree = build_tree(&spec);
-        let probs = EventProbabilities::from_static(&tree).unwrap();
-        // Pin a few events via assumptions: the low bits of `assume_mask`
-        // select events, the high bits their assumed state.
-        let mut assumptions = Assumptions::new(&tree);
-        for (i, e) in tree.basic_events().enumerate() {
-            if assume_mask >> i & 1 == 1 {
-                if assume_mask >> (i + 8) & 1 == 1 {
-                    assumptions.assume_failed(e).unwrap();
-                } else {
-                    assumptions.assume_ok(e).unwrap();
-                }
-            }
-        }
-        // The top mask bit toggles between a cutoff run and an
-        // exhaustive one.
-        let options = if assume_mask & 0x8000 != 0 {
-            MocusOptions::with_cutoff(cutoff)
-        } else {
-            MocusOptions::exhaustive()
-        };
-        let base = MocusOptions { threads: 1, ..options };
-        let (reference, ref_stats) = minimal_cutsets_rooted_with_stats(
-            &tree, tree.top(), &probs, &base, &assumptions,
-        ).unwrap();
-        for threads in [2usize, 4, 8] {
-            let opts = MocusOptions { threads, ..options };
-            let (mcs, stats) = minimal_cutsets_rooted_with_stats(
-                &tree, tree.top(), &probs, &opts, &assumptions,
-            ).unwrap();
-            prop_assert_eq!(&reference, &mcs, "threads = {}", threads);
-            prop_assert_eq!(
-                ref_stats.deterministic(),
-                stats.deterministic(),
-                "threads = {}",
-                threads
-            );
-        }
-    }
-
     /// Minimization produces an antichain that covers the input.
     #[test]
     fn minimize_is_an_antichain_cover(
