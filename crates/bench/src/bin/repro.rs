@@ -115,12 +115,12 @@ fn x1(scale: f64) {
     println!();
     println!(
         "| cutoff | MCS | failure freq. | analysis time | partials | pruned | \
-         subsumption tests | peak pending MCS | peak candidate MB |"
+         subsumption tests | peak pending MCS |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|");
     for row in exp::cutoff_sweep(scale, &[1e-12, 1e-14, 1e-15, 1e-16, 1e-18], 24.0) {
         println!(
-            "| {:.0e} | {} | {:.4e} | {} | {} | {} | {} | {} | {:.1} |",
+            "| {:.0e} | {} | {:.4e} | {} | {} | {} | {} | {} |",
             row.cutoff,
             row.cutsets,
             row.frequency,
@@ -129,7 +129,6 @@ fn x1(scale: f64) {
             row.partials_pruned,
             row.subsumption_comparisons,
             row.peak_pending_cutsets,
-            row.peak_candidate_bytes as f64 / 1.0e6,
         );
     }
     println!();

@@ -460,10 +460,8 @@ pub struct CutoffRow {
     pub partials_pruned: u64,
     /// Subset tests the subsumption filter performed.
     pub subsumption_comparisons: u64,
-    /// Peak cutsets resident between generation and quantification.
+    /// Peak candidates the subsumption filter buffered.
     pub peak_pending_cutsets: usize,
-    /// Approximate peak bytes held by resident candidate cutsets.
-    pub peak_candidate_bytes: u64,
 }
 
 /// Cutoff sensitivity on model 1 with 30% dynamic annotation: the
@@ -502,7 +500,6 @@ pub fn cutoff_sweep(scale: f64, cutoffs: &[f64], horizon: f64) -> Vec<CutoffRow>
                     .map(|filter| filter.probes)
                     .sum(),
                 peak_pending_cutsets: result.stats.peak_pending_cutsets,
-                peak_candidate_bytes: result.stats.mocus_peak_candidate_bytes,
             }
         })
         .collect()

@@ -118,7 +118,7 @@ pub(crate) enum GenError {
 /// basic events; backends that can answer exactly (BDD) evaluate the
 /// exact top-event probability under each and report it through
 /// [`GenerationStats`]. MOCUS ignores it.
-pub(crate) trait CutsetBackend: Sync {
+pub(crate) trait CutsetBackend {
     /// Stream the minimal cutsets into `sink` under the epoch/watermark
     /// contract of [`CandidateSink`].
     fn generate(
@@ -187,11 +187,11 @@ fn keeps(options: &MocusOptions, cutset: &Cutset, probs: &EventProbabilities) ->
 }
 
 /// Drain a built composition into `sink` under the epoch/watermark
-/// contract.
+/// contract, cutset by cutset.
 ///
 /// Minimality is established inside the composition — every nested
 /// module is fully solved before the top module's solutions are
-/// expanded — so each delivered batch is already an antichain and forms
+/// expanded — so each enumerated batch is already an antichain and forms
 /// its own immediately-complete epoch: batch completion is the
 /// whole-module watermark, and the downstream minimizer's per-epoch
 /// subsumption pass has nothing to remove.
@@ -204,20 +204,23 @@ fn emit(
 ) -> Result<GenerationStats, GenError> {
     let mut epoch: u32 = 0;
     let mut delivered: u64 = 0;
-    let mut filtered: Vec<Cutset> = Vec::with_capacity(BDD_STREAM_BATCH);
     let completed = modular
         .stream_minimal_cutsets_bounded(
             BDD_STREAM_BATCH,
             |e| probs.get(e),
             &limits(options),
             |batch| {
-                filtered.extend(batch.drain(..).filter(|c| keeps(options, c, probs)));
-                if filtered.is_empty() {
+                let before = delivered;
+                for cutset in batch.drain(..).filter(|c| keeps(options, c, probs)) {
+                    delivered += 1;
+                    if !sink.deliver(epoch, cutset) {
+                        return false;
+                    }
+                }
+                if delivered == before {
                     return true;
                 }
-                delivered += filtered.len() as u64;
-                let ok = sink.deliver(epoch, &mut filtered) && sink.epoch_complete(epoch);
-                filtered.clear();
+                let ok = sink.epoch_complete(epoch);
                 epoch += 1;
                 ok
             },

@@ -1,50 +1,3 @@
-//! The analysis engine (DESIGN.md §7).
-//!
-//! Every analysis runs one stage graph over bounded channels:
-//!
-//! ```text
-//! generator ──GenMsg──▶ dispatcher
-//! (calling   (bounded)  (one candidate buffer per open epoch,
-//!  thread)               batch-minimized as it grows and at the
-//!                        epoch's watermark)
-//!                            │
-//!                            │ released cutsets (bounded)
-//!                            ▼
-//!                 N quantification workers
-//!                 (FT_C models, shared cache,
-//!                  pooled kernel workspaces)
-//! ```
-//!
-//! with `N = threads` workers. The dispatcher appends each delivery to
-//! its epoch's buffer and re-minimizes the buffer with
-//! [`CutsetList::minimize_with_stats`] whenever it reaches twice its
-//! last minimal size, and at least 4096 (see [`EpochBuffer`]); at the
-//! epoch watermark it minimizes the buffer once more and releases it. The released
-//! sequence is the canonical (order, events) minimal antichain of the
-//! epoch's candidates, whatever their arrival order.
-//!
-//! The release policy is the only switch ([`AnalysisOptions::streaming`]):
-//! *streaming* hands each epoch's minimal cutsets to quantification the
-//! moment the epoch completes; *phased* holds them in the dispatcher
-//! until the generator channel closes and then feeds the same workers,
-//! so generation and quantification never overlap.
-//!
-//! Backpressure: every channel is bounded, so a slow consumer stalls the
-//! producer instead of letting candidates pile up. The watermark rule
-//! making early release sound is the generator's epoch contract
-//! ([`sdft_mocus::CandidateSink`]): an epoch's candidates can only
-//! subsume each other, and `epoch_complete` arrives after the epoch's
-//! last delivery — so each epoch is minimized independently and final
-//! the moment it completes.
-//!
-//! Results are bitwise-identical for every thread count and both
-//! policies: the candidate multiset is schedule-independent, minimal
-//! sets of a multiset are unique, per-cutset quantification is a pure
-//! function of the cutset (the [`QuantCache`] stores one canonical
-//! solution per model class regardless of which member solved it), and
-//! the final assembly re-sorts reports into canonical (order, events)
-//! cutset order before the per-horizon summation.
-
 use crate::backend::{CutsetBackend, GenError, GenerationStats};
 use crate::canonical::{CacheStats, QuantCache};
 use crate::error::CoreError;
@@ -55,25 +8,24 @@ use crate::pipeline::{
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
 use sdft_ctmc::WorkspacePool;
-use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree};
+use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, FxBuild};
 use sdft_mocus::{CandidateSink, MocusError};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Generator→dispatcher channel capacity, in delivery batches (a batch
-/// holds at most the generator's flush threshold of 512 candidates).
-const GEN_CHANNEL_BATCHES: usize = 64;
-
-/// Cutsets per dispatcher→quantification delivery batch (one channel
-/// send and one wakeup per batch instead of per cutset).
+/// Cutsets per filter→quantification delivery batch (one channel send
+/// and one wakeup per batch instead of per cutset).
 const QUANT_BATCH: usize = 256;
 
-/// Dispatcher→quantification channel capacity, in batches. Together
-/// with [`QUANT_BATCH`] this bounds minimal cutsets awaiting
-/// quantification to 4096.
-const QUANT_CHANNEL_BATCHES: usize = 16;
+/// Filter→quantification channel capacity, in batches. Together with
+/// [`QUANT_BATCH`] this bounds minimal cutsets awaiting quantification
+/// to 32,768. A release blocks generation while the channel is full, so
+/// the channel is also what lets generation run ahead of the workers;
+/// at 4096 cutsets `m2_horizons` and `bwr_triggers` lost 5–8% of
+/// `wall_s` (EXPERIMENTS.md, *The filter on the generator thread*).
+const QUANT_CHANNEL_BATCHES: usize = 128;
 
 /// Smallest length at which an epoch buffer is re-minimized.
 const MIN_BUFFER_LIMIT: usize = 4096;
@@ -85,28 +37,24 @@ pub(crate) struct EngineOutput {
     /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
     pub(crate) gen_stats: GenerationStats,
-    /// Peak cutsets resident between generation and quantification:
-    /// buffered candidates of open epochs, plus released cutsets the
-    /// phased policy holds.
+    /// Peak candidates the filter buffered over all open epochs.
     pub(crate) peak_pending_cutsets: usize,
-    /// Peak models enqueued-or-quantifying downstream of the dispatcher.
+    /// Peak models enqueued-or-quantifying downstream of the filter.
     pub(crate) peak_inflight_models: usize,
     pub(crate) cache_stats: CacheStats,
     pub(crate) kernel_usage: KernelUsage,
-    /// Wall-clock span of the generation stage.
+    /// Wall-clock span of the generation stage, filter included.
     pub(crate) generation_span: Duration,
     /// Wall-clock span of the quantification stage (first cutset
     /// released to the last worker joining).
     pub(crate) quantification_span: Duration,
-    /// Stage-seconds the generation and quantification spans overlapped
-    /// (zero under the phased policy).
+    /// Stage-seconds the generation and quantification spans overlapped.
     pub(crate) overlap: Duration,
-    /// Time the dispatcher spent buffering, minimizing and releasing
-    /// candidates: not blocked on the generator channel, nor on a full
-    /// quantification channel.
+    /// Time the filter spent in its minimize passes, a share of
+    /// `generation_span`.
     pub(crate) filter_busy: Duration,
     /// Time quantification workers spent solving models, summed over
-    /// workers (not blocked on the dispatcher channel).
+    /// workers (not blocked on the channel).
     pub(crate) quant_busy: Duration,
     /// The filter's counters.
     pub(crate) filter_stats: FilterShardStats,
@@ -121,12 +69,16 @@ struct Channel<T> {
     not_full: Condvar,
     not_empty: Condvar,
     capacity: usize,
+    /// Set once by `abort`; readable without the lock, so the generator
+    /// can poll it on every delivery. `Relaxed` suffices: the flag
+    /// publishes no other data, and the waiters read it under the lock
+    /// `abort` sets it under.
+    aborted: AtomicBool,
 }
 
 struct ChannelState<T> {
     queue: VecDeque<T>,
     closed: bool,
-    aborted: bool,
 }
 
 impl<T> Channel<T> {
@@ -135,12 +87,16 @@ impl<T> Channel<T> {
             state: Mutex::new(ChannelState {
                 queue: VecDeque::with_capacity(capacity),
                 closed: false,
-                aborted: false,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity,
+            aborted: AtomicBool::new(false),
         }
+    }
+
+    fn is_aborted(&self) -> bool {
+        self.aborted.load(Ordering::Relaxed)
     }
 
     /// Returns `false` when the channel was aborted (the item is
@@ -148,7 +104,7 @@ impl<T> Channel<T> {
     fn send(&self, item: T) -> bool {
         let mut state = self.state.lock().expect("channel poisoned");
         loop {
-            if state.aborted {
+            if self.is_aborted() {
                 return false;
             }
             if state.queue.len() < self.capacity {
@@ -166,7 +122,7 @@ impl<T> Channel<T> {
     fn recv(&self) -> Option<T> {
         let mut state = self.state.lock().expect("channel poisoned");
         loop {
-            if state.aborted {
+            if self.is_aborted() {
                 return None;
             }
             if let Some(item) = state.queue.pop_front() {
@@ -188,8 +144,10 @@ impl<T> Channel<T> {
     }
 
     fn abort(&self) {
+        // Set under the lock, so a waiter that checked the flag is
+        // already waiting when the notification comes.
         let mut state = self.state.lock().expect("channel poisoned");
-        state.aborted = true;
+        self.aborted.store(true, Ordering::Relaxed);
         state.queue.clear();
         drop(state);
         self.not_full.notify_all();
@@ -197,50 +155,12 @@ impl<T> Channel<T> {
     }
 }
 
-/// Generator-side messages: candidate batches and epoch watermarks.
-enum GenMsg {
-    Batch(u32, Vec<Cutset>),
-    EpochComplete(u32),
-}
-
-/// Adapts the generator's [`CandidateSink`] to the bounded channel; a
-/// failed send (pipeline aborted) stops generation promptly.
-struct ChannelSink<'a> {
-    channel: &'a Channel<GenMsg>,
-    candidates: &'a AtomicU64,
-}
-
-impl CandidateSink for ChannelSink<'_> {
-    fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
-        self.candidates
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.channel
-            .send(GenMsg::Batch(epoch, std::mem::take(batch)))
-    }
-
-    fn epoch_complete(&mut self, epoch: u32) -> bool {
-        self.channel.send(GenMsg::EpochComplete(epoch))
-    }
-}
-
-struct FilterOutput {
-    peak_pending: usize,
-    first_release: Option<Instant>,
-    /// Time spent buffering, minimizing and releasing candidates:
-    /// neither blocked on the generator channel nor blocked handing
-    /// batches to a full quantification channel.
-    busy: Duration,
-    stats: FilterShardStats,
-}
-
 /// Live progress counters, shared by all stages. Updated with relaxed
-/// increments whether or not a monitor is attached (batch-granular on
-/// the generator side, per-model elsewhere — unmeasurable overhead).
+/// writes whether or not a monitor is attached (unmeasurable overhead).
 #[derive(Default)]
 struct Progress {
     candidates: AtomicU64,
-    /// Candidates the filter buffers over all open epochs, plus the
-    /// cutsets the phased policy holds.
+    /// Candidates the filter buffers over all open epochs.
     pending: AtomicUsize,
     finalized: AtomicU64,
     quantified: AtomicU64,
@@ -270,29 +190,20 @@ struct QuantContext<'a> {
     qopts: &'a QuantifyOptions,
     cache: Option<&'a QuantCache>,
     probs_per_horizon: &'a [EventProbabilities],
-    gen_tx: &'a Channel<GenMsg>,
     errors: &'a ErrorSlot,
 }
 
 /// Hands released minimal cutsets to the quantification channel in
 /// [`QUANT_BATCH`] chunks, mapping ids back to the original tree and
-/// keeping the inflight-model accounting. Under the phased policy it
-/// holds them until [`Releaser::close`], which runs once generation has
-/// ended.
+/// keeping the inflight-model accounting.
 struct Releaser<'a> {
     quant_tx: &'a Channel<Vec<Cutset>>,
     translated: &'a Translated,
     progress: &'a Progress,
     inflight: &'a AtomicUsize,
     peak_inflight: &'a AtomicUsize,
-    /// `Some` under the phased policy: released cutsets (original ids)
-    /// waiting for generation to end.
-    held: Option<Vec<Cutset>>,
     /// When the first batch went to quantification.
     first_release: Option<Instant>,
-    /// Time spent in quantification-channel sends: almost all of it
-    /// blocked on a full channel, so it is not filter work.
-    blocked: Duration,
 }
 
 impl Releaser<'_> {
@@ -302,37 +213,9 @@ impl Releaser<'_> {
         self.progress
             .finalized
             .fetch_add(sorted.len() as u64, Ordering::Relaxed);
-        let translated = self.translated;
-        let cutsets = sorted
-            .into_iter()
-            .map(|cutset| translated.cutset_into_original(cutset));
-        match &mut self.held {
-            Some(held) => {
-                held.extend(cutsets);
-                true
-            }
-            None => self.send(cutsets),
-        }
-    }
-
-    /// Cutsets the phased policy currently holds.
-    fn held(&self) -> usize {
-        self.held.as_ref().map_or(0, Vec::len)
-    }
-
-    /// End of generation: hand over whatever the phased policy held and
-    /// close the quantification channel (a no-op once it is aborted).
-    fn close(&mut self) {
-        if let Some(held) = self.held.take() {
-            self.send(held);
-        }
-        self.quant_tx.close();
-    }
-
-    fn send(&mut self, cutsets: impl IntoIterator<Item = Cutset>) -> bool {
         let mut batch: Vec<Cutset> = Vec::with_capacity(QUANT_BATCH);
-        for cutset in cutsets {
-            batch.push(cutset);
+        for cutset in sorted {
+            batch.push(self.translated.cutset_into_original(cutset));
             if batch.len() == QUANT_BATCH
                 && !self.send_batch(std::mem::replace(
                     &mut batch,
@@ -346,13 +229,11 @@ impl Releaser<'_> {
     }
 
     fn send_batch(&mut self, batch: Vec<Cutset>) -> bool {
-        let begin = Instant::now();
-        self.first_release.get_or_insert(begin);
+        self.first_release.get_or_insert_with(Instant::now);
         let n = batch.len();
         let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
         self.peak_inflight.fetch_max(now, Ordering::Relaxed);
         let sent = self.quant_tx.send(batch);
-        self.blocked += begin.elapsed();
         if !sent {
             self.inflight.fetch_sub(n, Ordering::Relaxed);
         }
@@ -364,8 +245,8 @@ impl Releaser<'_> {
 /// once the buffer reaches `max(MIN_BUFFER_LIMIT, 2 × its length after
 /// the last minimize)` it is re-minimized in place. The buffer thus
 /// holds at most twice the minimal sets found so far (or
-/// [`MIN_BUFFER_LIMIT`]) plus one delivery, and every candidate takes
-/// part in amortized O(1) minimize passes.
+/// [`MIN_BUFFER_LIMIT`]), and every candidate takes part in amortized
+/// O(1) minimize passes.
 struct EpochBuffer {
     cutsets: Vec<Cutset>,
     /// Length at which the buffer is next re-minimized.
@@ -382,8 +263,10 @@ impl EpochBuffer {
 
     /// Replace the buffer by its minimal antichain in canonical
     /// (order, events) order, counting the subset tests and rejects
-    /// into `stats`; returns the candidates removed.
-    fn minimize(&mut self, stats: &mut FilterShardStats) -> usize {
+    /// into `stats` and the time into `busy`; returns the candidates
+    /// removed.
+    fn minimize(&mut self, stats: &mut FilterShardStats, busy: &mut Duration) -> usize {
+        let begin = Instant::now();
         let before = self.cutsets.len();
         let (minimal, probes) =
             CutsetList::from_vec(std::mem::take(&mut self.cutsets)).minimize_with_stats();
@@ -392,103 +275,96 @@ impl EpochBuffer {
         let removed = before - self.cutsets.len();
         stats.probes += probes;
         stats.rejects += removed as u64;
+        *busy += begin.elapsed();
         removed
     }
 }
 
-/// The filter stage's state on the dispatcher thread: one
-/// [`EpochBuffer`] per open epoch, and the filter's counters.
+/// The subsumption filter's state: one [`EpochBuffer`] per open epoch,
+/// and the filter's counters.
 #[derive(Default)]
 struct Filter {
-    epochs: HashMap<u32, EpochBuffer>,
+    epochs: HashMap<u32, EpochBuffer, FxBuild>,
     /// Candidates buffered over all open epochs.
     buffered: usize,
-    /// Peak of `buffered` plus the cutsets the phased policy holds,
-    /// sampled before every minimize, when a buffer is at its longest.
+    /// Peak of `buffered`, sampled before every minimize, when a buffer
+    /// is at its longest.
     peak_pending: usize,
+    /// Time spent in minimize passes.
+    busy: Duration,
     stats: FilterShardStats,
 }
 
 impl Filter {
-    /// Append one delivery to its epoch's buffer, re-minimizing the
-    /// buffer once it reaches its limit. `held` is what the releaser
-    /// holds (for the residency peak).
-    fn absorb(&mut self, epoch: u32, batch: Vec<Cutset>, held: usize) {
-        self.stats.offered += batch.len() as u64;
-        self.buffered += batch.len();
+    /// Append one candidate to its epoch's buffer, re-minimizing the
+    /// buffer once it reaches its limit.
+    fn absorb(&mut self, epoch: u32, cutset: Cutset) {
+        self.stats.offered += 1;
+        self.buffered += 1;
         let buffer = self.epochs.entry(epoch).or_insert_with(EpochBuffer::new);
-        buffer.cutsets.extend(batch);
+        buffer.cutsets.push(cutset);
         if buffer.cutsets.len() >= buffer.limit {
-            self.peak_pending = self.peak_pending.max(self.buffered + held);
-            self.buffered -= buffer.minimize(&mut self.stats);
+            self.peak_pending = self.peak_pending.max(self.buffered);
+            self.buffered -= buffer.minimize(&mut self.stats, &mut self.busy);
         }
     }
 
     /// Close `epoch`: its minimal cutsets in canonical order.
-    fn finish(&mut self, epoch: u32, held: usize) -> Vec<Cutset> {
+    fn finish(&mut self, epoch: u32) -> Vec<Cutset> {
         let mut buffer = self.epochs.remove(&epoch).unwrap_or_else(EpochBuffer::new);
-        self.peak_pending = self.peak_pending.max(self.buffered + held);
+        self.peak_pending = self.peak_pending.max(self.buffered);
         self.buffered -= buffer.cutsets.len();
-        buffer.minimize(&mut self.stats);
+        buffer.minimize(&mut self.stats, &mut self.busy);
         buffer.cutsets
     }
 }
 
-/// The filter stage on the dispatcher thread: buffer each delivery in
-/// its epoch's [`EpochBuffer`], and at an epoch watermark release the
-/// epoch's minimal cutsets. Determinism: minimal sets of a multiset are
-/// unique and [`CutsetList::minimize_with_stats`] returns them in
-/// canonical order, so the released sequence does not depend on how
-/// deliveries arrive or when buffers were re-minimized.
-fn dispatch(gen_rx: &Channel<GenMsg>, releaser: &mut Releaser<'_>) -> FilterOutput {
-    let mut filter = Filter::default();
-    let mut busy = Duration::ZERO;
-    let mut ok = true;
-    while let Some(msg) = gen_rx.recv() {
-        let begin = Instant::now();
-        let blocked = releaser.blocked;
-        ok = match msg {
-            GenMsg::Batch(epoch, cutsets) => {
-                filter.absorb(epoch, cutsets, releaser.held());
-                true
-            }
-            GenMsg::EpochComplete(epoch) => {
-                let minimal = filter.finish(epoch, releaser.held());
-                releaser.release(minimal)
-            }
-        };
-        releaser
+/// The generator's sink on the calling thread: buffer each candidate in
+/// the [`Filter`], and at an epoch watermark release the epoch's
+/// minimal cutsets to quantification. Determinism: minimal sets of a
+/// multiset are unique and [`CutsetList::minimize_with_stats`] returns
+/// them in canonical order, so the released sequence does not depend on
+/// when buffers were re-minimized.
+struct FilterSink<'a> {
+    filter: Filter,
+    releaser: Releaser<'a>,
+}
+
+impl FilterSink<'_> {
+    /// After generation: release the epochs still open, in epoch order.
+    /// A backend completes every epoch before it returns, so this only
+    /// guards against a missed watermark dropping cutsets.
+    fn settle(&mut self) -> bool {
+        let mut open: Vec<u32> = self.filter.epochs.keys().copied().collect();
+        open.sort_unstable();
+        open.into_iter().all(|epoch| self.epoch_complete(epoch))
+    }
+}
+
+impl CandidateSink for FilterSink<'_> {
+    fn deliver(&mut self, epoch: u32, cutset: Cutset) -> bool {
+        // A failed worker aborts the channel: stop generating.
+        if self.releaser.quant_tx.is_aborted() {
+            return false;
+        }
+        self.filter.absorb(epoch, cutset);
+        let progress = self.releaser.progress;
+        progress
+            .candidates
+            .store(self.filter.stats.offered, Ordering::Relaxed);
+        progress
+            .pending
+            .store(self.filter.buffered, Ordering::Relaxed);
+        true
+    }
+
+    fn epoch_complete(&mut self, epoch: u32) -> bool {
+        let minimal = self.filter.finish(epoch);
+        self.releaser
             .progress
             .pending
-            .store(filter.buffered + releaser.held(), Ordering::Relaxed);
-        busy += begin.elapsed().saturating_sub(releaser.blocked - blocked);
-        if !ok {
-            break;
-        }
-    }
-    if ok {
-        // Channel closed (or aborted). A backend completes every epoch
-        // before it returns, so open epochs only remain on the abort
-        // path; settle them in epoch order all the same, so that a
-        // missed watermark cannot drop cutsets.
-        let begin = Instant::now();
-        let blocked = releaser.blocked;
-        let mut open: Vec<u32> = filter.epochs.keys().copied().collect();
-        open.sort_unstable();
-        let settled = open.into_iter().all(|epoch| {
-            let minimal = filter.finish(epoch, releaser.held());
-            releaser.release(minimal)
-        });
-        if settled {
-            releaser.close();
-        }
-        busy += begin.elapsed().saturating_sub(releaser.blocked - blocked);
-    }
-    FilterOutput {
-        peak_pending: filter.peak_pending,
-        first_release: releaser.first_release,
-        busy,
-        stats: filter.stats,
+            .store(self.filter.buffered, Ordering::Relaxed);
+        self.releaser.release(minimal)
     }
 }
 
@@ -527,10 +403,9 @@ fn quant_stage(
                 }
                 Err(error) => {
                     record_error(qctx.errors, cutset, error);
-                    // Stall everything upstream: the generator's next
-                    // send fails, the dispatcher's next recv/send fails.
+                    // Stall everything: the other workers' next recv and
+                    // the generator's next delivery or release fail.
                     quant_rx.abort();
-                    qctx.gen_tx.abort();
                     busy += work_begin.elapsed();
                     break 'drain;
                 }
@@ -542,7 +417,7 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the analysis: generation on the calling thread, the dispatcher,
+/// Run the analysis: generation and the filter on the calling thread,
 /// `threads` quantification workers, and (when enabled) a progress
 /// monitor — all joined before returning.
 #[allow(clippy::too_many_arguments)]
@@ -571,7 +446,6 @@ pub(crate) fn run(
     };
     let cache = options.cache.then(QuantCache::new);
     let pool = WorkspacePool::new();
-    let gen_channel: Channel<GenMsg> = Channel::new(GEN_CHANNEL_BATCHES);
     let quant_channel: Channel<Vec<Cutset>> = Channel::new(QUANT_CHANNEL_BATCHES);
     let progress = Progress::default();
     let inflight = AtomicUsize::new(0);
@@ -585,29 +459,12 @@ pub(crate) fn run(
         qopts: &qopts,
         cache: cache.as_ref(),
         probs_per_horizon,
-        gen_tx: &gen_channel,
         errors: &errors,
     };
 
     let pipeline_start = Instant::now();
-    let (gen_result, generation_span, filter_out, worker_outputs, quant_end) =
+    let (gen_result, generation_span, filter, first_release, worker_outputs, quant_end) =
         std::thread::scope(|scope| {
-            let dispatcher = std::thread::Builder::new()
-                .name("sdft-filter".into())
-                .spawn_scoped(scope, || {
-                    let mut releaser = Releaser {
-                        quant_tx: &quant_channel,
-                        translated,
-                        progress: &progress,
-                        inflight: &inflight,
-                        peak_inflight: &peak_inflight,
-                        held: (!options.streaming).then(Vec::new),
-                        first_release: None,
-                        blocked: Duration::ZERO,
-                    };
-                    dispatch(&gen_channel, &mut releaser)
-                })
-                .expect("spawn dispatcher");
             let quant_handles: Vec<_> = (0..threads)
                 .map(|i| {
                     std::thread::Builder::new()
@@ -653,25 +510,30 @@ pub(crate) fn run(
                 });
             }
 
-            // Generation runs on the calling thread.
-            let mut sink = ChannelSink {
-                channel: &gen_channel,
-                candidates: &progress.candidates,
+            // Generation and the filter run on the calling thread.
+            let mut sink = FilterSink {
+                filter: Filter::default(),
+                releaser: Releaser {
+                    quant_tx: &quant_channel,
+                    translated,
+                    progress: &progress,
+                    inflight: &inflight,
+                    peak_inflight: &peak_inflight,
+                    first_release: None,
+                },
             };
             let gen_start = Instant::now();
             let gen_result =
                 backend.generate(&translated.tree, static_probs, exact_probe, &mut sink);
-            let generation_span = gen_start.elapsed();
-            if gen_result.is_ok() {
-                gen_channel.close();
+            if gen_result.is_ok() && sink.settle() {
+                quant_channel.close();
             } else {
-                // Real generation failure: tear the pipeline down. (On
-                // Aborted the teardown already happened downstream.)
-                gen_channel.abort();
+                // A generation failure tears the workers down; on
+                // `Aborted` (or a failed settle) a worker already did.
                 quant_channel.abort();
             }
+            let generation_span = gen_start.elapsed();
 
-            let filter_out = dispatcher.join().expect("dispatcher does not panic");
             let worker_outputs: Vec<(Vec<Vec<CutsetReport>>, KernelUsage, Duration)> =
                 quant_handles
                     .into_iter()
@@ -685,7 +547,8 @@ pub(crate) fn run(
             (
                 gen_result,
                 generation_span,
-                filter_out,
+                sink.filter,
+                sink.releaser.first_release,
                 worker_outputs,
                 quant_end,
             )
@@ -742,22 +605,21 @@ pub(crate) fn run(
         }
     }
 
-    let quantification_span = filter_out
-        .first_release
-        .map_or(Duration::ZERO, |first| quant_end.duration_since(first));
+    let quantification_span =
+        first_release.map_or(Duration::ZERO, |first| quant_end.duration_since(first));
     Ok(EngineOutput {
         per_horizon,
         gen_stats,
-        peak_pending_cutsets: filter_out.peak_pending,
+        peak_pending_cutsets: filter.peak_pending,
         peak_inflight_models: peak_inflight.into_inner(),
         cache_stats: cache.as_ref().map(QuantCache::stats).unwrap_or_default(),
         kernel_usage,
         generation_span,
         quantification_span,
         overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
-        filter_busy: filter_out.busy,
+        filter_busy: filter.busy,
         quant_busy,
-        filter_stats: filter_out.stats,
+        filter_stats: filter.stats,
     })
 }
 
@@ -766,11 +628,10 @@ mod tests {
     use super::*;
     use sdft_ft::NodeId;
 
-    /// A deterministic candidate stream for one epoch: `batches`
-    /// deliveries of `batch_len` random sets of order 2 to 4 over 32
-    /// events. Repeats are exact duplicates, and pairs drawn late
-    /// subsume triples and quadruples kept earlier.
-    fn random_deliveries(batches: usize, batch_len: usize) -> Vec<Vec<Cutset>> {
+    /// A deterministic candidate stream for one epoch: `n` random sets
+    /// of order 2 to 4 over 32 events. Repeats are exact duplicates, and
+    /// pairs drawn late subsume triples and quadruples kept earlier.
+    fn random_candidates(n: usize) -> Vec<Cutset> {
         let mut state: u64 = 0x5eed_f11e;
         let mut next = move |bound: u64| {
             state = state
@@ -778,56 +639,51 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) % bound
         };
-        (0..batches)
+        (0..n)
             .map(|_| {
-                (0..batch_len)
-                    .map(|_| {
-                        let order = 2 + next(3);
-                        Cutset::new((0..order).map(|_| NodeId::from_index(next(32) as usize)))
-                    })
-                    .collect()
+                let order = 2 + next(3);
+                Cutset::new((0..order).map(|_| NodeId::from_index(next(32) as usize)))
             })
             .collect()
     }
 
     #[test]
     fn an_epoch_buffer_is_reminimized_within_its_bound() {
-        const DELIVERY: usize = 512;
-        let mut deliveries = random_deliveries(26, DELIVERY);
-        // Late deliveries: the first one again (exact duplicates of sets
+        let mut stream = random_candidates(26 * 512);
+        // Late deliveries: the first 512 again (exact duplicates of sets
         // kept long ago), then singletons that subsume kept pairs.
-        deliveries.push(deliveries[0].clone());
-        deliveries.push(
-            [3, 17, 29]
-                .map(|e| Cutset::new([NodeId::from_index(e)]))
-                .to_vec(),
-        );
-        let stream: Vec<Cutset> = deliveries.iter().flatten().cloned().collect();
+        stream.extend_from_within(..512);
+        stream.extend([3, 17, 29].map(|e| Cutset::new([NodeId::from_index(e)])));
         assert!(stream.len() >= 3 * MIN_BUFFER_LIMIT);
 
         let mut filter = Filter::default();
-        let mut seen: Vec<Cutset> = Vec::new();
+        // The minimal sets of the candidates delivered so far, kept
+        // incrementally: the reference the bound is stated in.
+        let mut minimal: Vec<Cutset> = Vec::new();
         let mut most_minimal = 0;
         let mut shrank = false;
-        for delivery in deliveries {
-            seen.extend(delivery.iter().cloned());
-            most_minimal = most_minimal.max(CutsetList::from_vec(seen.clone()).minimize().len());
+        for (seen, cutset) in stream.iter().enumerate() {
+            if !minimal.iter().any(|m| m.is_subset_of(cutset)) {
+                minimal.retain(|m| !cutset.is_subset_of(m));
+                minimal.push(cutset.clone());
+            }
+            most_minimal = most_minimal.max(minimal.len());
             let before = filter.buffered;
-            filter.absorb(0, delivery, 0);
+            filter.absorb(0, cutset.clone());
             let buffer = filter.epochs[&0].cutsets.len();
             assert_eq!(buffer, filter.buffered);
             shrank |= buffer < before;
-            let bound = MIN_BUFFER_LIMIT.max(2 * most_minimal) + DELIVERY;
+            let bound = MIN_BUFFER_LIMIT.max(2 * most_minimal);
             assert!(
                 buffer <= bound,
                 "buffer of {buffer} candidates after {} delivered (bound {bound})",
-                seen.len()
+                seen + 1
             );
             assert!(filter.peak_pending <= bound);
         }
         assert!(shrank, "the buffer was never re-minimized mid-epoch");
 
-        let released = filter.finish(0, 0);
+        let released = filter.finish(0);
         let reference: Vec<Cutset> = CutsetList::from_vec(stream.clone())
             .minimize()
             .into_iter()

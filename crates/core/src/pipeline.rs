@@ -37,8 +37,8 @@ pub struct AnalysisOptions {
     /// Truncation error for all transient analyses.
     pub epsilon: f64,
     /// Worker threads for cutset quantification; `0` uses all available
-    /// cores. Cutset generation always runs on the calling thread, and
-    /// the subsumption filter on one dispatcher thread.
+    /// cores. Cutset generation and the subsumption filter always run on
+    /// the calling thread.
     pub threads: usize,
     /// State budget for each per-cutset product chain.
     pub max_chain_states: usize,
@@ -55,12 +55,9 @@ pub struct AnalysisOptions {
     /// extra error per horizon when it fires — disable for bitwise
     /// compatibility with the plain Jensen iteration).
     pub steady_state_detection: bool,
-    /// The engine's release policy (default `true`, streaming): each
-    /// epoch's minimal cutsets go to quantification as soon as the epoch
-    /// completes, overlapping generation and quantification. `false`
-    /// runs phased: released cutsets are held until generation ends,
-    /// then quantified by the same workers. Results are
-    /// bitwise-identical either way.
+    /// Ignored. Each epoch's minimal cutsets always go to quantification
+    /// as soon as the epoch completes; the field remains so that
+    /// existing option literals keep compiling.
     pub streaming: bool,
     /// Emit a progress line to stderr at this interval while the engine
     /// runs (candidates generated, cutsets finalized, models quantified,
@@ -137,16 +134,14 @@ pub struct Timings {
     /// forms (summed over all solved model classes).
     pub csr_build: Duration,
     /// Stage-seconds the engine's generation and quantification spans
-    /// ran concurrently (zero under the phased policy, which runs them
-    /// strictly in sequence).
+    /// ran concurrently.
     pub stream_overlap: Duration,
-    /// Busy seconds of the generation stage: MOCUS/BDD cutset
-    /// enumeration on the calling thread, wall clock.
+    /// Busy seconds of the generation stage on the calling thread, wall
+    /// clock: MOCUS/BDD cutset enumeration, the subsumption filter, and
+    /// handing released cutsets to quantification.
     pub generation_busy: Duration,
-    /// Busy seconds of the subsumption filter on the dispatcher thread:
-    /// time spent buffering, minimizing and releasing candidates. It
-    /// excludes channel waits, both for the next delivery and for room
-    /// in a full quantification channel.
+    /// Seconds the subsumption filter spent in its minimize passes on
+    /// the calling thread; a share of `generation_busy`.
     pub filter_busy: Duration,
     /// Busy seconds summed over quantification workers: time spent
     /// solving models, excluding channel waits. Exceeds wall-clock
@@ -162,9 +157,9 @@ pub struct Timings {
 }
 
 /// Counters of the subsumption filter, aggregated over every epoch.
-/// All three are deterministic: the one generator thread delivers
-/// candidates in a fixed order, so buffers are re-minimized at the same
-/// points on every run, whatever the thread count or release policy.
+/// All three are deterministic: the generator delivers candidates in a
+/// fixed order, so buffers are re-minimized at the same points on every
+/// run, whatever the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterShardStats {
     /// Candidates the generator delivered.
@@ -221,10 +216,8 @@ pub struct AnalysisStats {
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
     /// look-ahead bound.
     pub mocus_partials_pruned: u64,
-    /// Peak cutsets resident between generation and quantification: the
-    /// candidates the filter buffers for open epochs, plus the released
-    /// cutsets the phased policy holds (so it depends on the release
-    /// policy).
+    /// Peak candidates the subsumption filter buffered for open epochs
+    /// (deterministic, like the filter's counters).
     pub peak_pending_cutsets: usize,
     /// Peak cutset models enqueued-or-quantifying at once, bounded by
     /// the engine's channel capacity plus the worker count
@@ -234,11 +227,6 @@ pub struct AnalysisStats {
     pub mocus_peak_live_partials: u64,
     /// Approximate peak bytes held by live MOCUS partials.
     pub mocus_peak_partial_bytes: u64,
-    /// Peak candidate cutsets resident in the generator (undelivered
-    /// buffers).
-    pub mocus_peak_live_candidates: u64,
-    /// Approximate peak bytes held by resident candidates.
-    pub mocus_peak_candidate_bytes: u64,
     /// The subsumption filter's counters: one entry, for the one filter.
     pub filter_shard_stats: Vec<FilterShardStats>,
     /// Which backend generated the cutsets.
@@ -308,14 +296,12 @@ impl AnalysisStats {
 
     /// The same statistics with the fields zeroed that depend on the
     /// quantification schedule (`kernel_csr_reuses`,
-    /// `peak_inflight_models`) or on the release policy
-    /// (`peak_pending_cutsets`). What remains is identical across thread
-    /// counts *and* across both release policies for the same analysis.
+    /// `peak_inflight_models`). What remains is identical across thread
+    /// counts for the same analysis.
     #[must_use]
     pub fn deterministic(mut self) -> Self {
         self.kernel_csr_reuses = 0;
         self.peak_inflight_models = 0;
-        self.peak_pending_cutsets = 0;
         self
     }
 }
@@ -588,8 +574,6 @@ pub fn analyze_horizons(
             peak_inflight_models: engine.peak_inflight_models,
             mocus_peak_live_partials: mocus_stats.peak_live_partials,
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
-            mocus_peak_live_candidates: mocus_stats.peak_live_candidates,
-            mocus_peak_candidate_bytes: mocus_stats.peak_candidate_bytes,
             filter_shard_stats: vec![engine.filter_stats],
             backend: options.backend,
             ..AnalysisStats::default()
@@ -797,6 +781,42 @@ mod tests {
             analyze(&t, &AnalysisOptions::new(f64::INFINITY)),
             Err(CoreError::InvalidHorizon { .. })
         ));
+    }
+
+    #[test]
+    fn quantify_cutset_honors_steady_state_detection() {
+        // Two fast-failing events over a long horizon: their absorbed
+        // product chain converges long before the Poisson budget runs
+        // out, so detection fires and moves the result.
+        let mut b = FaultTreeBuilder::new();
+        let y = b
+            .dynamic_event("y", erlang::repairable(1, 0.5, 0.1).unwrap())
+            .unwrap();
+        let z = b
+            .dynamic_event("z", erlang::repairable(1, 0.05, 0.1).unwrap())
+            .unwrap();
+        let g = b.and("g", [y, z]).unwrap();
+        b.top(g);
+        let t = b.build().unwrap();
+        let mut opts = AnalysisOptions::new(2000.0);
+        let detected = analyze(&t, &opts).unwrap();
+        assert!(detected.stats.kernel_steps_saved > 0);
+        opts.steady_state_detection = false;
+        let plain = analyze(&t, &opts).unwrap();
+        let [report] = &plain.cutsets[..] else {
+            panic!("one cutset, got {}", plain.cutsets.len());
+        };
+        assert_ne!(
+            report.probability.to_bits(),
+            detected.cutsets[0].probability.to_bits()
+        );
+        let qopts = QuantifyOptions {
+            steady_state_detection: false,
+            ..QuantifyOptions::new(2000.0)
+        };
+        let ctx = FtcContext::new(&t).unwrap();
+        let q = crate::quantify::quantify_cutset(&t, &ctx, &report.cutset, &qopts).unwrap();
+        assert_eq!(q.probability.to_bits(), report.probability.to_bits());
     }
 }
 
@@ -1111,7 +1131,7 @@ mod streaming_tests {
     }
 
     #[test]
-    fn streaming_and_phased_agree_bitwise_with_the_mocus_reference() {
+    fn thread_counts_agree_bitwise_with_the_mocus_reference() {
         for tree in [example3(), replicated_lines(), parallel_trains(6)] {
             let base = AnalysisOptions::new(96.0);
             let reference = analyze_horizons(&tree, &base, &[24.0, 96.0]).unwrap();
@@ -1122,25 +1142,18 @@ mod streaming_tests {
                 .collect();
             listed.sort();
             assert_eq!(listed, mocus_reference(&tree, &base));
-            for streaming in [true, false] {
-                for threads in [1, 2, 4, 8] {
-                    let mut opts = base;
-                    opts.streaming = streaming;
-                    opts.threads = threads;
-                    let run = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-                    let [filter] = run[0].stats.filter_shard_stats[..] else {
-                        panic!("one filter, one counter entry");
-                    };
-                    assert_eq!(
-                        filter.offered - filter.rejects,
-                        run[0].stats.num_cutsets as u64
-                    );
-                    assert_same_results(
-                        &reference,
-                        &run,
-                        &format!("streaming = {streaming}, threads = {threads}"),
-                    );
-                }
+            for threads in [1, 2, 4, 8] {
+                let mut opts = base;
+                opts.threads = threads;
+                let run = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
+                let [filter] = run[0].stats.filter_shard_stats[..] else {
+                    panic!("one filter, one counter entry");
+                };
+                assert_eq!(
+                    filter.offered - filter.rejects,
+                    run[0].stats.num_cutsets as u64
+                );
+                assert_same_results(&reference, &run, &format!("threads = {threads}"));
             }
         }
     }
@@ -1150,6 +1163,7 @@ mod streaming_tests {
         // Twenty-four trains are twenty-four epochs, each released the
         // moment it completes, so the filter never holds the whole list.
         let tree = parallel_trains(24);
+        let mut peaks = Vec::new();
         for threads in [1, 2, 4] {
             let mut opts = AnalysisOptions::new(24.0);
             opts.threads = threads;
@@ -1163,72 +1177,54 @@ mod streaming_tests {
                 streamed.stats.num_cutsets
             );
             assert!(streamed.stats.peak_inflight_models > 0);
+            peaks.push(streamed.stats.peak_pending_cutsets);
         }
+        // The filter runs on the generator's thread, so its peak does
+        // not depend on the worker count.
+        assert!(peaks.windows(2).all(|w| w[0] == w[1]), "peaks {peaks:?}");
     }
 
     #[test]
-    fn phased_policy_never_overlaps_the_stages() {
-        let tree = parallel_trains(6);
+    fn generation_budget_errors_propagate() {
+        let t = example3();
         for threads in [1, 4] {
             let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = false;
             opts.threads = threads;
-            let phased = analyze(&tree, &opts).unwrap();
-            assert_eq!(phased.timings.stream_overlap, Duration::ZERO);
-            assert!(phased.stats.peak_inflight_models > 0);
-            assert!(phased.stats.peak_pending_cutsets >= phased.stats.num_cutsets);
+            opts.mocus.max_cutsets = 2;
+            assert!(matches!(
+                analyze(&t, &opts),
+                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
+                    limit: 2
+                }))
+            ));
+            let mut opts = AnalysisOptions::new(24.0);
+            opts.threads = threads;
+            opts.mocus.max_partials = 1;
+            assert!(matches!(
+                analyze(&t, &opts),
+                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
+                    limit: 1
+                }))
+            ));
         }
     }
 
     #[test]
-    fn generation_budget_errors_propagate_under_both_policies() {
-        let t = example3();
-        for streaming in [true, false] {
-            for threads in [1, 4] {
-                let mut opts = AnalysisOptions::new(24.0);
-                opts.streaming = streaming;
-                opts.threads = threads;
-                opts.mocus.max_cutsets = 2;
-                assert!(matches!(
-                    analyze(&t, &opts),
-                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
-                        limit: 2
-                    }))
-                ));
-                let mut opts = AnalysisOptions::new(24.0);
-                opts.streaming = streaming;
-                opts.threads = threads;
-                opts.mocus.max_partials = 1;
-                assert!(matches!(
-                    analyze(&t, &opts),
-                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
-                        limit: 1
-                    }))
-                ));
-            }
-        }
-    }
-
-    #[test]
-    fn quantification_errors_abort_the_pipeline_under_both_policies() {
-        // With four threads the dispatcher may be blocked handing
+    fn quantification_errors_abort_the_pipeline() {
+        // With four threads the generator may be blocked handing
         // cutsets to four busy workers when the abort lands; returning
         // at all proves every stage unblocked and joined, and the error
         // kind proves it came from quantification.
         for tree in [example3(), parallel_trains(6)] {
-            for streaming in [true, false] {
-                for threads in [1, 4] {
-                    let mut opts = AnalysisOptions::new(24.0);
-                    opts.streaming = streaming;
-                    opts.threads = threads;
-                    opts.max_chain_states = 1;
-                    let error = analyze(&tree, &opts).unwrap_err();
-                    assert!(
-                        matches!(error, CoreError::Product(_)),
-                        "streaming = {streaming}, threads = {threads}: \
-                         expected a product chain error, got: {error}"
-                    );
-                }
+            for threads in [1, 4] {
+                let mut opts = AnalysisOptions::new(24.0);
+                opts.threads = threads;
+                opts.max_chain_states = 1;
+                let error = analyze(&tree, &opts).unwrap_err();
+                assert!(
+                    matches!(error, CoreError::Product(_)),
+                    "threads = {threads}: expected a product chain error, got: {error}"
+                );
             }
         }
     }
@@ -1265,44 +1261,37 @@ mod bdd_backend_tests {
     fn bdd_backend_matches_mocus_bitwise() {
         let t = example3();
         let mut mocus_opts = AnalysisOptions::new(96.0);
-        mocus_opts.streaming = false;
         mocus_opts.threads = 1;
         let reference = analyze_horizons(&t, &mocus_opts, &[24.0, 96.0]).unwrap();
-        for streaming in [false, true] {
-            for threads in [1, 4] {
-                let mut opts = AnalysisOptions::new(96.0);
-                opts.backend = Backend::Bdd;
-                opts.streaming = streaming;
-                opts.threads = threads;
-                let bdd = analyze_horizons(&t, &opts, &[24.0, 96.0]).unwrap();
-                for (m, b) in reference.iter().zip(&bdd) {
-                    assert_eq!(m.frequency.to_bits(), b.frequency.to_bits());
-                    assert_eq!(m.static_rea.to_bits(), b.static_rea.to_bits());
-                    assert_eq!(m.cutsets.len(), b.cutsets.len());
-                    for (rm, rb) in m.cutsets.iter().zip(&b.cutsets) {
-                        assert_eq!(rm.cutset.events(), rb.cutset.events());
-                        assert_eq!(rm.probability.to_bits(), rb.probability.to_bits());
-                    }
-                    assert!(m.exact_static.is_none());
-                    assert!(b.exact_static.is_some());
+        for threads in [1, 4] {
+            let mut opts = AnalysisOptions::new(96.0);
+            opts.backend = Backend::Bdd;
+            opts.threads = threads;
+            let bdd = analyze_horizons(&t, &opts, &[24.0, 96.0]).unwrap();
+            for (m, b) in reference.iter().zip(&bdd) {
+                assert_eq!(m.frequency.to_bits(), b.frequency.to_bits());
+                assert_eq!(m.static_rea.to_bits(), b.static_rea.to_bits());
+                assert_eq!(m.cutsets.len(), b.cutsets.len());
+                for (rm, rb) in m.cutsets.iter().zip(&b.cutsets) {
+                    assert_eq!(rm.cutset.events(), rb.cutset.events());
+                    assert_eq!(rm.probability.to_bits(), rb.probability.to_bits());
                 }
+                assert!(m.exact_static.is_none());
+                assert!(b.exact_static.is_some());
             }
         }
     }
 
     #[test]
-    fn bdd_exact_probability_is_deterministic_across_engines_and_threads() {
+    fn bdd_exact_probability_is_deterministic_across_threads() {
         let t = example3();
         let mut exacts: Vec<u64> = Vec::new();
-        for streaming in [false, true] {
-            for threads in [1, 2, 4] {
-                let mut opts = AnalysisOptions::new(24.0);
-                opts.backend = Backend::Bdd;
-                opts.streaming = streaming;
-                opts.threads = threads;
-                let result = analyze(&t, &opts).unwrap();
-                exacts.push(result.exact_static.unwrap().to_bits());
-            }
+        for threads in [1, 2, 4] {
+            let mut opts = AnalysisOptions::new(24.0);
+            opts.backend = Backend::Bdd;
+            opts.threads = threads;
+            let result = analyze(&t, &opts).unwrap();
+            exacts.push(result.exact_static.unwrap().to_bits());
         }
         assert!(
             exacts.windows(2).all(|w| w[0] == w[1]),
@@ -1377,13 +1366,10 @@ mod bdd_backend_tests {
             .iter()
             .any(|e| matches!(e.reason, PlanReason::BudgetExhausted { .. })));
         opts.backend = Backend::Bdd;
-        for streaming in [true, false] {
-            opts.streaming = streaming;
-            assert!(matches!(
-                analyze(&t, &opts),
-                Err(CoreError::Bdd(sdft_bdd::BddError::NodeBudget { .. }))
-            ));
-        }
+        assert!(matches!(
+            analyze(&t, &opts),
+            Err(CoreError::Bdd(sdft_bdd::BddError::NodeBudget { .. }))
+        ));
     }
 
     #[test]
@@ -1443,26 +1429,22 @@ mod hybrid_backend_tests {
     fn hybrid_matches_mocus_bitwise_for_every_plan_split() {
         let t = example3();
         let mut mocus_opts = AnalysisOptions::new(96.0);
-        mocus_opts.streaming = false;
         mocus_opts.threads = 1;
         let reference = analyze_horizons(&t, &mocus_opts, &[24.0, 96.0]).unwrap();
         for max_nodes in [usize::MAX, 60, 2] {
-            for streaming in [false, true] {
-                for threads in [1, 4] {
-                    let mut opts = AnalysisOptions::new(96.0);
-                    opts.backend = Backend::Hybrid;
-                    opts.bdd.max_nodes = max_nodes;
-                    opts.streaming = streaming;
-                    opts.threads = threads;
-                    let hybrid = analyze_horizons(&t, &opts, &[24.0, 96.0]).unwrap();
-                    for (m, h) in reference.iter().zip(&hybrid) {
-                        assert_eq!(m.frequency.to_bits(), h.frequency.to_bits());
-                        assert_eq!(m.static_rea.to_bits(), h.static_rea.to_bits());
-                        assert_eq!(m.cutsets.len(), h.cutsets.len());
-                        for (rm, rh) in m.cutsets.iter().zip(&h.cutsets) {
-                            assert_eq!(rm.cutset.events(), rh.cutset.events());
-                            assert_eq!(rm.probability.to_bits(), rh.probability.to_bits());
-                        }
+            for threads in [1, 4] {
+                let mut opts = AnalysisOptions::new(96.0);
+                opts.backend = Backend::Hybrid;
+                opts.bdd.max_nodes = max_nodes;
+                opts.threads = threads;
+                let hybrid = analyze_horizons(&t, &opts, &[24.0, 96.0]).unwrap();
+                for (m, h) in reference.iter().zip(&hybrid) {
+                    assert_eq!(m.frequency.to_bits(), h.frequency.to_bits());
+                    assert_eq!(m.static_rea.to_bits(), h.static_rea.to_bits());
+                    assert_eq!(m.cutsets.len(), h.cutsets.len());
+                    for (rm, rh) in m.cutsets.iter().zip(&h.cutsets) {
+                        assert_eq!(rm.cutset.events(), rh.cutset.events());
+                        assert_eq!(rm.probability.to_bits(), rh.probability.to_bits());
                     }
                 }
             }

@@ -88,7 +88,8 @@ pub fn quantify_cutset(
 }
 
 /// Quantify a prebuilt cutset model (exposed so the analysis pipeline can
-/// reuse the model for reporting).
+/// reuse the model for reporting): [`quantify_model_many_with`] at
+/// `options.horizon`, uncached, with a fresh workspace.
 ///
 /// # Errors
 ///
@@ -98,39 +99,16 @@ pub fn quantify_model(
     model: &CutsetModel,
     options: &QuantifyOptions,
 ) -> Result<CutsetQuantification, CoreError> {
-    let static_factor: f64 = model
-        .static_events
-        .iter()
-        .map(|&e| tree.static_probability(e).expect("static event"))
-        .product();
-    let (dynamic_factor, chain_states) = match &model.tree {
-        None => (1.0, 0),
-        Some(ftc) => {
-            if static_factor == 0.0 {
-                (0.0, 0) // conditioned out: the cutset cannot occur
-            } else {
-                let chain = ProductChain::build(
-                    ftc,
-                    &ProductOptions {
-                        max_states: options.max_states,
-                    },
-                )?;
-                let p = chain.failure_probability(options.horizon, options.epsilon)?;
-                (p, chain.num_states())
-            }
-        }
-    };
-    Ok(CutsetQuantification {
-        probability: static_factor * dynamic_factor,
-        static_factor,
-        dynamic_factor,
-        cutset_dynamic: model.dynamic_events.len(),
-        added_dynamic: model.added_dynamic,
-        added_static: model.added_static,
-        chain_states,
-        used_general: model.used_general,
-        quantification_time: Duration::ZERO,
-    })
+    let mut workspace = SolverWorkspace::new();
+    let (mut quantified, _, _) = quantify_model_many_with(
+        tree,
+        model,
+        &[options.horizon],
+        options,
+        None,
+        &mut workspace,
+    )?;
+    Ok(quantified.pop().expect("one horizon, one result"))
 }
 
 /// Solve the dynamics of one model equivalence class: build the product

@@ -12,8 +12,8 @@
 //! # Exact compatibility
 //!
 //! With steady-state detection off, the kernel performs bit-for-bit the
-//! same floating-point operations as the reference dense loop (see
-//! `transient::reference`): jump masses are `mass * (r/Λ)` in the
+//! same floating-point operations as the reference dense loop (kept in
+//! `tests/reference`): jump masses are `mass * (r/Λ)` in the
 //! original transition order and the diagonal stay mass is the per-row
 //! residual `mass - Σ jumps` clamped at zero — not a precomputed stay
 //! *probability*, which would round differently. Results are therefore
@@ -22,17 +22,15 @@
 //!
 //! # The SpMV kernels
 //!
-//! Two SpMV implementations live in [`kernel`]: the scalar reference
-//! loop and a blocked variant that unrolls each row into
-//! [`kernel::SPMV_LANES`]-wide product blocks. The blocked path computes
-//! the four jump masses of a block with independent multiplies (which
-//! the compiler packs into SIMD lanes) but keeps the scatter and the
-//! running stay-residual chain serial and in the original entry order,
-//! so it performs exactly the scalar path's floating-point operations —
-//! the two are bitwise-identical by construction, which the property
-//! suite pins on random CSR matrices. The solver always runs the blocked
-//! kernel; the scalar loop stays public only as that suite's reference.
-//! Nothing depends on runtime CPU detection, so results can never vary
+//! The SpMV kernel in [`kernel`] unrolls each row into
+//! [`kernel::SPMV_LANES`]-wide product blocks. It computes the four jump
+//! masses of a block with independent multiplies (which the compiler
+//! packs into SIMD lanes) but keeps the scatter and the running
+//! stay-residual chain serial and in the original entry order, so it
+//! performs exactly the floating-point operations of a plain scalar
+//! loop — the two are bitwise-identical by construction, which the
+//! property suite pins on random CSR matrices against the scalar loop
+//! kept in `tests/reference`. Nothing depends on runtime CPU detection, so results can never vary
 //! across machines.
 //!
 //! # Steady-state detection
@@ -75,7 +73,7 @@ use crate::poisson::PoissonWeights;
 use crate::signature::ChainSignature;
 use std::time::{Duration, Instant};
 
-/// The raw SpMV entry points, public so the property suite can pin the
+/// The raw SpMV entry point, public so the property suite can pin the
 /// blocked kernel bitwise against the scalar reference on arbitrary CSR
 /// inputs (empty rows, duplicate/dangling columns, row lengths not
 /// divisible by the block width).
@@ -85,40 +83,12 @@ pub mod kernel {
     /// identical on every machine.
     pub const SPMV_LANES: usize = 4;
 
-    /// One DTMC step `next = current · P` over the CSR form — the scalar
-    /// reference loop. The diagonal is the per-row residual (clamped at
-    /// zero), matching the reference dense loop bit for bit.
-    pub fn spmv_scalar(
-        row_offsets: &[u32],
-        cols: &[u32],
-        probs: &[f64],
-        current: &[f64],
-        next: &mut [f64],
-    ) {
-        for v in next.iter_mut() {
-            *v = 0.0;
-        }
-        for (s, &mass) in current.iter().enumerate() {
-            if mass == 0.0 {
-                continue;
-            }
-            let mut stay = mass;
-            for i in row_offsets[s] as usize..row_offsets[s + 1] as usize {
-                let move_mass = mass * probs[i];
-                next[cols[i] as usize] += move_mass;
-                stay -= move_mass;
-            }
-            next[s] += stay.max(0.0);
-        }
-    }
-
     /// One DTMC step over the CSR form with rows blocked into
     /// [`SPMV_LANES`]-wide chunks. The block's jump masses are
     /// independent multiplies (vectorizable); the scatter and the stay
     /// chain run serially in the original entry order, so duplicate
-    /// columns and the running residual round exactly as
-    /// [`spmv_scalar`] does — the two kernels are bitwise-identical on
-    /// every input.
+    /// columns and the running residual round exactly as in a plain
+    /// scalar loop — the two are bitwise-identical on every input.
     pub fn spmv_blocked(
         row_offsets: &[u32],
         cols: &[u32],
@@ -545,15 +515,13 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         let (fast, _) =
             reach_probability_many_with(&c, &horizons, 1e-12, &SSD_OFF, &mut ws).unwrap();
-        let dense =
-            crate::transient::reference::reach_probability_many(&c, &horizons, 1e-12).unwrap();
+        let dense = crate::reference::reach_probability_many(&c, &horizons, 1e-12).unwrap();
         for (a, b) in fast.iter().zip(&dense) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
         let (fast_pi, _) =
             transient_distribution_many_with(&c, &horizons, 1e-12, &SSD_OFF, &mut ws).unwrap();
-        let dense_pi =
-            crate::transient::reference::transient_distribution_many(&c, &horizons, 1e-12).unwrap();
+        let dense_pi = crate::reference::transient_distribution_many(&c, &horizons, 1e-12).unwrap();
         assert_eq!(fast_pi, dense_pi);
     }
 
@@ -572,7 +540,7 @@ mod tests {
         let current: Vec<f64> = (0..6).map(|i| 1.0 / (i as f64 + 2.0)).collect();
         let mut scalar = vec![0.0; 6];
         let mut blocked = vec![0.0; 6];
-        kernel::spmv_scalar(&ws.row_offsets, &ws.cols, &ws.probs, &current, &mut scalar);
+        crate::reference::spmv_scalar(&ws.row_offsets, &ws.cols, &ws.probs, &current, &mut scalar);
         kernel::spmv_blocked(&ws.row_offsets, &ws.cols, &ws.probs, &current, &mut blocked);
         for (a, b) in scalar.iter().zip(&blocked) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
@@ -697,8 +665,7 @@ mod tests {
                 reach_probability_many_with(&small, &[24.0], 1e-12, &SSD_ON, &mut ws).unwrap();
             assert_eq!(s_small.states, 4);
             assert_eq!(s_small.nonzeros, 3);
-            let dense = crate::transient::reference::reach_probability_many(&small, &[24.0], 1e-12)
-                .unwrap();
+            let dense = crate::reference::reach_probability_many(&small, &[24.0], 1e-12).unwrap();
             assert!((p_small[0] - dense[0]).abs() < 1e-12);
         }
     }

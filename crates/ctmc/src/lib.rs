@@ -45,6 +45,10 @@ mod stationary;
 mod transient;
 mod triggered;
 
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
 pub use chain::{Ctmc, CtmcBuilder};
 pub use csr::{
     kernel, reach_probability_many_with, transient_distribution_many_with, SolveStats,
@@ -55,8 +59,6 @@ pub use poisson::PoissonWeights;
 pub use pool::WorkspacePool;
 pub use signature::ChainSignature;
 pub use stationary::{limiting_distribution, StationaryOptions};
-#[doc(hidden)]
-pub use transient::reference;
 pub use transient::{
     reach_probability, reach_probability_many, transient_distribution, transient_distribution_many,
 };

@@ -124,157 +124,6 @@ pub fn reach_probability(chain: &Ctmc, t: f64, epsilon: f64) -> Result<f64, Ctmc
     Ok(out[0])
 }
 
-/// The pre-CSR dense-loop uniformization kernel, kept verbatim as the
-/// oracle for the CSR kernel's compatibility tests. Not part of the
-/// supported API.
-#[doc(hidden)]
-pub mod reference {
-    use crate::chain::Ctmc;
-    use crate::error::CtmcError;
-    use crate::poisson::PoissonWeights;
-
-    /// Dense-loop transient distribution (the original implementation).
-    pub fn transient_distribution(
-        chain: &Ctmc,
-        t: f64,
-        epsilon: f64,
-    ) -> Result<Vec<f64>, CtmcError> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(CtmcError::InvalidHorizon { horizon: t });
-        }
-        if !epsilon.is_finite() || epsilon <= 0.0 || epsilon >= 1.0 {
-            return Err(CtmcError::InvalidEpsilon { epsilon });
-        }
-        let n = chain.len();
-        let rate = chain.max_exit_rate();
-        if rate == 0.0 || t == 0.0 {
-            return Ok(chain.initial_distribution().to_vec());
-        }
-        let weights = PoissonWeights::new(rate * t, epsilon)?;
-
-        let mut current = chain.initial_distribution().to_vec();
-        let mut result = vec![0.0; n];
-        let mut next = vec![0.0; n];
-        for step in 0..=weights.right() {
-            let w = weights.weight(step);
-            if w > 0.0 {
-                for s in 0..n {
-                    result[s] += w * current[s];
-                }
-            }
-            if step == weights.right() {
-                break;
-            }
-            // One DTMC step: next = current * P where
-            // P = I + R/rate (with diagonal 1 - exit/rate).
-            for v in next.iter_mut() {
-                *v = 0.0;
-            }
-            for s in 0..n {
-                let mass = current[s];
-                if mass == 0.0 {
-                    continue;
-                }
-                let mut stay = mass;
-                for &(to, r) in chain.transitions_from(s) {
-                    let move_mass = mass * (r / rate);
-                    next[to] += move_mass;
-                    stay -= move_mass;
-                }
-                next[s] += stay.max(0.0);
-            }
-            std::mem::swap(&mut current, &mut next);
-        }
-        Ok(result)
-    }
-
-    /// Dense-loop multi-horizon transient distributions (the original
-    /// implementation).
-    pub fn transient_distribution_many(
-        chain: &Ctmc,
-        horizons: &[f64],
-        epsilon: f64,
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        if horizons.is_empty() {
-            return Err(CtmcError::InvalidHorizon { horizon: f64::NAN });
-        }
-        for &t in horizons {
-            if !t.is_finite() || t < 0.0 {
-                return Err(CtmcError::InvalidHorizon { horizon: t });
-            }
-        }
-        if !epsilon.is_finite() || epsilon <= 0.0 || epsilon >= 1.0 {
-            return Err(CtmcError::InvalidEpsilon { epsilon });
-        }
-        let n = chain.len();
-        let rate = chain.max_exit_rate();
-        if rate == 0.0 {
-            return Ok(vec![chain.initial_distribution().to_vec(); horizons.len()]);
-        }
-        let weights: Vec<PoissonWeights> = horizons
-            .iter()
-            .map(|&t| PoissonWeights::new(rate * t, epsilon))
-            .collect::<Result<_, _>>()?;
-        let max_right = weights.iter().map(PoissonWeights::right).max().unwrap_or(0);
-
-        let mut current = chain.initial_distribution().to_vec();
-        let mut next = vec![0.0; n];
-        let mut results = vec![vec![0.0; n]; horizons.len()];
-        for step in 0..=max_right {
-            for (result, w) in results.iter_mut().zip(&weights) {
-                let weight = w.weight(step);
-                if weight > 0.0 {
-                    for s in 0..n {
-                        result[s] += weight * current[s];
-                    }
-                }
-            }
-            if step == max_right {
-                break;
-            }
-            for v in next.iter_mut() {
-                *v = 0.0;
-            }
-            for s in 0..n {
-                let mass = current[s];
-                if mass == 0.0 {
-                    continue;
-                }
-                let mut stay = mass;
-                for &(to, r) in chain.transitions_from(s) {
-                    let move_mass = mass * (r / rate);
-                    next[to] += move_mass;
-                    stay -= move_mass;
-                }
-                next[s] += stay.max(0.0);
-            }
-            std::mem::swap(&mut current, &mut next);
-        }
-        Ok(results)
-    }
-
-    /// Dense-loop multi-horizon reach probabilities (the original
-    /// implementation, including the `with_failed_absorbing` clone).
-    pub fn reach_probability_many(
-        chain: &Ctmc,
-        horizons: &[f64],
-        epsilon: f64,
-    ) -> Result<Vec<f64>, CtmcError> {
-        let absorbed = chain.with_failed_absorbing();
-        let distributions = transient_distribution_many(&absorbed, horizons, epsilon)?;
-        Ok(distributions
-            .into_iter()
-            .map(|pi| {
-                absorbed
-                    .failed_states()
-                    .map(|s| pi[s])
-                    .sum::<f64>()
-                    .clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +350,7 @@ mod many_tests {
         let c = chain();
         let horizons = [0.5, 12.0, 48.0];
         let fast = reach_probability_many(&c, &horizons, 1e-12).unwrap();
-        let dense = reference::reach_probability_many(&c, &horizons, 1e-12).unwrap();
+        let dense = crate::reference::reach_probability_many(&c, &horizons, 1e-12).unwrap();
         for (a, b) in fast.iter().zip(&dense) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }

@@ -1,13 +1,15 @@
 //! Property-based tests for the CSR uniformization kernel: on random
 //! chains, the kernel with steady-state detection disabled must be
 //! *bitwise* identical to the original dense-loop implementation (kept
-//! as `sdft_ctmc::reference`), and with detection enabled it must stay
-//! within the documented error bound of the full Poisson window.
+//! in `reference/`), and with detection enabled it must stay within the
+//! documented error bound of the full Poisson window.
+
+mod reference;
 
 use proptest::prelude::*;
 use sdft_ctmc::{
-    kernel, reach_probability_many_with, reference, transient_distribution_many_with, Ctmc,
-    CtmcBuilder, SolverOptions, SolverWorkspace,
+    kernel, reach_probability_many_with, transient_distribution_many_with, Ctmc, CtmcBuilder,
+    CtmcError, PoissonWeights, SolverOptions, SolverWorkspace,
 };
 
 /// A compact description of a random chain: transitions reference
@@ -150,7 +152,7 @@ proptest! {
             .collect();
         let mut scalar = vec![0.0f64; n];
         let mut blocked = vec![0.0f64; n];
-        kernel::spmv_scalar(&row_offsets, &cols, &probs, &current, &mut scalar);
+        reference::spmv_scalar(&row_offsets, &cols, &probs, &current, &mut scalar);
         kernel::spmv_blocked(&row_offsets, &cols, &probs, &current, &mut blocked);
         for (s, (a, b)) in scalar.iter().zip(&blocked).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "state {}: {} vs {}", s, a, b);

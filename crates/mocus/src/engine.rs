@@ -116,11 +116,6 @@ fn partial_bytes(partial: &Partial) -> usize {
     (partial.events.len() + partial.gates.len()) * 8 + 48
 }
 
-/// Approximate resident bytes of a candidate cutset.
-fn cutset_bytes(cutset: &Cutset) -> usize {
-    cutset.order() * 8 + 24
-}
-
 enum Outcome {
     Alive,
     Dead,
@@ -145,13 +140,14 @@ impl Gauge {
 }
 
 /// The mutable state of one run: the partial stack, the candidates
-/// found, recycled `Partial` allocations, the scratch buffers
-/// `within_bounds` needs, the budget and residency counters, and the
-/// streaming context.
+/// found (batch runs), recycled `Partial` allocations, the scratch
+/// buffers `within_bounds` needs, the budget and residency counters,
+/// and the streaming context.
 struct Worker<'s> {
     /// Depth-first stack of live partials.
     stack: Vec<Partial>,
-    /// Cutset candidates emitted (batch mode).
+    /// Cutset candidates emitted (batch runs; a streaming run hands each
+    /// one to its sink instead).
     found: Vec<Cutset>,
     /// The sink, epoch plan and per-epoch state of a streaming run.
     stream: Option<StreamCtx<'s>>,
@@ -171,23 +167,10 @@ struct Worker<'s> {
     /// Queued partials, by count and by approximate bytes.
     partials: Gauge,
     partial_bytes: Gauge,
-    /// Candidates resident in the generator, by count and by
-    /// approximate bytes.
-    resident: Gauge,
-    resident_bytes: Gauge,
 }
 
 /// Cap on recycled partials, bounding idle memory.
 const POOL_LIMIT: usize = 256;
-
-/// Candidates buffered per epoch before they are flushed to the sink.
-/// Large enough that the per-delivery channel cost (mutex, condvar
-/// wakeup, and — on few-core hosts — a context switch to the filter
-/// thread) amortizes to noise against the expansion work behind each
-/// candidate; deep presets move millions of candidates, so delivery
-/// count matters more than per-epoch buffer residency (bounded at
-/// `STREAM_BATCH × epochs` candidates).
-const STREAM_BATCH: usize = 512;
 
 impl<'s> Worker<'s> {
     fn new(words: usize, stream: Option<StreamCtx<'s>>) -> Self {
@@ -203,8 +186,6 @@ impl<'s> Worker<'s> {
             pruned: 0,
             partials: Gauge::default(),
             partial_bytes: Gauge::default(),
-            resident: Gauge::default(),
-            resident_bytes: Gauge::default(),
         }
     }
 
@@ -234,8 +215,7 @@ impl<'s> Worker<'s> {
 
     /// Push a surviving partial onto the stack, counting it live
     /// (residency is measured over *queued* partials, whose size is
-    /// fixed while they wait) and giving it an outstanding count in
-    /// streaming mode.
+    /// fixed while they wait) and, in streaming mode, in its epoch.
     fn push_live(&mut self, partial: Partial) {
         self.partials.add(1);
         self.partial_bytes.add(partial_bytes(&partial));
@@ -245,42 +225,28 @@ impl<'s> Worker<'s> {
         self.stack.push(partial);
     }
 
-    /// Drop the outstanding count of a partial that was expanded rather
-    /// than finalized into a candidate; the zero crossing completes its
-    /// epoch.
+    /// Drop the live count of an expanded partial from its epoch; the
+    /// zero crossing completes the epoch.
     fn release(&mut self, epoch: u32) -> Result<(), MocusError> {
-        if let Some(ctx) = &mut self.stream {
-            if !ctx.release(epoch, 1) {
-                return Err(MocusError::Aborted);
-            }
-        }
-        Ok(())
-    }
-
-    /// Deliver one epoch's buffered candidates to the sink, then drop
-    /// their outstanding counts. The delivery happens *before* the
-    /// counts are released, so the epoch's completion (fired by the
-    /// zero crossing, possibly right here) is ordered after every
-    /// delivery for it.
-    fn flush_epoch(&mut self, epoch: u32) -> Result<(), MocusError> {
-        let Some(ctx) = &mut self.stream else {
-            return Ok(());
-        };
-        let buffer = &mut ctx.found[epoch as usize];
-        if buffer.is_empty() {
-            return Ok(());
-        }
-        let n = buffer.len();
-        self.resident.sub(n);
-        self.resident_bytes
-            .sub(buffer.iter().map(cutset_bytes).sum());
-        let delivered = ctx.sink.deliver(epoch, buffer);
-        buffer.clear();
-        if delivered && ctx.release(epoch, n) {
+        if self.stream.as_mut().is_none_or(|ctx| ctx.release(epoch)) {
             Ok(())
         } else {
             Err(MocusError::Aborted)
         }
+    }
+
+    /// Record a finalized candidate of `epoch`: keep it (batch run) or
+    /// hand it to the sink (streaming run).
+    fn emit(&mut self, epoch: u32, cutset: Cutset) -> Result<(), MocusError> {
+        match &mut self.stream {
+            Some(ctx) => {
+                if !ctx.sink.deliver(epoch, cutset) {
+                    return Err(MocusError::Aborted);
+                }
+            }
+            None => self.found.push(cutset),
+        }
+        Ok(())
     }
 }
 
@@ -446,11 +412,11 @@ impl<'a> Engine<'a> {
         let initial = if tree.is_basic(root) {
             if self.assumptions.is_failed(root) {
                 // Already failed: the empty cutset is the only one.
-                let mut empty = vec![Cutset::new(std::iter::empty())];
+                let empty = Cutset::new(std::iter::empty());
                 let Some(ctx) = &mut worker.stream else {
-                    return Ok((CutsetList::from_vec(empty), MocusStats::default()));
+                    return Ok((CutsetList::from_vec(vec![empty]), MocusStats::default()));
                 };
-                if !ctx.sink.deliver(0, &mut empty) || !ctx.complete_all() {
+                if !ctx.sink.deliver(0, empty) || !ctx.complete_all() {
                     return Err(MocusError::Aborted);
                 }
                 return Ok((CutsetList::new(), MocusStats::default()));
@@ -478,32 +444,15 @@ impl<'a> Engine<'a> {
         }
 
         while let Some(partial) = worker.stack.pop() {
-            // Crossing into a different epoch: hand the previous epoch's
-            // buffered candidates to the sink now, so its watermark can
-            // fire mid-run instead of at the final flush.
-            let left = worker
-                .stream
-                .as_mut()
-                .and_then(|ctx| ctx.last_epoch.replace(partial.epoch))
-                .filter(|&prev| prev != partial.epoch);
-            if let Some(prev) = left {
-                worker.flush_epoch(prev)?;
-            }
             self.expand_one(&mut worker, partial)?;
         }
 
-        let epochs = worker.stream.as_ref().map_or(0, |ctx| ctx.found.len());
-        for epoch in 0..epochs {
-            worker.flush_epoch(epoch as u32)?;
-        }
         let mut stats = MocusStats {
             partials_processed: worker.processed as u64,
             partials_pruned: worker.pruned,
             cutset_candidates: worker.candidates as u64,
             peak_live_partials: worker.partials.peak as u64,
             peak_partial_bytes: worker.partial_bytes.peak as u64,
-            peak_live_candidates: worker.resident.peak as u64,
-            peak_candidate_bytes: worker.resident_bytes.peak as u64,
             ..MocusStats::default()
         };
         if let Some(ctx) = &mut worker.stream {
@@ -547,32 +496,16 @@ impl<'a> Engine<'a> {
                 });
             }
             let Partial { events, gates, .. } = partial;
-            let cutset = Cutset::new(events);
-            worker.resident.add(1);
-            worker.resident_bytes.add(cutset_bytes(&cutset));
             worker.recycle(Partial {
                 events: Vec::new(),
                 gates,
                 prob: 1.0,
                 epoch: 0,
             });
-            // Streaming: the entry count transfers to the buffered
-            // candidate; it is released when the batch is delivered.
-            let full = match &mut worker.stream {
-                Some(ctx) => {
-                    let buffer = &mut ctx.found[entry_epoch as usize];
-                    buffer.push(cutset);
-                    buffer.len() >= STREAM_BATCH
-                }
-                None => {
-                    worker.found.push(cutset);
-                    false
-                }
-            };
-            if full {
-                worker.flush_epoch(entry_epoch)?;
-            }
-            return Ok(());
+            // Deliver before releasing the partial's count, so that its
+            // epoch completes after its last delivery.
+            worker.emit(entry_epoch, Cutset::new(events))?;
+            return worker.release(entry_epoch);
         };
         match self.tree.gate_kind(gate).expect("pending nodes are gates") {
             GateKind::And => {
@@ -1285,7 +1218,6 @@ mod tests {
         assert!(stats.partials_processed > 0);
         assert!(stats.cutset_candidates as usize >= mcs.len());
         assert!(stats.subsumption_comparisons > 0);
-        assert_eq!(stats.peak_live_candidates, stats.cutset_candidates);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct MocusStats {
     pub peak_live_partials: u64,
     /// Approximate peak bytes held by live partial cutsets.
     pub peak_partial_bytes: u64,
-    /// Peak number of candidate cutsets resident in the generator (all
-    /// of them in batch mode; only undelivered buffers when streaming).
-    pub peak_live_candidates: u64,
-    /// Approximate peak bytes held by resident candidate cutsets.
-    pub peak_candidate_bytes: u64,
     /// Wall-clock time of the one-pass batch minimization (zero when
     /// streaming — the filter stage owns minimization there).
     pub minimize_time: std::time::Duration,

@@ -1,11 +1,11 @@
 //! Emit-on-finalize streaming for the MOCUS engine.
 //!
 //! The batch entry points materialize every cutset candidate before
-//! minimization. Streaming instead pushes candidates to a
-//! [`CandidateSink`] as expansion finalizes them, in *epochs* carrying a
-//! subsumption watermark. Two children `a`, `b` of a top-level OR are
-//! *separable* — no candidate of one can ever subsume (or equal) a
-//! candidate of the other — when either
+//! minimization. Streaming instead hands each candidate to a
+//! [`CandidateSink`] the moment expansion finalizes it, tagged with an
+//! *epoch* carrying a subsumption watermark. Two children `a`, `b` of a
+//! top-level OR are *separable* — no candidate of one can ever subsume
+//! (or equal) a candidate of the other — when either
 //!
 //! * their reachable basic-event sets are disjoint (no shared events at
 //!   all), or
@@ -27,11 +27,10 @@
 //! release an epoch's surviving cutsets the moment it completes instead
 //! of waiting for the whole run.
 //!
-//! Completion is detected with a per-epoch outstanding counter: every
-//! live partial and every buffered (undelivered) candidate of an epoch
-//! holds one count, and the zero crossing is the watermark. Epochs that
-//! never receive any work complete in a final sweep when generation
-//! ends.
+//! Completion is detected with a per-epoch count of live partials: the
+//! zero crossing, right after the epoch's last partial is expanded, is
+//! the watermark. Epochs that never receive any work complete in a final
+//! sweep when generation ends.
 
 use crate::assumptions::Assumptions;
 use crate::engine::run_streaming;
@@ -40,8 +39,8 @@ use crate::options::MocusOptions;
 use crate::stats::MocusStats;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree, GateKind, NodeId};
 
-/// Consumer side of a streaming MOCUS run. The generator calls it from
-/// one thread, in a fixed order for a given tree and options; for a
+/// Consumer side of a streaming MOCUS run. The generator calls it on
+/// its own thread, in a fixed order for a given tree and options; for a
 /// given epoch every [`deliver`](Self::deliver) happens before its
 /// single [`epoch_complete`](Self::epoch_complete).
 ///
@@ -49,10 +48,8 @@ use sdft_ft::{Cutset, EventProbabilities, FaultTree, GateKind, NodeId};
 /// (the run ends with [`MocusError::Aborted`]); use it when the
 /// downstream pipeline has failed or shut down.
 pub trait CandidateSink {
-    /// Take a batch of cutset candidates belonging to `epoch`. The sink
-    /// owns the drained contents; the vector is cleared afterwards
-    /// either way.
-    fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool;
+    /// Take one cutset candidate belonging to `epoch`.
+    fn deliver(&mut self, epoch: u32, cutset: Cutset) -> bool;
 
     /// All candidates of `epoch` have been delivered; no candidate of
     /// any epoch can subsume them now, so they may be minimized among
@@ -60,9 +57,8 @@ pub trait CandidateSink {
     fn epoch_complete(&mut self, epoch: u32) -> bool;
 }
 
-/// State of one streaming run: the sink, the epoch plan, the per-epoch
-/// candidate buffers, and the per-epoch outstanding counters
-/// implementing the watermark.
+/// State of one streaming run: the sink, the epoch plan, and the
+/// per-epoch live-partial counters implementing the watermark.
 pub(crate) struct StreamCtx<'s> {
     pub(crate) sink: &'s mut dyn CandidateSink,
     /// The gate whose OR expansion assigns epochs (the run's root);
@@ -71,16 +67,9 @@ pub(crate) struct StreamCtx<'s> {
     /// Epoch of each top-child node (dense by node index, 0 elsewhere).
     child_epoch: Vec<u32>,
     epochs: u32,
-    /// Live partials plus buffered candidates per epoch.
+    /// Live partials per epoch.
     outstanding: Vec<usize>,
     completed: Vec<bool>,
-    /// Candidates awaiting delivery, per epoch.
-    pub(crate) found: Vec<Vec<Cutset>>,
-    /// Epoch of the last partial expanded. Depth-first traversal keeps
-    /// an epoch's partials together, so a switch means expansion is done
-    /// with the previous epoch for now: its buffer is flushed then,
-    /// letting the watermark fire mid-run instead of at the final flush.
-    pub(crate) last_epoch: Option<u32>,
 }
 
 impl<'s> StreamCtx<'s> {
@@ -207,8 +196,6 @@ impl<'s> StreamCtx<'s> {
             epochs,
             outstanding: vec![0; epochs as usize],
             completed: vec![false; epochs as usize],
-            found: vec![Vec::new(); epochs as usize],
-            last_epoch: None,
         }
     }
 
@@ -223,16 +210,16 @@ impl<'s> StreamCtx<'s> {
         }
     }
 
-    /// A partial or buffered candidate of `epoch` came alive.
+    /// A partial of `epoch` came alive.
     pub(crate) fn inc(&mut self, epoch: u32) {
         self.outstanding[epoch as usize] += 1;
     }
 
-    /// Release `n` counts of `epoch`; the zero crossing fires the
+    /// A partial of `epoch` was expanded; the zero crossing fires the
     /// epoch's completion. Returns `false` if the sink rejected.
-    pub(crate) fn release(&mut self, epoch: u32, n: usize) -> bool {
+    pub(crate) fn release(&mut self, epoch: u32) -> bool {
         let outstanding = &mut self.outstanding[epoch as usize];
-        *outstanding -= n;
+        *outstanding -= 1;
         *outstanding > 0 || self.complete(epoch)
     }
 
@@ -253,10 +240,11 @@ impl<'s> StreamCtx<'s> {
     }
 }
 
-/// Generate cutset candidates for the top gate of `tree`, streaming
-/// them into `sink` instead of materializing a list (see the module
-/// docs for the epoch/watermark contract). The returned stats carry no
-/// `subsumption_comparisons` — minimization belongs to the consumer.
+/// Generate cutset candidates for the top gate of `tree`, handing each
+/// one to `sink` as it is found instead of materializing a list (see
+/// the module docs for the epoch/watermark contract). The returned
+/// stats carry no `subsumption_comparisons` — minimization belongs to
+/// the consumer.
 ///
 /// The candidate set (and therefore the minimal cutsets the consumer
 /// derives) is identical to [`minimal_cutsets`](crate::minimal_cutsets),
@@ -294,7 +282,7 @@ mod tests {
     /// One call the generator made on its sink.
     #[derive(Debug, PartialEq, Eq)]
     enum SinkCall {
-        Deliver(u32, Vec<Cutset>),
+        Deliver(u32, Cutset),
         Complete(u32),
     }
 
@@ -309,14 +297,13 @@ mod tests {
     }
 
     impl CandidateSink for CollectingSink {
-        fn deliver(&mut self, epoch: u32, batch: &mut Vec<Cutset>) -> bool {
+        fn deliver(&mut self, epoch: u32, cutset: Cutset) -> bool {
             if self.completed.contains_key(&epoch) {
                 self.violations
                     .push(format!("delivery after completion of epoch {epoch}"));
             }
-            let drained = std::mem::take(batch);
-            self.calls.push(SinkCall::Deliver(epoch, drained.clone()));
-            self.delivered.entry(epoch).or_default().extend(drained);
+            self.calls.push(SinkCall::Deliver(epoch, cutset.clone()));
+            self.delivered.entry(epoch).or_default().push(cutset);
             true
         }
 
@@ -331,7 +318,7 @@ mod tests {
     struct RejectingSink;
 
     impl CandidateSink for RejectingSink {
-        fn deliver(&mut self, _epoch: u32, _batch: &mut Vec<Cutset>) -> bool {
+        fn deliver(&mut self, _epoch: u32, _cutset: Cutset) -> bool {
             false
         }
 
@@ -455,14 +442,12 @@ mod tests {
         let (list, batch) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
         assert!(batch.peak_live_partials > 0);
         assert!(batch.peak_partial_bytes > 0);
-        // Batch keeps every candidate resident.
-        assert_eq!(batch.peak_live_candidates, batch.cutset_candidates);
-        assert!(batch.peak_candidate_bytes > 0);
         assert!(!list.is_empty());
+        // Streaming runs the same traversal, so it queues the same
+        // partials.
         let mut sink = CollectingSink::default();
         let stream = stream_minimal_cutsets(&t, &probs, &opts, &mut sink).unwrap();
-        // Streaming delivers in batches, so resident candidates stay at
-        // or below the flush threshold (tiny tree: far below).
-        assert!(stream.peak_live_candidates <= batch.peak_live_candidates);
+        assert_eq!(stream.peak_live_partials, batch.peak_live_partials);
+        assert_eq!(stream.peak_partial_bytes, batch.peak_partial_bytes);
     }
 }

@@ -176,13 +176,14 @@ pub fn annotate(
         }
     }
     b.top(tree.top());
-    // Wrapper gates and trigger edges.
-    for (&event, r) in &role {
-        if let Role::Triggered { predecessor } = r {
+    // Wrapper gates and trigger edges, in ranking order so that their
+    // ids are the same on every call.
+    for &(event, _) in &chosen {
+        if let Some(&Role::Triggered { predecessor }) = role.get(&event) {
             let wrapper = b.gate(
                 &format!("{}__start", tree.name(event)),
                 sdft_ft::GateKind::Or,
-                [*predecessor],
+                [predecessor],
             )?;
             b.trigger(wrapper, event)?;
         }
@@ -298,6 +299,19 @@ mod tests {
         }
         assert_eq!(found, annotated.triggered_events);
         assert!(found > 0, "expected some triggered events at 50%");
+    }
+
+    #[test]
+    fn annotation_is_the_same_on_every_call() {
+        let (tree, ranking) = ranked_model();
+        let cfg = AnnotationConfig::percent_dynamic(50.0);
+        let first = annotate(&tree, &ranking, &cfg).unwrap();
+        assert!(first.triggered_events > 1);
+        let second = annotate(&tree, &ranking, &cfg).unwrap();
+        assert_eq!(
+            sdft_ft::format::to_string(&first.tree),
+            sdft_ft::format::to_string(&second.tree)
+        );
     }
 
     #[test]

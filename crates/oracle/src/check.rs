@@ -62,15 +62,14 @@ pub struct CheckConfig {
     /// Re-run the base analysis with the quantification cache disabled
     /// and require bitwise-identical results.
     pub check_cache_consistency: bool,
-    /// Re-run the base analysis with the opposite release policy
-    /// (streaming vs phased) and require bitwise-identical frequencies
-    /// and identical cutset lists, both equal to the batch MOCUS
-    /// enumeration of `FT̄`.
+    /// Re-run the base analysis with another worker count (1 ↔ 4) and
+    /// require bitwise-identical frequencies and identical cutset lists,
+    /// both equal to the batch MOCUS enumeration of `FT̄`.
     pub check_streaming_consistency: bool,
     /// Re-run the base analysis with the modular-BDD backend and require
     /// bitwise-identical frequencies and cutset lists, a sound exact
     /// static probability, and bitwise agreement between the BDD
-    /// backend's own streaming and phased runs.
+    /// backend's own runs at two worker counts.
     pub check_backend_consistency: bool,
     /// Re-run the base analysis with the hybrid planner backend and
     /// require bitwise-identical frequencies and cutset lists, for
@@ -175,6 +174,15 @@ pub fn close_rel(a: f64, b: f64, rel: f64) -> bool {
 #[must_use]
 pub fn leq_slack(a: f64, b: f64, rel: f64) -> bool {
     a <= b + rel * a.abs().max(b.abs()) + 1e-9
+}
+
+/// The other worker count of the `*stream_bitwise` arms: 1 ↔ 4.
+fn flipped_threads(threads: usize) -> usize {
+    if threads == 1 {
+        4
+    } else {
+        1
+    }
 }
 
 /// The pipeline options every oracle analysis uses: exhaustive MOCUS
@@ -365,13 +373,12 @@ pub(crate) fn check_tree_into(
     }
 
     if cfg.check_streaming_consistency {
-        // The base run used whichever release policy `opts` selected
-        // (streaming by default); the other policy must agree bitwise,
-        // down to the cutset list and per-cutset probabilities, and the
-        // list must equal the batch MOCUS enumeration — a reference
-        // outside the engine.
+        // A run at another worker count must agree with the base run
+        // bitwise, down to the cutset list and per-cutset probabilities,
+        // and the list must equal the batch MOCUS enumeration — a
+        // reference outside the engine.
         let mut flipped = opts;
-        flipped.streaming = !opts.streaming;
+        flipped.threads = flipped_threads(opts.threads);
         let reference = mocus_reference(tree, &opts);
         match analyze(tree, &flipped) {
             Ok(second) => out.check(
@@ -389,9 +396,9 @@ pub(crate) fn check_tree_into(
                 "stream_bitwise",
                 || {
                     format!(
-                        "policies disagree: base(streaming={}) freq {} rea {} ({} cutsets); \
+                        "worker counts disagree: base(threads={}) freq {} rea {} ({} cutsets); \
                          flipped freq {} rea {} ({} cutsets); batch MOCUS reference {}",
-                        opts.streaming,
+                        opts.threads,
                         base.frequency,
                         base.static_rea,
                         base.cutsets.len(),
@@ -407,7 +414,7 @@ pub(crate) fn check_tree_into(
             ),
             Err(e) => out.fail(
                 "stream_bitwise",
-                format!("opposite-policy analysis failed: {e}"),
+                format!("other-worker-count analysis failed: {e}"),
             ),
         }
     }
@@ -562,7 +569,7 @@ fn sorted_cutsets(result: &AnalysisResult) -> Vec<Cutset> {
 /// bitwise-identical frequencies and cutset lists (same quantification
 /// over the same canonical list), a sound exact static probability
 /// (above every single cutset, below the REA sum), and bitwise
-/// agreement between the BDD backend's own streaming and phased runs.
+/// agreement between the BDD backend's own runs at two worker counts.
 /// Trees whose diagram exceeds the node budget skip the arm.
 fn check_backend_bdd(
     tree: &FaultTree,
@@ -645,11 +652,11 @@ fn check_backend_bdd(
             "--backend bdd reported no exact static probability".to_owned(),
         ),
     }
-    // The BDD backend must agree with itself across release policies,
+    // The BDD backend must agree with itself across worker counts,
     // down to the exact probability's bits (construction is
     // deterministic).
     let mut flipped = bdd_opts;
-    flipped.streaming = !bdd_opts.streaming;
+    flipped.threads = flipped_threads(bdd_opts.threads);
     match analyze(tree, &flipped) {
         Ok(third) => out.check(
             third.frequency.to_bits() == second.frequency.to_bits()
@@ -658,9 +665,9 @@ fn check_backend_bdd(
             "backend_stream_bitwise",
             || {
                 format!(
-                    "bdd policies disagree: streaming={} freq {} exact {:?}; \
+                    "bdd worker counts disagree: threads={} freq {} exact {:?}; \
                      flipped freq {} exact {:?}",
-                    bdd_opts.streaming,
+                    bdd_opts.threads,
                     second.frequency,
                     second.exact_static,
                     third.frequency,
@@ -670,7 +677,7 @@ fn check_backend_bdd(
         ),
         Err(e) => out.fail(
             "backend_stream_bitwise",
-            format!("opposite-policy --backend bdd analysis failed: {e}"),
+            format!("other-worker-count --backend bdd analysis failed: {e}"),
         ),
     }
 }
@@ -680,8 +687,8 @@ fn check_backend_bdd(
 /// frequencies and cutset lists must be bitwise-identical to MOCUS, the
 /// plan must cover every module, a fully built plan must report an
 /// exact static probability and a plan with external modules must not,
-/// and the hybrid backend must agree with itself across the streaming
-/// and phased policies.
+/// and the hybrid backend must agree with itself across two worker
+/// counts.
 fn check_backend_hybrid(
     tree: &FaultTree,
     base: &AnalysisResult,
@@ -768,7 +775,7 @@ fn check_backend_hybrid(
         );
     }
     let mut flipped = hybrid_opts;
-    flipped.streaming = !hybrid_opts.streaming;
+    flipped.threads = flipped_threads(hybrid_opts.threads);
     match analyze(tree, &flipped) {
         Ok(third) => out.check(
             third.frequency.to_bits() == second.frequency.to_bits()
@@ -777,9 +784,9 @@ fn check_backend_hybrid(
             "hybrid_stream_bitwise",
             || {
                 format!(
-                    "hybrid policies disagree: streaming={} freq {} exact {:?}; \
+                    "hybrid worker counts disagree: threads={} freq {} exact {:?}; \
                      flipped freq {} exact {:?}",
-                    hybrid_opts.streaming,
+                    hybrid_opts.threads,
                     second.frequency,
                     second.exact_static,
                     third.frequency,
@@ -789,7 +796,7 @@ fn check_backend_hybrid(
         ),
         Err(e) => out.fail(
             "hybrid_stream_bitwise",
-            format!("opposite-policy --backend hybrid analysis failed: {e}"),
+            format!("other-worker-count --backend hybrid analysis failed: {e}"),
         ),
     }
 }

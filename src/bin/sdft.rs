@@ -6,7 +6,7 @@
 //! sdft analyze    <file> [--horizon H] [--cutoff C] [--top N] [--threads N]
 //!                        [--backend mocus|bdd|hybrid] [--explain-plan]
 //!                        [--sift on|off] [--max-nodes N] [--fast] [--csv OUT]
-//!                        [--no-steady-state] [--no-stream] [--progress SECS]
+//!                        [--no-steady-state] [--progress SECS]
 //! sdft mcs        <file> [--horizon H] [--cutoff C] [--top N]
 //! sdft exact      <file> [--horizon H]       product-chain reference (small models)
 //! sdft simulate   <file> [--horizon H] [--samples N] [--seed S]
@@ -39,7 +39,6 @@ struct Args {
     max_nodes: Option<usize>,
     fast: bool,
     steady_state: bool,
-    streaming: bool,
     progress: Option<f64>,
     csv: Option<String>,
 }
@@ -49,8 +48,7 @@ fn usage() -> ExitCode {
         "usage: sdft <check|analyze|mcs|exact|simulate|importance|metrics|dot> <file> \
          [--horizon H] [--cutoff C] [--top N] [--samples N] [--seed S] [--threads N] \
          [--backend mocus|bdd|hybrid] [--explain-plan] [--sift on|off] [--max-nodes N] \
-         [--fast] [--no-steady-state] [--no-stream] [--progress SECS] [--csv OUT]\n\
-         --no-stream runs phased: every cutset is generated before any is quantified"
+         [--fast] [--no-steady-state] [--progress SECS] [--csv OUT]"
     );
     ExitCode::from(2)
 }
@@ -77,7 +75,6 @@ fn main() -> ExitCode {
         max_nodes: None,
         fast: false,
         steady_state: true,
-        streaming: true,
         progress: None,
         csv: None,
     };
@@ -148,10 +145,6 @@ fn main() -> ExitCode {
             }
             "--no-steady-state" => {
                 args.steady_state = false;
-                Some(())
-            }
-            "--no-stream" => {
-                args.streaming = false;
                 Some(())
             }
             "--progress" => value("--progress")
@@ -261,7 +254,6 @@ fn analysis_options(args: &Args) -> AnalysisOptions {
         options.treatment = TriggerTreatment::CutsetOnly;
     }
     options.steady_state_detection = args.steady_state;
-    options.streaming = args.streaming;
     options.progress = args.progress.map(std::time::Duration::from_secs_f64);
     if let Some(enabled) = args.sift {
         options.bdd.sift.enabled = enabled;
@@ -354,12 +346,9 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         result.stats.mocus_partials_processed, result.stats.mocus_partials_pruned,
     );
     println!(
-        "memory peaks: {} partials ({} B), {} candidates ({} B), \
-         {} pending cutsets, {} in-flight models",
+        "memory peaks: {} partials ({} B), {} pending cutsets, {} in-flight models",
         result.stats.mocus_peak_live_partials,
         result.stats.mocus_peak_partial_bytes,
-        result.stats.mocus_peak_live_candidates,
-        result.stats.mocus_peak_candidate_bytes,
         result.stats.peak_pending_cutsets,
         result.stats.peak_inflight_models,
     );

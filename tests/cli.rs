@@ -152,15 +152,20 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
-fn phased_and_streaming_analyses_print_the_same_frequency() {
+fn thread_counts_print_the_same_frequency_and_no_stream_is_gone() {
     let file = model_file();
-    let (streamed, _, ok) = run(&["analyze", file.path()]);
+    let (one, _, ok) = run(&["analyze", file.path(), "--threads", "1"]);
     assert!(ok);
-    let (phased, _, ok) = run(&["analyze", file.path(), "--no-stream"]);
+    let (four, _, ok) = run(&["analyze", file.path(), "--threads", "4"]);
     assert!(ok);
     let frequency = |out: &str| out.lines().next().unwrap_or_default().to_owned();
-    assert!(frequency(&streamed).starts_with("failure frequency"));
-    assert_eq!(frequency(&streamed), frequency(&phased));
+    assert!(frequency(&one).starts_with("failure frequency"));
+    assert_eq!(frequency(&one), frequency(&four));
+
+    // The engine has no release-policy flag.
+    let (_, stderr, ok) = run(&["analyze", file.path(), "--no-stream"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }
 
 #[test]

@@ -253,11 +253,11 @@ proptest! {
         }
     }
 
-    /// The engine's two release policies and every thread count (up to
-    /// 8 quantification workers) deliver bitwise-identical results, and
-    /// the cutset list equals the batch MOCUS enumeration.
+    /// Every thread count (up to 8 quantification workers) delivers
+    /// bitwise-identical results, and the cutset list equals the batch
+    /// MOCUS enumeration.
     #[test]
-    fn engine_policies_and_thread_counts_match_batch_mocus(spec in arb_tree_spec()) {
+    fn engine_thread_counts_match_batch_mocus(spec in arb_tree_spec()) {
         use sdft::core::{analyze, AnalysisOptions};
         let tree = build_tree(&spec);
         let probs = EventProbabilities::from_static(&tree).unwrap();
@@ -271,19 +271,16 @@ proptest! {
         let mut listed: Vec<Cutset> = base.cutsets.iter().map(|r| r.cutset.clone()).collect();
         listed.sort();
         prop_assert_eq!(&listed, &reference);
-        for streaming in [true, false] {
-            for threads in [1usize, 2, 4, 8] {
-                let mut options = AnalysisOptions::new(24.0);
-                options.streaming = streaming;
-                options.threads = threads;
-                let run = analyze(&tree, &options).unwrap();
-                prop_assert_eq!(run.frequency.to_bits(), base.frequency.to_bits(),
-                    "streaming = {}, threads = {}", streaming, threads);
-                prop_assert_eq!(run.cutsets.len(), base.cutsets.len());
-                for (a, b) in run.cutsets.iter().zip(&base.cutsets) {
-                    prop_assert_eq!(a.cutset.events(), b.cutset.events());
-                    prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-                }
+        for threads in [1usize, 2, 4, 8] {
+            let mut options = AnalysisOptions::new(24.0);
+            options.threads = threads;
+            let run = analyze(&tree, &options).unwrap();
+            prop_assert_eq!(run.frequency.to_bits(), base.frequency.to_bits(),
+                "threads = {}", threads);
+            prop_assert_eq!(run.cutsets.len(), base.cutsets.len());
+            for (a, b) in run.cutsets.iter().zip(&base.cutsets) {
+                prop_assert_eq!(a.cutset.events(), b.cutset.events());
+                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             }
         }
     }
