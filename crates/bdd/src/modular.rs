@@ -462,7 +462,7 @@ fn max_product(
 /// composed through pseudo-variables.
 ///
 /// Like [`Bdd`], dynamic basic events are opaque variables; trigger
-/// edges only influence module boundaries (via [`modules`]).
+/// edges only influence module boundaries (via [`modules`](fn@modules)).
 pub struct ModularBdd {
     mods: Vec<Module>,
     /// gate id → index into `mods` (only module gates).

@@ -159,7 +159,7 @@ pub fn classify_triggering_gates(tree: &FaultTree) -> HashMap<NodeId, TriggerCla
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::TriggerStructure`] naming the first triggering
+/// Returns [`crate::CoreError::TriggerStructure`] naming the first triggering
 /// gate whose class exceeds `strictest_allowed`.
 pub fn validate_trigger_structure(
     tree: &FaultTree,

@@ -177,7 +177,7 @@ fn attribute_cost(total: Duration, per_horizon_steps: &[usize]) -> Vec<Duration>
 ///
 /// # Errors
 ///
-/// Same as [`quantify_model`], plus an error for an empty or invalid
+/// Same as [`quantify_cutset`], plus an error for an empty or invalid
 /// horizon list.
 pub fn quantify_model_many(
     tree: &FaultTree,
@@ -235,7 +235,7 @@ impl KernelUsage {
 /// Cached and uncached paths produce bitwise-identical probabilities —
 /// equal [`crate::CanonicalModelKey`]s imply identical model trees, and
 /// product-chain construction plus uniformization are deterministic in
-/// them (see [`crate::canonical`] for the full argument).
+/// them.
 ///
 /// # Errors
 ///

@@ -5,11 +5,13 @@ use crate::transient;
 /// *failed* states.
 ///
 /// States are identified by dense indices `0..len()`. The rate matrix is
-/// stored sparsely: for each state, the list of `(target, rate)` pairs of
-/// its outgoing transitions. Diagonal entries are implicit (the exit rate of
-/// a state is the sum of its outgoing rates).
+/// stored in compressed sparse rows: one flat list of `(target, rate)`
+/// pairs, state by state, and the offset where each state's row begins.
+/// Diagonal entries are implicit (the exit rate of a state is the sum of
+/// its outgoing rates).
 ///
-/// Construct chains with [`CtmcBuilder`], which validates all inputs.
+/// Construct chains with [`CtmcBuilder`], which validates all inputs, or
+/// row by row with [`CtmcRows`].
 ///
 /// # Example
 ///
@@ -31,30 +33,50 @@ use crate::transient;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ctmc {
-    /// Outgoing transitions per state: `(target, rate)`, rate > 0.
-    transitions: Vec<Vec<(usize, f64)>>,
+    /// Row `s` is `entries[row_offsets[s]..row_offsets[s + 1]]`.
+    row_offsets: Vec<usize>,
+    /// Outgoing transitions `(target, rate)`, rate > 0, row by row.
+    entries: Vec<(usize, f64)>,
     /// Initial distribution; sums to 1.
     initial: Vec<f64>,
     /// Failure flag per state.
     failed: Vec<bool>,
-    /// Cached exit rate per state (sum of its outgoing rates).
-    exit_rates: Vec<f64>,
     /// Cached largest exit rate (the uniformization constant `Λ`).
     max_exit_rate: f64,
 }
 
 impl Ctmc {
+    /// Assemble a chain from validated parts, caching `Λ`.
+    fn from_parts(
+        row_offsets: Vec<usize>,
+        entries: Vec<(usize, f64)>,
+        initial: Vec<f64>,
+        failed: Vec<bool>,
+    ) -> Ctmc {
+        let mut chain = Ctmc {
+            row_offsets,
+            entries,
+            initial,
+            failed,
+            max_exit_rate: 0.0,
+        };
+        chain.max_exit_rate = (0..chain.len())
+            .map(|s| chain.exit_rate(s))
+            .fold(0.0, f64::max);
+        chain
+    }
+
     /// Number of states.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.transitions.len()
+        self.initial.len()
     }
 
     /// Whether the chain has no states. Always `false` for a built chain,
     /// provided for API completeness.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
+        self.initial.is_empty()
     }
 
     /// Outgoing transitions of `state` as `(target, rate)` pairs.
@@ -64,19 +86,18 @@ impl Ctmc {
     /// Panics if `state` is out of range.
     #[must_use]
     pub fn transitions_from(&self, state: usize) -> &[(usize, f64)] {
-        &self.transitions[state]
+        &self.entries[self.row_offsets[state]..self.row_offsets[state + 1]]
     }
 
-    /// Total exit rate of `state` (sum of its outgoing rates). Cached at
-    /// construction — the transient kernel reads this per state on every
-    /// uniformization pass.
+    /// Total exit rate of `state`: the sum of its outgoing rates, in
+    /// stored order.
     ///
     /// # Panics
     ///
     /// Panics if `state` is out of range.
     #[must_use]
     pub fn exit_rate(&self, state: usize) -> f64 {
-        self.exit_rates[state]
+        self.transitions_from(state).iter().map(|&(_, r)| r).sum()
     }
 
     /// The largest exit rate over all states (the uniformization
@@ -124,7 +145,7 @@ impl Ctmc {
     /// Number of (positive-rate) transitions in the chain.
     #[must_use]
     pub fn transition_count(&self) -> usize {
-        self.transitions.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// `Pr[reach F ≤ t]` — the probability that the chain visits a failed
@@ -169,42 +190,41 @@ impl Ctmc {
                 rate: factor,
             });
         }
-        let mut scaled = self.clone();
-        for transitions in scaled.transitions.iter_mut() {
-            for (_, rate) in transitions.iter_mut() {
-                *rate *= factor;
-            }
-            // Zero rates are never stored.
-            transitions.retain(|&(_, rate)| rate > 0.0);
-        }
-        (scaled.exit_rates, scaled.max_exit_rate) = cached_exit_rates(&scaled.transitions);
-        Ok(scaled)
+        // Zero rates are never stored.
+        Ok(self.filter_rows(|_, &(_, rate)| {
+            let rate = rate * factor;
+            (rate > 0.0).then_some(rate)
+        }))
     }
 
     /// A copy of this chain in which every failed state is absorbing
     /// (all outgoing transitions of failed states removed).
     #[must_use]
     pub fn with_failed_absorbing(&self) -> Ctmc {
-        let mut out = self.clone();
-        for (s, trans) in out.transitions.iter_mut().enumerate() {
-            if out.failed[s] {
-                trans.clear();
-            }
-        }
-        (out.exit_rates, out.max_exit_rate) = cached_exit_rates(&out.transitions);
-        out
+        self.filter_rows(|from, &(_, rate)| (!self.failed[from]).then_some(rate))
     }
-}
 
-/// Per-state exit rates and their maximum, computed once per structural
-/// change so the solver never re-sums transition lists.
-fn cached_exit_rates(transitions: &[Vec<(usize, f64)>]) -> (Vec<f64>, f64) {
-    let exit_rates: Vec<f64> = transitions
-        .iter()
-        .map(|row| row.iter().map(|&(_, r)| r).sum())
-        .collect();
-    let max = exit_rates.iter().copied().fold(0.0, f64::max);
-    (exit_rates, max)
+    /// A copy with each transition's rate replaced by `keep(from, entry)`,
+    /// or dropped where that is `None`.
+    fn filter_rows(&self, keep: impl Fn(usize, &(usize, f64)) -> Option<f64>) -> Ctmc {
+        let mut row_offsets = Vec::with_capacity(self.row_offsets.len());
+        let mut entries = Vec::with_capacity(self.entries.len());
+        row_offsets.push(0);
+        for from in 0..self.len() {
+            entries.extend(
+                self.transitions_from(from)
+                    .iter()
+                    .filter_map(|entry| keep(from, entry).map(|rate| (entry.0, rate))),
+            );
+            row_offsets.push(entries.len());
+        }
+        Ctmc::from_parts(
+            row_offsets,
+            entries,
+            self.initial.clone(),
+            self.failed.clone(),
+        )
+    }
 }
 
 fn validate_initial(initial: &[f64], len: usize) -> Result<(), CtmcError> {
@@ -225,6 +245,129 @@ fn validate_initial(initial: &[f64], len: usize) -> Result<(), CtmcError> {
         return Err(CtmcError::InitialDistributionNotNormalized { sum });
     }
     Ok(())
+}
+
+/// Row-wise constructor of a [`Ctmc`]: the rate matrix is written one
+/// state's row at a time, in state order, straight into the chain's
+/// sparse-row storage. Within a row, repeated targets merge into their
+/// first entry (rates summed in the order given) and self-loops and zero
+/// rates are dropped — exactly what [`CtmcBuilder::build`] does, which
+/// feeds its rows through this type.
+///
+/// # Example
+///
+/// ```
+/// use sdft_ctmc::CtmcRows;
+///
+/// # fn main() -> Result<(), sdft_ctmc::CtmcError> {
+/// let mut rows = CtmcRows::new();
+/// rows.rate(1, 1e-3); // row 0
+/// rows.end_row();
+/// rows.rate(0, 0.05); // row 1
+/// rows.end_row();
+/// let chain = rows.build(vec![1.0, 0.0], vec![false, true])?;
+/// assert_eq!(chain.transitions_from(1), &[(0, 0.05)]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct CtmcRows {
+    row_offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    /// The first rejected rate, reported by [`CtmcRows::build`].
+    invalid: Option<(usize, usize, f64)>,
+}
+
+impl Default for CtmcRows {
+    fn default() -> Self {
+        CtmcRows::new()
+    }
+}
+
+impl CtmcRows {
+    /// An empty matrix whose open row is row 0.
+    #[must_use]
+    pub fn new() -> Self {
+        CtmcRows::with_capacity(0, 0)
+    }
+
+    /// [`CtmcRows::new`] with room for `states` rows and `transitions`
+    /// entries.
+    #[must_use]
+    pub fn with_capacity(states: usize, transitions: usize) -> Self {
+        let mut row_offsets = Vec::with_capacity(states + 1);
+        row_offsets.push(0);
+        CtmcRows {
+            row_offsets,
+            entries: Vec::with_capacity(transitions),
+            invalid: None,
+        }
+    }
+
+    /// Number of rows ended so far (the open row's index).
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.row_offsets.len() - 1
+    }
+
+    /// Add a transition from the open row's state to `to`. Negative, NaN
+    /// and infinite rates are rejected by [`CtmcRows::build`].
+    pub fn rate(&mut self, to: usize, rate: f64) -> &mut Self {
+        let from = self.rows();
+        if !rate.is_finite() || rate < 0.0 {
+            self.invalid.get_or_insert((from, to, rate));
+            return self;
+        }
+        if rate == 0.0 || to == from {
+            return self;
+        }
+        let open = self.row_offsets[from];
+        match self.entries[open..].iter_mut().find(|(t, _)| *t == to) {
+            Some((_, r)) => *r += rate,
+            None => self.entries.push((to, rate)),
+        }
+        self
+    }
+
+    /// Close the open row; the next [`CtmcRows::rate`] starts the next
+    /// state's row.
+    pub fn end_row(&mut self) -> &mut Self {
+        self.row_offsets.push(self.entries.len());
+        self
+    }
+
+    /// Validate and build the chain over the ended rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if no row was ended, a rate was invalid, a target
+    /// is not an ended row, `failed` has the wrong length, or `initial`
+    /// is not a distribution over the rows.
+    pub fn build(self, initial: Vec<f64>, failed: Vec<bool>) -> Result<Ctmc, CtmcError> {
+        let len = self.rows();
+        if len == 0 {
+            return Err(CtmcError::EmptyStateSpace);
+        }
+        if let Some((from, to, rate)) = self.invalid {
+            return Err(CtmcError::InvalidRate { from, to, rate });
+        }
+        if let Some(&(state, _)) = self.entries.iter().find(|&&(to, _)| to >= len) {
+            return Err(CtmcError::StateOutOfRange { state, len });
+        }
+        if failed.len() != len {
+            return Err(CtmcError::StateOutOfRange {
+                state: failed.len(),
+                len,
+            });
+        }
+        validate_initial(&initial, len)?;
+        Ok(self.assemble(initial, failed))
+    }
+
+    /// [`CtmcRows::build`] for inputs the caller has already validated.
+    fn assemble(self, initial: Vec<f64>, failed: Vec<bool>) -> Ctmc {
+        Ctmc::from_parts(self.row_offsets, self.entries, initial, failed)
+    }
 }
 
 /// Builder for [`Ctmc`] values.
@@ -295,19 +438,11 @@ impl CtmcBuilder {
                 Ok(())
             }
         };
-        let mut transitions = vec![Vec::new(); self.len];
         for &(from, to, rate) in &self.rates {
             check(from)?;
             check(to)?;
             if !rate.is_finite() || rate < 0.0 {
                 return Err(CtmcError::InvalidRate { from, to, rate });
-            }
-            if rate == 0.0 || from == to {
-                continue;
-            }
-            match transitions[from].iter_mut().find(|(t, _)| *t == to) {
-                Some((_, r)) => *r += rate,
-                None => transitions[from].push((to, rate)),
             }
         }
         let mut initial = vec![0.0; self.len];
@@ -324,14 +459,29 @@ impl CtmcBuilder {
             check(state)?;
             failed[state] = true;
         }
-        let (exit_rates, max_exit_rate) = cached_exit_rates(&transitions);
-        Ok(Ctmc {
-            transitions,
-            initial,
-            failed,
-            exit_rates,
-            max_exit_rate,
-        })
+        // Rows in state order. A stable sort by source keeps each row's
+        // transitions in the order they were added, so parallel
+        // transitions accumulate in that order.
+        let sorted;
+        let rates = if self.rates.is_sorted_by_key(|r| r.0) {
+            &self.rates
+        } else {
+            sorted = {
+                let mut rates = self.rates.clone();
+                rates.sort_by_key(|r| r.0);
+                rates
+            };
+            &sorted
+        };
+        let mut rates = rates.iter().peekable();
+        let mut rows = CtmcRows::with_capacity(self.len, self.rates.len());
+        for from in 0..self.len {
+            while let Some(&(_, to, rate)) = rates.next_if(|r| r.0 == from) {
+                rows.rate(to, rate);
+            }
+            rows.end_row();
+        }
+        Ok(rows.assemble(initial, failed))
     }
 }
 
@@ -438,6 +588,76 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.transitions_from(0), &[(1, 3.0)]);
+    }
+
+    #[test]
+    fn rates_added_out_of_row_order_build_the_same_rows() {
+        let mut shuffled = CtmcBuilder::new(3);
+        shuffled
+            .initial(0, 1.0)
+            .rate(2, 0, 0.5)
+            .rate(0, 2, 1.0)
+            .rate(1, 2, 0.25)
+            .rate(0, 1, 2.0)
+            .rate(0, 2, 3.0)
+            .failed(2);
+        let mut rows = CtmcRows::new();
+        rows.rate(2, 1.0).rate(1, 2.0).rate(2, 3.0).end_row();
+        rows.rate(2, 0.25).end_row();
+        rows.rate(0, 0.5).end_row();
+        let direct = rows
+            .build(vec![1.0, 0.0, 0.0], vec![false, false, true])
+            .unwrap();
+        assert_eq!(shuffled.build().unwrap(), direct);
+        assert_eq!(direct.transitions_from(0), &[(2, 4.0), (1, 2.0)]);
+        assert_eq!(direct.max_exit_rate(), 6.0);
+    }
+
+    /// Every basic event of a tree holds its chain inline, so the chain's
+    /// sparse rows replace the cached exit rates rather than adding to
+    /// them.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_chain_is_four_vectors_and_a_rate() {
+        assert_eq!(std::mem::size_of::<Ctmc>(), 104);
+    }
+
+    #[test]
+    fn row_builder_drops_self_loops_and_validates() {
+        let mut rows = CtmcRows::new();
+        rows.rate(0, 5.0).rate(1, 0.0).rate(1, 1.0).end_row();
+        rows.end_row();
+        let chain = rows.build(vec![1.0, 0.0], vec![false, true]).unwrap();
+        assert_eq!(chain.transitions_from(0), &[(1, 1.0)]);
+        assert_eq!(chain.transition_count(), 1);
+
+        assert_eq!(
+            CtmcRows::new().build(Vec::new(), Vec::new()),
+            Err(CtmcError::EmptyStateSpace)
+        );
+        let mut rows = CtmcRows::new();
+        rows.rate(1, -1.0).end_row().end_row();
+        assert_eq!(
+            rows.build(vec![1.0, 0.0], vec![false; 2]),
+            Err(CtmcError::InvalidRate {
+                from: 0,
+                to: 1,
+                rate: -1.0
+            })
+        );
+        let mut rows = CtmcRows::new();
+        rows.rate(4, 1.0).end_row();
+        assert_eq!(
+            rows.build(vec![1.0], vec![false]),
+            Err(CtmcError::StateOutOfRange { state: 4, len: 1 })
+        );
+        let mut rows = CtmcRows::new();
+        rows.end_row();
+        assert!(rows.clone().build(vec![1.0], vec![false; 2]).is_err());
+        assert!(matches!(
+            rows.build(vec![0.5], vec![false]),
+            Err(CtmcError::InitialDistributionNotNormalized { .. })
+        ));
     }
 
     #[test]

@@ -282,28 +282,27 @@ fn build_csr(chain: &Ctmc, absorbing: bool, ws: &mut SolverWorkspace) -> f64 {
     ws.probs.clear();
     ws.row_offsets.reserve(n + 1);
 
-    let mut rate = 0.0f64;
-    for s in 0..n {
-        if !(absorbing && chain.is_failed(s)) {
-            rate = rate.max(chain.exit_rate(s));
-        }
-    }
-    if rate == 0.0 {
-        ws.row_offsets.resize(n + 1, 0);
-        return 0.0;
-    }
+    // One pass over the rows copies the kept ones and finds `Λ` (each
+    // row's exit rate summed in stored order, as `Ctmc::exit_rate` does);
+    // the rates are then divided by `Λ` in place.
     let entry = |value: usize| u32::try_from(value).expect("chain fits 32-bit CSR indices");
+    let mut rate = 0.0f64;
     for s in 0..n {
         ws.row_offsets.push(entry(ws.cols.len()));
         if absorbing && chain.is_failed(s) {
             continue;
         }
-        for &(to, r) in chain.transitions_from(s) {
+        let row = chain.transitions_from(s);
+        rate = rate.max(row.iter().map(|&(_, r)| r).sum());
+        for &(to, r) in row {
             ws.cols.push(entry(to));
-            ws.probs.push(r / rate);
+            ws.probs.push(r);
         }
     }
     ws.row_offsets.push(entry(ws.cols.len()));
+    for p in &mut ws.probs {
+        *p /= rate;
+    }
     rate
 }
 

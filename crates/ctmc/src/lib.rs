@@ -49,7 +49,7 @@ mod triggered;
 #[path = "../tests/reference/mod.rs"]
 mod reference;
 
-pub use chain::{Ctmc, CtmcBuilder};
+pub use chain::{Ctmc, CtmcBuilder, CtmcRows};
 pub use csr::{
     kernel, reach_probability_many_with, transient_distribution_many_with, SolveStats,
     SolverOptions, SolverWorkspace,

@@ -54,6 +54,12 @@ impl SignatureWriter {
         Self::default()
     }
 
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        SignatureWriter {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     pub(crate) fn tag(&mut self, tag: u8) {
         self.bytes.push(tag);
     }
@@ -77,7 +83,11 @@ impl Ctmc {
     /// The structural signature of this chain (see [`ChainSignature`]).
     #[must_use]
     pub fn structural_signature(&self) -> ChainSignature {
-        let mut w = SignatureWriter::new();
+        // Tag and length, 17 bytes per state (row length, initial
+        // probability, failed flag) and 16 per transition: sized once,
+        // because the solver encodes every chain it is handed.
+        let mut w =
+            SignatureWriter::with_capacity(9 + 17 * self.len() + 16 * self.transition_count());
         w.tag(b'C');
         self.write_signature(&mut w);
         w.finish()

@@ -22,6 +22,7 @@
 //! check name; the shrinker minimizes a spec while preserving *that*
 //! check's failure.
 
+use crate::reference::failure_probability;
 use crate::spec::TreeSpec;
 use sdft_bdd::Bdd;
 use sdft_core::{
@@ -30,7 +31,7 @@ use sdft_core::{
 };
 use sdft_ft::{Behavior, Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
-use sdft_product::{failure_probability, ProductOptions};
+use sdft_product::ProductOptions;
 use sdft_sim::{simulate, SimOptions};
 
 /// Tolerances and budgets for one tree's worth of checks.

@@ -80,6 +80,13 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Tree `index` of the campaign seeded `seed`: its tree seed and spec.
+#[must_use]
+pub fn campaign_tree(seed: u64, index: usize) -> (u64, TreeSpec) {
+    let tree_seed = splitmix64(seed ^ (index as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+    (tree_seed, generate_seeded(&preset_for(index), tree_seed))
+}
+
 /// The preset mix cycled through by tree index: mostly product-checkable
 /// small trees, with medium (simulation-refereed), static-only,
 /// classifier-violating, and trigger-free medium shapes in rotation.
@@ -116,9 +123,7 @@ pub fn run_oracle(cfg: &OracleConfig) -> OracleReport {
                 break;
             }
         }
-        let tree_seed = splitmix64(cfg.seed ^ (index as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-        let preset = preset_for(index);
-        let spec = generate_seeded(&preset, tree_seed);
+        let (tree_seed, spec) = campaign_tree(cfg.seed, index);
         let mut check = cfg.check.clone();
         check.sim_seed = splitmix64(tree_seed ^ 0x51D);
         // Cycle the engine's thread count (1 to 8 quantification

@@ -19,7 +19,10 @@
 //! * [`check`] — the N-way differential matrix (pipeline vs product
 //!   chain vs simulation vs BDD) with sound Bonferroni-style
 //!   tolerances;
-//! * [`shrink`] — greedy minimization of disagreeing trees;
+//! * [`reference`](mod@reference) — the product-chain builder the
+//!   matrix uses as its exact referee, kept apart from `sdft-product`'s
+//!   compiled build;
+//! * [`shrink`](mod@shrink) — greedy minimization of disagreeing trees;
 //! * [`driver`] — the deterministic generate → check → shrink loop
 //!   producing replayable counterexamples in the `sdft-ft` text
 //!   format.
@@ -42,12 +45,15 @@ pub mod check;
 pub mod driver;
 pub mod gen;
 pub mod metamorphic;
+pub mod reference;
 pub mod rewrite;
 pub mod shrink;
 pub mod spec;
 
 pub use check::{check_spec, check_tree, CheckConfig, Disagreement, Outcome};
-pub use driver::{preset_for, run_oracle, Counterexample, OracleConfig, OracleReport};
+pub use driver::{
+    campaign_tree, preset_for, run_oracle, Counterexample, OracleConfig, OracleReport,
+};
 pub use gen::{generate, generate_seeded, GeneratorConfig};
 pub use shrink::shrink;
 pub use spec::{EventSpec, GateSpec, TreeSpec};

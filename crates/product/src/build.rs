@@ -1,7 +1,7 @@
 use crate::error::ProductError;
-use sdft_ctmc::{Ctmc, CtmcBuilder, Mode};
-use sdft_ft::{Behavior, FaultTree, NodeId, Scenario};
-use std::collections::{BTreeMap, HashMap};
+use sdft_ctmc::{Ctmc, CtmcBuilder, CtmcRows, Mode};
+use sdft_ft::{Behavior, FaultTree, FxHasher, GateKind, NodeId};
+use std::hash::Hasher;
 
 /// Options for product chain construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,36 +18,14 @@ impl Default for ProductOptions {
     }
 }
 
-/// One basic event's contribution to the product state.
-#[derive(Debug, Clone)]
-struct Component {
-    event: NodeId,
-    chain: Ctmc,
-    /// Mode and (un)triggering maps for triggered chains.
-    modes: Option<ComponentModes>,
-    trigger_gate: Option<NodeId>,
-}
-
-#[derive(Debug, Clone)]
-struct ComponentModes {
-    mode: Vec<Mode>,
-    on_map: Vec<usize>,
-    off_map: Vec<usize>,
-}
-
 /// The product Markov chain `C_FT` of an SD fault tree (§III-C).
 #[derive(Debug, Clone)]
 pub struct ProductChain {
     chain: Ctmc,
-    /// Per product state: the component state of every tracked event.
-    states: Vec<Vec<u16>>,
-    /// Slot order: the basic events of the tree, in id order.
-    events: Vec<NodeId>,
-    /// Per slot: which component states count as failed.
-    comp_failed: Vec<Vec<bool>>,
-    /// Every transition with the component slot that drives it:
-    /// `(from, to, slot, rate)`.
-    tagged_transitions: Vec<(usize, usize, usize, f64)>,
+    /// The product states in state order, `model.words` packed words each.
+    states: Vec<u64>,
+    /// The compiled tree the states were explored from.
+    model: Model,
 }
 
 impl ProductChain {
@@ -56,24 +34,16 @@ impl ProductChain {
     /// # Errors
     ///
     /// Returns an error if the explored state space exceeds
-    /// `options.max_states`.
+    /// `options.max_states`, or a component chain has more than
+    /// `u16::MAX` states.
     pub fn build(tree: &FaultTree, options: &ProductOptions) -> Result<Self, ProductError> {
-        // Component states are packed into u16 slots; a single chain
-        // larger than that would overflow the packing (and would exceed
-        // any practical product budget anyway).
-        for event in tree.dynamic_basic_events() {
-            let len = match tree.behavior(event) {
-                Some(sdft_ft::Behavior::Dynamic(c)) => c.len(),
-                Some(sdft_ft::Behavior::Triggered(c)) => c.len(),
-                _ => 0,
-            };
-            if len > usize::from(u16::MAX) {
-                return Err(ProductError::TooManyStates {
-                    limit: usize::from(u16::MAX),
-                });
-            }
-        }
-        Builder::new(tree).run(options)
+        let model = Model::new(tree)?;
+        let (chain, states) = model.explore(options)?;
+        Ok(ProductChain {
+            chain,
+            states,
+            model,
+        })
     }
 
     /// The underlying CTMC (initial distribution, rates, failed states).
@@ -85,13 +55,13 @@ impl ProductChain {
     /// Number of (consistent, reachable) product states.
     #[must_use]
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.chain.len()
     }
 
     /// The basic events tracked per state, in slot order.
     #[must_use]
     pub fn events(&self) -> &[NodeId] {
-        &self.events
+        &self.model.events
     }
 
     /// The component states of product state `i`, in slot order.
@@ -100,14 +70,38 @@ impl ProductChain {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn component_states(&self, i: usize) -> &[u16] {
-        &self.states[i]
+    pub fn component_states(&self, i: usize) -> Vec<u16> {
+        let key = self.key(i);
+        self.model
+            .slots
+            .iter()
+            .map(|slot| u16::try_from(slot.get(key)).expect("component states fit u16"))
+            .collect()
     }
 
     /// Find a product state by its component states.
     #[must_use]
     pub fn find_state(&self, components: &[u16]) -> Option<usize> {
-        self.states.iter().position(|s| s == components)
+        let slots = &self.model.slots;
+        if components.len() != slots.len() {
+            return None;
+        }
+        let mut key = vec![0; self.model.words];
+        for (slot, &s) in slots.iter().zip(components) {
+            if usize::from(s) >= slot.len {
+                return None;
+            }
+            slot.set(&mut key, usize::from(s));
+        }
+        self.states
+            .chunks_exact(self.model.words)
+            .position(|state| state == key.as_slice())
+    }
+
+    /// The packed key of product state `i`.
+    fn key(&self, i: usize) -> &[u64] {
+        let words = self.model.words;
+        &self.states[i * words..(i + 1) * words]
     }
 
     /// `Pr[Reach≤t(F)]` — the failure probability of the tree within the
@@ -182,6 +176,34 @@ impl ProductChain {
         Ok(self.chain.steady_state_unavailability(options)?)
     }
 
+    /// Per product state: whether every event of `events` is failed in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id in `events` is not a basic event of the tree.
+    fn events_failed(&self, events: &[NodeId]) -> Vec<bool> {
+        let slots: Vec<&Slot> = events
+            .iter()
+            .map(|e| {
+                let i = self
+                    .model
+                    .events
+                    .iter()
+                    .position(|x| x == e)
+                    .expect("event is a basic event of the tree");
+                &self.model.slots[i]
+            })
+            .collect();
+        (0..self.num_states())
+            .map(|s| {
+                let key = self.key(s);
+                slots
+                    .iter()
+                    .all(|slot| self.model.locals[slot.base + slot.get(key)].failed)
+            })
+            .collect()
+    }
+
     /// `Pr[Reach≤t(Failed(C))]` — the probability that all of `events`
     /// are failed *simultaneously* at some time within `t` (§V,
     /// property i of the SD cutset characterization). This is the exact
@@ -200,28 +222,20 @@ impl ProductChain {
         t: f64,
         epsilon: f64,
     ) -> Result<f64, ProductError> {
-        let slots: Vec<usize> = events
-            .iter()
-            .map(|e| {
-                self.events
-                    .iter()
-                    .position(|x| x == e)
-                    .expect("event is a basic event of the tree")
-            })
-            .collect();
-        let mut builder = CtmcBuilder::new(self.states.len());
+        let n = self.num_states();
+        let mut builder = CtmcBuilder::new(n);
         for (s, p) in self.chain.initial_distribution().iter().enumerate() {
             if *p > 0.0 {
                 builder.initial(s, *p);
             }
         }
-        for s in 0..self.states.len() {
+        for s in 0..n {
             for &(to, rate) in self.chain.transitions_from(s) {
                 builder.rate(s, to, rate);
             }
         }
-        for (s, comp) in self.states.iter().enumerate() {
-            if slots.iter().all(|&i| self.comp_failed[i][comp[i] as usize]) {
+        for (s, failed) in self.events_failed(events).into_iter().enumerate() {
+            if failed {
                 builder.failed(s);
             }
         }
@@ -239,6 +253,10 @@ impl ProductChain {
     /// latent-failed chain on. Mass already in `Failed(C)` at time zero
     /// is reported separately.
     ///
+    /// The chain's merged rows do not say which event drives a
+    /// transition, so this re-explores each state's evolution steps,
+    /// which do.
+    ///
     /// # Errors
     ///
     /// Returns an error if `t` or `epsilon` is invalid.
@@ -252,45 +270,39 @@ impl ProductChain {
         t: f64,
         epsilon: f64,
     ) -> Result<CompletionSplit, ProductError> {
-        let slots: Vec<usize> = events
-            .iter()
-            .map(|e| {
-                self.events
-                    .iter()
-                    .position(|x| x == e)
-                    .expect("event is a basic event of the tree")
-            })
-            .collect();
-        let n = self.states.len();
-        let m = self.events.len();
-        let in_failed: Vec<bool> = self
-            .states
-            .iter()
-            .map(|comp| slots.iter().all(|&i| self.comp_failed[i][comp[i] as usize]))
-            .collect();
+        let n = self.num_states();
+        let in_failed = self.events_failed(events);
 
         // States 0..n as-is; n..n+m are per-slot completion sinks.
-        let mut builder = CtmcBuilder::new(n + m);
+        let mut builder = CtmcBuilder::new(n + self.model.events.len());
         for (s, p) in self.chain.initial_distribution().iter().enumerate() {
             if *p > 0.0 {
                 builder.initial(s, *p);
             }
         }
-        for &(from, to, slot, rate) in &self.tagged_transitions {
-            if in_failed[from] {
-                continue; // absorbed
-            }
-            if in_failed[to] {
-                builder.rate(from, n + slot, rate);
-            } else {
-                builder.rate(from, to, rate);
-            }
+        let index = StateIndex::over(self.model.words, &self.states);
+        let mut scratch = Scratch::new(&self.model);
+        for from in (0..n).filter(|&s| !in_failed[s]) {
+            self.model.evaluate(self.key(from), &mut scratch);
+            self.model
+                .successors(self.key(from), &mut scratch, |slot, next, rate| {
+                    let to = index
+                        .probe(next, &self.states)
+                        .expect("successors of explored states were explored");
+                    if in_failed[to] {
+                        builder.rate(from, n + slot, rate);
+                    } else {
+                        builder.rate(from, to, rate);
+                    }
+                    Ok(())
+                })?;
         }
         let absorbed = builder.build()?;
         let pi = sdft_ctmc::transient_distribution(&absorbed, t, epsilon)?;
 
         let initial: f64 = (0..n).filter(|&s| in_failed[s]).map(|s| pi[s]).sum();
         let by_event: Vec<(NodeId, f64)> = self
+            .model
             .events
             .iter()
             .enumerate()
@@ -334,129 +346,225 @@ pub fn failure_probability(
     ProductChain::build(tree, options)?.failure_probability(t, sdft_ctmc::DEFAULT_EPSILON)
 }
 
-/// Reusable buffers for trigger-update evaluation: one scenario and one
-/// node-evaluation vector serve every state of an exploration.
-struct Scratch {
-    scenario: Scenario,
-    failed: Vec<bool>,
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
 }
 
-impl Scratch {
-    fn new(tree: &FaultTree) -> Self {
-        Scratch {
-            scenario: Scenario::new(tree),
-            failed: Vec::with_capacity(tree.len()),
-        }
+fn set_bit(words: &mut [u64], i: usize, value: bool) {
+    let mask = 1u64 << (i % 64);
+    if value {
+        words[i / 64] |= mask;
+    } else {
+        words[i / 64] &= !mask;
     }
 }
 
-struct Builder<'a> {
-    tree: &'a FaultTree,
-    components: Vec<Component>,
+/// A tree compiled for exploration. Product states are packed keys:
+/// each basic event (slot) owns a bit field wide enough for its
+/// component states. Fields fill each word from the most significant
+/// bit down, in slot order, so comparing keys word by word orders them
+/// like their component-state vectors.
+#[derive(Debug, Clone)]
+struct Model {
+    /// `u64` words per packed product state.
+    words: usize,
+    /// Slot order: the basic events of the tree, in id order.
+    events: Vec<NodeId>,
+    slots: Vec<Slot>,
+    /// The component states of every slot, slot after slot.
+    locals: Vec<Local>,
+    /// The component transitions `(target, rate)` of every local state.
+    moves: Vec<(u16, f64)>,
+    /// Each triggered event's slot and its triggering gate's bit.
+    triggered: Vec<(usize, usize)>,
+    program: Program,
 }
 
-impl<'a> Builder<'a> {
-    fn new(tree: &'a FaultTree) -> Self {
-        let components = tree
-            .basic_events()
-            .map(|event| match tree.behavior(event).expect("basic event") {
+/// One slot's bit field and component chain.
+#[derive(Debug, Clone)]
+struct Slot {
+    word: usize,
+    shift: u32,
+    mask: u64,
+    /// Index of component state 0 in [`Model::locals`].
+    base: usize,
+    /// Number of component states.
+    len: usize,
+    /// Whether the event lies in the cone of some triggering gate.
+    feeds_trigger: bool,
+}
+
+impl Slot {
+    fn get(&self, key: &[u64]) -> usize {
+        ((key[self.word] >> self.shift) & self.mask) as usize
+    }
+
+    fn set(&self, key: &mut [u64], state: usize) {
+        let word = &mut key[self.word];
+        *word = (*word & !(self.mask << self.shift)) | ((state as u64) << self.shift);
+    }
+}
+
+/// One component state of one slot.
+#[derive(Debug, Clone, Copy)]
+struct Local {
+    failed: bool,
+    initial: f64,
+    /// The mode of a triggered event's state; `None` for other events.
+    mode: Option<Mode>,
+    /// The state a mode switch enters: `on` of an off state, `off` of an
+    /// on state.
+    switch: u16,
+    /// This state's transitions: `Model::moves[moves.0..moves.1]`.
+    moves: (usize, usize),
+}
+
+impl Model {
+    fn new(tree: &FaultTree) -> Result<Model, ProductError> {
+        let mut slot_of = vec![usize::MAX; tree.len()];
+        let mut events = Vec::new();
+        let mut slots = Vec::new();
+        let mut locals = Vec::new();
+        let mut moves = Vec::new();
+        let (mut word, mut free) = (0, u64::BITS);
+        for (i, event) in tree.basic_events().enumerate() {
+            slot_of[event.index()] = i;
+            events.push(event);
+            let base = locals.len();
+            let (chain, triggered) = match tree.behavior(event).expect("basic event") {
                 Behavior::Static { probability } => {
-                    let mut b = CtmcBuilder::new(2);
-                    b.initial(0, 1.0 - probability)
-                        .initial(1, *probability)
-                        .failed(1);
-                    Component {
-                        event,
-                        chain: b.build().expect("static two-state chain is valid"),
-                        modes: None,
-                        trigger_gate: None,
+                    for (failed, initial) in [(false, 1.0 - probability), (true, *probability)] {
+                        locals.push(Local {
+                            failed,
+                            initial,
+                            mode: None,
+                            switch: 0,
+                            moves: (0, 0),
+                        });
+                    }
+                    (None, None)
+                }
+                Behavior::Dynamic(chain) => (Some(chain), None),
+                Behavior::Triggered(chain) => (Some(chain.chain()), Some(chain)),
+            };
+            if let Some(chain) = chain {
+                // Component states are packed into at most 16 bits; a
+                // larger chain would exceed any product budget anyway.
+                if chain.len() > usize::from(u16::MAX) {
+                    return Err(ProductError::TooManyStates {
+                        limit: usize::from(u16::MAX),
+                    });
+                }
+                for s in 0..chain.len() {
+                    let (mode, switch) = match triggered {
+                        Some(t) if t.mode(s) == Mode::Off => (Some(Mode::Off), t.on_of(s)),
+                        Some(t) => (Some(Mode::On), t.off_of(s)),
+                        None => (None, s),
+                    };
+                    let begin = moves.len();
+                    moves.extend(
+                        chain
+                            .transitions_from(s)
+                            .iter()
+                            .map(|&(to, rate)| (to as u16, rate)),
+                    );
+                    locals.push(Local {
+                        failed: chain.is_failed(s),
+                        initial: chain.initial_probability(s),
+                        mode,
+                        switch: switch as u16,
+                        moves: (begin, moves.len()),
+                    });
+                }
+            }
+            let len = locals.len() - base;
+            let width = (usize::BITS - (len - 1).leading_zeros()).max(1);
+            if width > free {
+                word += 1;
+                free = u64::BITS;
+            }
+            free -= width;
+            slots.push(Slot {
+                word,
+                shift: free,
+                mask: (1 << width) - 1,
+                base,
+                len,
+                feeds_trigger: false,
+            });
+        }
+        let (program, bit_of) = Program::compile(tree, &slot_of);
+        for op in &program.ops[..program.update_len] {
+            for term in &program.terms[op.terms.0..op.terms.1] {
+                if !term.on_gates {
+                    for slot in (0..64).filter(|b| term.mask >> b & 1 == 1) {
+                        slots[term.word * 64 + slot].feeds_trigger = true;
                     }
                 }
-                Behavior::Dynamic(chain) => Component {
-                    event,
-                    chain: chain.clone(),
-                    modes: None,
-                    trigger_gate: None,
-                },
-                Behavior::Triggered(chain) => {
-                    let n = chain.len();
-                    let mode: Vec<Mode> = (0..n).map(|s| chain.mode(s)).collect();
-                    let on_map = (0..n)
-                        .map(|s| {
-                            if mode[s] == Mode::Off {
-                                chain.on_of(s)
-                            } else {
-                                s
-                            }
-                        })
-                        .collect();
-                    let off_map = (0..n)
-                        .map(|s| {
-                            if mode[s] == Mode::On {
-                                chain.off_of(s)
-                            } else {
-                                s
-                            }
-                        })
-                        .collect();
-                    Component {
-                        event,
-                        chain: chain.chain().clone(),
-                        modes: Some(ComponentModes {
-                            mode,
-                            on_map,
-                            off_map,
-                        }),
-                        trigger_gate: tree.trigger_source(event),
-                    }
-                }
-            })
+            }
+        }
+        let triggered = events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &e)| tree.trigger_source(e).map(|g| (i, bit_of[g.index()])))
             .collect();
-        Builder { tree, components }
+        Ok(Model {
+            words: word + 1,
+            events,
+            slots,
+            locals,
+            moves,
+            triggered,
+            program,
+        })
     }
 
-    /// Whether component `i` is failed in component state `s`.
-    fn comp_failed(&self, i: usize, s: u16) -> bool {
-        self.components[i].chain.is_failed(s as usize)
+    fn local(&self, slot: &Slot, key: &[u64]) -> &Local {
+        &self.locals[slot.base + slot.get(key)]
     }
 
-    /// Fill `scenario` with the events failed in `state`. Reuses the
-    /// caller's scenario: exploration evaluates millions of states and
-    /// must not allocate per query.
-    fn scenario_into(&self, state: &[u16], scenario: &mut Scenario) {
-        scenario.clear();
-        for (i, &s) in state.iter().enumerate() {
-            if self.comp_failed(i, s) {
-                scenario.set(self.components[i].event, true);
+    /// Fill `failed` with the failed flags of `key`'s slots.
+    fn failed_into(&self, key: &[u64], failed: &mut [u64]) {
+        failed.fill(0);
+        for (i, slot) in self.slots.iter().enumerate() {
+            if self.local(slot, key).failed {
+                failed[i / 64] |= 1 << (i % 64);
             }
         }
     }
 
-    /// Apply trigger updates until the state is consistent (§III-C1b),
-    /// in place, reusing `scratch` across calls.
-    fn update(&self, state: &mut [u16], scratch: &mut Scratch) -> Result<(), ProductError> {
-        // Each pass applies every pending switch; acyclicity of the
-        // triggering structure bounds the number of passes by the number
-        // of triggered events (a switched component can enable at most a
-        // strictly "later" trigger in the acyclic order).
-        let limit = self.components.len() + 2;
-        for _ in 0..limit {
-            self.scenario_into(state, &mut scratch.scenario);
-            self.tree
-                .evaluate_scenario_into(&scratch.scenario, &mut scratch.failed);
+    /// Fill `scratch.failed` with `key`'s failed slots and return
+    /// whether the top gate fails in `key`.
+    fn evaluate(&self, key: &[u64], scratch: &mut Scratch) -> bool {
+        self.failed_into(key, &mut scratch.failed);
+        let program = &self.program;
+        program.eval(&scratch.failed, &mut scratch.gates, program.ops.len());
+        bit(&scratch.gates, program.top)
+    }
+
+    /// Apply trigger updates to `key` until it is consistent
+    /// (§III-C1b); `failed` holds `key`'s failed slots and follows the
+    /// switches. Every switch of a pass comes from one evaluation of the
+    /// triggering gates. Acyclicity of the triggering structure bounds
+    /// the number of passes by the number of triggered events (a switched
+    /// component can enable at most a strictly "later" trigger in the
+    /// acyclic order).
+    fn update(
+        &self,
+        key: &mut [u64],
+        failed: &mut [u64],
+        gates: &mut [u64],
+    ) -> Result<(), ProductError> {
+        for _ in 0..self.slots.len() + 2 {
+            self.program.eval(failed, gates, self.program.update_len);
             let mut changed = false;
-            for (i, comp) in self.components.iter().enumerate() {
-                let (Some(modes), Some(gate)) = (&comp.modes, comp.trigger_gate) else {
-                    continue;
-                };
-                let s = state[i] as usize;
-                if scratch.failed[gate.index()] {
-                    if modes.mode[s] == Mode::Off {
-                        state[i] = u16::try_from(modes.on_map[s]).expect("state fits u16");
-                        changed = true;
-                    }
-                } else if modes.mode[s] == Mode::On {
-                    state[i] = u16::try_from(modes.off_map[s]).expect("state fits u16");
+            for &(i, gate) in &self.triggered {
+                let slot = &self.slots[i];
+                let local = self.local(slot, key);
+                if bit(gates, gate) != (local.mode == Some(Mode::On)) {
+                    let to = usize::from(local.switch);
+                    slot.set(key, to);
+                    set_bit(failed, i, self.locals[slot.base + to].failed);
                     changed = true;
                 }
             }
@@ -467,30 +575,82 @@ impl<'a> Builder<'a> {
         Err(ProductError::UpdateDiverged)
     }
 
-    fn run(self, options: &ProductOptions) -> Result<ProductChain, ProductError> {
-        // Enumerate the support of the initial product distribution.
-        // Ordered map: its iteration order below seeds the state
-        // indexing, so it must not depend on per-instance hash seeds —
-        // state order decides float summation order throughout the
-        // transient analysis, and bitwise reproducibility across runs
-        // (and across the quantification cache's on/off paths) hangs on
-        // it.
-        let mut initial: BTreeMap<Vec<u16>, f64> = BTreeMap::new();
-        let mut partial: Vec<(Vec<u16>, f64)> = vec![(Vec::new(), 1.0)];
-        for comp in &self.components {
-            let mut next = Vec::new();
-            for (prefix, p) in &partial {
-                for s in 0..comp.chain.len() {
-                    let ps = comp.chain.initial_probability(s);
+    /// Visit every evolution step out of the consistent state `key`,
+    /// closed under trigger updates: the moving slot, the consistent
+    /// successor and the rate, in slot order and, per slot, in the order
+    /// of the component chain's row.
+    ///
+    /// A step skips the update when the moving component keeps its mode
+    /// and either keeps its failed flag or feeds no triggering gate: no
+    /// triggering gate can change value then, so every component still
+    /// agrees with its trigger and the update would stop after one pass.
+    ///
+    /// `scratch.failed` must hold `key`'s failed slots, as
+    /// [`Model::evaluate`] leaves them.
+    fn successors(
+        &self,
+        key: &[u64],
+        scratch: &mut Scratch,
+        mut visit: impl FnMut(usize, &[u64], f64) -> Result<(), ProductError>,
+    ) -> Result<(), ProductError> {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let from = self.local(slot, key);
+            for &(to, rate) in &self.moves[from.moves.0..from.moves.1] {
+                let to = usize::from(to);
+                let target = &self.locals[slot.base + to];
+                // Element loops rather than `copy_from_slice` and `==`
+                // here and in `StateIndex::probe`: keys are mostly one
+                // word, and a `memcpy` or `bcmp` call per step cost about
+                // a tenth of the build on BWR's models.
+                for (d, &w) in scratch.next.iter_mut().zip(key) {
+                    *d = w;
+                }
+                slot.set(&mut scratch.next, to);
+                let quiet = target.failed == from.failed || !slot.feeds_trigger;
+                if target.mode != from.mode || !quiet {
+                    for (d, &w) in scratch.next_failed.iter_mut().zip(&scratch.failed) {
+                        *d = w;
+                    }
+                    set_bit(&mut scratch.next_failed, i, target.failed);
+                    self.update(
+                        &mut scratch.next,
+                        &mut scratch.next_failed,
+                        &mut scratch.gates,
+                    )?;
+                }
+                visit(i, &scratch.next, rate)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Explore the consistent states reachable from the initial support
+    /// breadth-first, numbering them in discovery order and writing each
+    /// state's row as it is expanded.
+    fn explore(&self, options: &ProductOptions) -> Result<(Ctmc, Vec<u64>), ProductError> {
+        let words = self.words;
+        let mut scratch = Scratch::new(self);
+
+        // The support of the initial product distribution, enumerated
+        // slot by slot.
+        let mut keys = vec![0; words];
+        let mut probs = vec![1.0];
+        for slot in &self.slots {
+            let mut next_keys = Vec::new();
+            let mut next_probs = Vec::new();
+            for (prefix, &p) in keys.chunks_exact(words).zip(&probs) {
+                for s in 0..slot.len {
+                    let ps = self.locals[slot.base + s].initial;
                     if ps > 0.0 {
-                        let mut v = prefix.clone();
-                        v.push(u16::try_from(s).expect("state fits u16"));
-                        next.push((v, p * ps));
+                        let at = next_keys.len();
+                        next_keys.extend_from_slice(prefix);
+                        slot.set(&mut next_keys[at..], s);
+                        next_probs.push(p * ps);
                     }
                 }
             }
-            partial = next;
-            if partial.len() > options.max_states {
+            (keys, probs) = (next_keys, next_probs);
+            if probs.len() > options.max_states {
                 return Err(ProductError::TooManyStates {
                     limit: options.max_states,
                 });
@@ -498,94 +658,288 @@ impl<'a> Builder<'a> {
         }
         // Update each initial combination into its consistent state and
         // merge probabilities (the initial-distribution rule of §III-C1).
-        let mut scratch = Scratch::new(self.tree);
-        for (mut state, p) in partial {
-            self.update(&mut state, &mut scratch)?;
-            *initial.entry(state).or_insert(0.0) += p;
+        // The merged states are numbered in key order, which does not
+        // depend on hashing: state order decides float summation order
+        // throughout the transient analysis, so bitwise reproducibility
+        // hangs on it. The stable sort adds merged probabilities in
+        // enumeration order.
+        for key in keys.chunks_exact_mut(words) {
+            self.failed_into(key, &mut scratch.failed);
+            self.update(key, &mut scratch.failed, &mut scratch.gates)?;
+        }
+        let key_at = |i: usize| &keys[i * words..][..words];
+        let mut order: Vec<usize> = (0..probs.len()).collect();
+        order.sort_by(|&a, &b| key_at(a).cmp(key_at(b)));
+        let mut states = Vec::new();
+        let mut index = StateIndex::over(words, &states);
+        let mut initial: Vec<f64> = Vec::new();
+        for i in order {
+            let s = index.insert(key_at(i), &mut states, options.max_states)?;
+            if s == initial.len() {
+                initial.push(0.0);
+            }
+            initial[s] += probs[i];
         }
 
-        // Breadth-first exploration of consistent states.
-        let mut index: HashMap<Vec<u16>, usize> = HashMap::new();
-        let mut states: Vec<Vec<u16>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        let mut add_state = |s: &[u16],
-                             states: &mut Vec<Vec<u16>>,
-                             queue: &mut Vec<usize>|
-         -> Result<usize, ProductError> {
-            if let Some(&i) = index.get(s) {
-                return Ok(i);
-            }
-            if states.len() >= options.max_states {
-                return Err(ProductError::TooManyStates {
-                    limit: options.max_states,
-                });
-            }
-            let i = states.len();
-            index.insert(s.to_vec(), i);
-            states.push(s.to_vec());
-            queue.push(i);
-            Ok(i)
-        };
-
-        let mut init_list: Vec<(usize, f64)> = Vec::new();
-        for (state, p) in initial {
-            let i = add_state(&state, &mut states, &mut queue)?;
-            init_list.push((i, p));
+        // Breadth-first: state `from` is expanded when the rows of all
+        // earlier states are written, so rows come out in state order.
+        let mut rows = CtmcRows::new();
+        let mut failed = Vec::new();
+        let mut key = vec![0; words];
+        while rows.rows() < index.len {
+            let from = rows.rows();
+            key.copy_from_slice(&states[from * words..][..words]);
+            failed.push(self.evaluate(&key, &mut scratch));
+            self.successors(&key, &mut scratch, |_, next, rate| {
+                let to = index.insert(next, &mut states, options.max_states)?;
+                rows.rate(to, rate);
+                Ok(())
+            })?;
+            rows.end_row();
         }
+        initial.resize(index.len, 0.0);
+        Ok((rows.build(initial, failed)?, states))
+    }
+}
 
-        // The explored frontier reuses two state buffers; `add_state`
-        // copies only when it actually inserts a new product state.
-        let mut transitions: Vec<(usize, usize, usize, f64)> = Vec::new();
-        let mut current: Vec<u16> = Vec::new();
-        let mut evolved: Vec<u16> = Vec::new();
-        let mut head = 0;
-        while head < queue.len() {
-            let from = queue[head];
-            head += 1;
-            current.clear();
-            current.extend_from_slice(&states[from]);
-            for (i, comp) in self.components.iter().enumerate() {
-                for &(to_comp, rate) in comp.chain.transitions_from(current[i] as usize) {
-                    evolved.clear();
-                    evolved.extend_from_slice(&current);
-                    evolved[i] = u16::try_from(to_comp).expect("state fits u16");
-                    self.update(&mut evolved, &mut scratch)?;
-                    let to = add_state(&evolved, &mut states, &mut queue)?;
-                    transitions.push((from, to, i, rate));
+/// Reusable buffers of one exploration: the successor under
+/// construction, failed-slot bitsets and the gate values.
+struct Scratch {
+    next: Vec<u64>,
+    failed: Vec<u64>,
+    next_failed: Vec<u64>,
+    gates: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(model: &Model) -> Self {
+        let failed_words = model.slots.len().div_ceil(64).max(1);
+        Scratch {
+            next: vec![0; model.words],
+            failed: vec![0; failed_words],
+            next_failed: vec![0; failed_words],
+            gates: vec![0; model.program.ops.len().div_ceil(64).max(1)],
+        }
+    }
+}
+
+/// The gates a product build reads, compiled once into bit tests over a
+/// failed-slot bitset and a gate-value bitset. Gate `i` of `ops` writes
+/// gate bit `i`. The order is topological: first every gate in the cone
+/// of a triggering gate, in id order (all a trigger update needs), then
+/// the rest of the top gate's cone, in id order.
+#[derive(Debug, Clone)]
+struct Program {
+    ops: Vec<Op>,
+    terms: Vec<Term>,
+    /// `ops[..update_len]` decide every triggering gate.
+    update_len: usize,
+    /// The top gate's bit.
+    top: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: GateKind,
+    /// This gate's inputs: `Program::terms[terms.0..terms.1]`.
+    terms: (usize, usize),
+}
+
+/// The inputs of one gate that share a bitset word. An `AtLeast` gate
+/// keeps each repeated occurrence of an input in a further term, so the
+/// popcounts count it as often as it occurs.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    /// Whether `mask` selects gate bits rather than failed-slot bits.
+    on_gates: bool,
+    word: usize,
+    mask: u64,
+}
+
+impl Program {
+    /// Compile `tree`'s gates; also returns each compiled gate's bit,
+    /// indexed by node.
+    fn compile(tree: &FaultTree, slot_of: &[usize]) -> (Program, Vec<usize>) {
+        // 1: in the cone of a triggering gate; 2: only in the top's cone.
+        let mut phase = vec![0u8; tree.len()];
+        let mut mark = |root: NodeId, tag: u8| {
+            let mut stack = vec![root];
+            while let Some(gate) = stack.pop() {
+                if phase[gate.index()] == 0 {
+                    phase[gate.index()] = tag;
+                    stack.extend(tree.gate_inputs(gate).iter().filter(|&&i| tree.is_gate(i)));
                 }
             }
-        }
-
-        let mut b = CtmcBuilder::new(states.len());
-        for (i, p) in init_list {
-            b.initial(i, p);
-        }
-        for &(from, to, _, rate) in &transitions {
-            b.rate(from, to, rate);
-        }
-        let top = self.tree.top().index();
-        for (i, state) in states.iter().enumerate() {
-            self.scenario_into(state, &mut scratch.scenario);
-            self.tree
-                .evaluate_scenario_into(&scratch.scenario, &mut scratch.failed);
-            if scratch.failed[top] {
-                b.failed(i);
+        };
+        for gate in tree.gates() {
+            if !tree.triggers_of(gate).is_empty() {
+                mark(gate, 1);
             }
         }
-        let chain = b.build()?;
-        let events = self.components.iter().map(|c| c.event).collect();
-        let comp_failed = self
-            .components
-            .iter()
-            .map(|c| (0..c.chain.len()).map(|s| c.chain.is_failed(s)).collect())
+        mark(tree.top(), 2);
+        let phase = &phase;
+        let order: Vec<NodeId> = [1, 2]
+            .into_iter()
+            .flat_map(|tag| tree.gates().filter(move |g| phase[g.index()] == tag))
             .collect();
-        Ok(ProductChain {
-            chain,
-            states,
-            events,
-            comp_failed,
-            tagged_transitions: transitions,
-        })
+        let mut bit_of = vec![usize::MAX; tree.len()];
+        for (bit, gate) in order.iter().enumerate() {
+            bit_of[gate.index()] = bit;
+        }
+        let mut ops = Vec::with_capacity(order.len());
+        let mut terms: Vec<Term> = Vec::new();
+        for &gate in &order {
+            let kind = tree.gate_kind(gate).expect("gate");
+            let begin = terms.len();
+            for &input in tree.gate_inputs(gate) {
+                let (on_gates, index) = if tree.is_gate(input) {
+                    (true, bit_of[input.index()])
+                } else {
+                    (false, slot_of[input.index()])
+                };
+                let (word, mask) = (index / 64, 1u64 << (index % 64));
+                let here = &mut terms[begin..];
+                let same = |t: &Term| t.on_gates == on_gates && t.word == word;
+                let counts_repeats = matches!(kind, GateKind::AtLeast(_));
+                if !counts_repeats && here.iter().any(|t| same(t) && t.mask & mask != 0) {
+                    continue;
+                }
+                match here.iter_mut().find(|t| same(t) && t.mask & mask == 0) {
+                    Some(term) => term.mask |= mask,
+                    None => terms.push(Term {
+                        on_gates,
+                        word,
+                        mask,
+                    }),
+                }
+            }
+            ops.push(Op {
+                kind,
+                terms: (begin, terms.len()),
+            });
+        }
+        let program = Program {
+            update_len: phase.iter().filter(|&&p| p == 1).count(),
+            top: bit_of[tree.top().index()],
+            ops,
+            terms,
+        };
+        (program, bit_of)
+    }
+
+    /// Evaluate `ops[..len]` on the failed slots `failed` into `gates`.
+    fn eval(&self, failed: &[u64], gates: &mut [u64], len: usize) {
+        for (i, op) in self.ops[..len].iter().enumerate() {
+            let terms = &self.terms[op.terms.0..op.terms.1];
+            let hits = |t: &Term| {
+                let word = if t.on_gates {
+                    gates[t.word]
+                } else {
+                    failed[t.word]
+                };
+                word & t.mask
+            };
+            let value = match op.kind {
+                GateKind::And => terms.iter().all(|t| hits(t) == t.mask),
+                GateKind::Or => terms.iter().any(|t| hits(t) != 0),
+                GateKind::AtLeast(k) => {
+                    terms.iter().map(|t| hits(t).count_ones()).sum::<u32>() >= k
+                }
+            };
+            set_bit(gates, i, value);
+        }
+    }
+}
+
+/// An open-addressing index of packed product states: each slot holds a
+/// state number, and the keys themselves live only in the flat state
+/// store. Keys are hashed word by word with the Fx recipe (see
+/// [`sdft_ft::FxHasher`]: they derive from the tree under analysis, so
+/// collision resistance buys nothing); the hash's top bits pick the home
+/// slot and collisions probe linearly. The load stays at most one half.
+struct StateIndex {
+    words: usize,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+    /// Number of indexed states.
+    len: usize,
+}
+
+impl StateIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// An index of the distinct states in `states`.
+    fn over(words: usize, states: &[u64]) -> StateIndex {
+        let len = states.len() / words;
+        let capacity = (2 * len + 1).next_power_of_two().max(64);
+        let mut index = StateIndex {
+            words,
+            slots: vec![Self::EMPTY; capacity],
+            shift: u64::BITS - capacity.trailing_zeros(),
+            len,
+        };
+        for (i, key) in states.chunks_exact(words).enumerate() {
+            let mut at = index.home(key);
+            while index.slots[at] != Self::EMPTY {
+                at = (at + 1) & (capacity - 1);
+            }
+            index.slots[at] = i as u32;
+        }
+        index
+    }
+
+    fn home(&self, key: &[u64]) -> usize {
+        let mut hasher = FxHasher::default();
+        for &word in key {
+            hasher.write_u64(word);
+        }
+        (hasher.finish() >> self.shift) as usize
+    }
+
+    /// The state numbered by `key`, or the empty slot where it belongs.
+    fn probe(&self, key: &[u64], states: &[u64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        loop {
+            match self.slots[at] {
+                Self::EMPTY => return Err(at),
+                i if states[i as usize * self.words..][..self.words]
+                    .iter()
+                    .zip(key)
+                    .all(|(a, b)| a == b) =>
+                {
+                    return Ok(i as usize)
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The number of `key`, appending it to `states` as the next state if
+    /// it is new.
+    fn insert(
+        &mut self,
+        key: &[u64],
+        states: &mut Vec<u64>,
+        max_states: usize,
+    ) -> Result<usize, ProductError> {
+        let at = match self.probe(key, states) {
+            Ok(i) => return Ok(i),
+            Err(at) => at,
+        };
+        let limit = max_states.min(Self::EMPTY as usize);
+        if self.len >= limit {
+            return Err(ProductError::TooManyStates { limit });
+        }
+        let i = self.len;
+        self.slots[at] = i as u32;
+        states.extend_from_slice(key);
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            *self = StateIndex::over(self.words, states);
+        }
+        Ok(i)
     }
 }
 
@@ -770,6 +1124,27 @@ mod tests {
         let t = example3();
         let err = ProductChain::build(&t, &ProductOptions { max_states: 3 });
         assert!(matches!(err, Err(ProductError::TooManyStates { limit: 3 })));
+    }
+
+    /// `AtLeast` counts a repeated input once per occurrence, as
+    /// `evaluate_scenario_into` does: `atleast(2, [x, x])` fails with
+    /// `x` alone, so `x` failing triggers the spare.
+    #[test]
+    fn atleast_counts_repeated_inputs() {
+        let mut b = FaultTreeBuilder::new();
+        let x = b
+            .dynamic_event("x", erlang::repairable(1, 1e-2, 0.1).unwrap())
+            .unwrap();
+        let d = b
+            .triggered_event("d", erlang::spare(1e-2, 0.05).unwrap())
+            .unwrap();
+        let g = b.atleast("g", 2, [x, x]).unwrap();
+        let top = b.and("top", [g, d]).unwrap();
+        b.trigger(g, d).unwrap();
+        b.top(top);
+        let t = b.build().unwrap();
+        let p = failure_probability(&t, 100.0, &ProductOptions::default()).unwrap();
+        assert_eq!(p.to_bits(), 7.397379823667964e-2_f64.to_bits(), "{p}");
     }
 
     #[test]
