@@ -128,9 +128,6 @@ pub struct KernelStats {
     /// CSR entries streamed through the SpMV kernel (nonzeros × steps,
     /// summed over solves) — the numerator of kernel throughput.
     pub spmv_nonzeros: u64,
-    /// Solves that reused the workspace's memoized CSR (structurally
-    /// identical chain back-to-back) instead of rebuilding it.
-    pub csr_reuses: usize,
 }
 
 impl KernelStats {
@@ -141,7 +138,6 @@ impl KernelStats {
         self.steps_saved += other.steps_saved;
         self.steady_state_solves += other.steady_state_solves;
         self.spmv_nonzeros += other.spmv_nonzeros;
-        self.csr_reuses += other.csr_reuses;
     }
 }
 
@@ -493,7 +489,6 @@ mod tests {
                 steps_saved: 3,
                 steady_state_solves: 1,
                 spmv_nonzeros: 14,
-                csr_reuses: 0,
             },
             csr_build: Duration::from_nanos(200),
             spmv_time: Duration::from_nanos(900),

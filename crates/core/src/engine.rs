@@ -7,7 +7,7 @@ use crate::pipeline::{
 };
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
-use sdft_ctmc::WorkspacePool;
+use sdft_ctmc::SolverWorkspace;
 use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, FxBuild};
 use sdft_mocus::{CandidateSink, MocusError};
 use std::collections::{HashMap, VecDeque};
@@ -39,8 +39,6 @@ pub(crate) struct EngineOutput {
     pub(crate) gen_stats: GenerationStats,
     /// Peak candidates the filter buffered over all open epochs.
     pub(crate) peak_pending_cutsets: usize,
-    /// Peak models enqueued-or-quantifying downstream of the filter.
-    pub(crate) peak_inflight_models: usize,
     pub(crate) cache_stats: CacheStats,
     pub(crate) kernel_usage: KernelUsage,
     /// Wall-clock span of the generation stage, filter included.
@@ -188,20 +186,17 @@ struct QuantContext<'a> {
     ctx: &'a FtcContext,
     horizons: &'a [f64],
     qopts: &'a QuantifyOptions,
-    cache: Option<&'a QuantCache>,
+    cache: &'a QuantCache,
     probs_per_horizon: &'a [EventProbabilities],
     errors: &'a ErrorSlot,
 }
 
 /// Hands released minimal cutsets to the quantification channel in
-/// [`QUANT_BATCH`] chunks, mapping ids back to the original tree and
-/// keeping the inflight-model accounting.
+/// [`QUANT_BATCH`] chunks, mapping ids back to the original tree.
 struct Releaser<'a> {
     quant_tx: &'a Channel<Vec<Cutset>>,
     translated: &'a Translated,
     progress: &'a Progress,
-    inflight: &'a AtomicUsize,
-    peak_inflight: &'a AtomicUsize,
     /// When the first batch went to quantification.
     first_release: Option<Instant>,
 }
@@ -230,14 +225,7 @@ impl Releaser<'_> {
 
     fn send_batch(&mut self, batch: Vec<Cutset>) -> bool {
         self.first_release.get_or_insert_with(Instant::now);
-        let n = batch.len();
-        let now = self.inflight.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak_inflight.fetch_max(now, Ordering::Relaxed);
-        let sent = self.quant_tx.send(batch);
-        if !sent {
-            self.inflight.fetch_sub(n, Ordering::Relaxed);
-        }
-        sent
+        self.quant_tx.send(batch)
     }
 }
 
@@ -369,15 +357,14 @@ impl CandidateSink for FilterSink<'_> {
 }
 
 /// One quantification worker: drain cutsets, build and solve their
-/// models against all horizons, abort the whole pipeline on error.
+/// models against all horizons in the worker's own solver workspace,
+/// abort the whole pipeline on error.
 fn quant_stage(
     quant_rx: &Channel<Vec<Cutset>>,
     qctx: &QuantContext<'_>,
-    pool: &WorkspacePool,
     progress: &Progress,
-    inflight: &AtomicUsize,
 ) -> (Vec<Vec<CutsetReport>>, KernelUsage, Duration) {
-    let mut workspace = pool.acquire();
+    let mut workspace = SolverWorkspace::new();
     let mut local: Vec<Vec<CutsetReport>> = Vec::new();
     let mut usage = KernelUsage::default();
     let mut busy = Duration::ZERO;
@@ -394,7 +381,6 @@ fn quant_stage(
                 qctx.probs_per_horizon,
                 &mut workspace,
             );
-            inflight.fetch_sub(1, Ordering::Relaxed);
             match quantified {
                 Ok((reports, u)) => {
                     usage.absorb(u);
@@ -413,7 +399,6 @@ fn quant_stage(
         }
         busy += work_begin.elapsed();
     }
-    pool.release(workspace);
     (local, usage, busy)
 }
 
@@ -437,19 +422,10 @@ pub(crate) fn run(
     } else {
         options.threads
     };
-    let qopts = QuantifyOptions {
-        horizon: horizons[0],
-        epsilon: options.epsilon,
-        max_states: options.max_chain_states,
-        treatment: options.treatment,
-        steady_state_detection: options.steady_state_detection,
-    };
-    let cache = options.cache.then(QuantCache::new);
-    let pool = WorkspacePool::new();
+    let qopts = options.quantify_options(horizons[0]);
+    let cache = QuantCache::new();
     let quant_channel: Channel<Vec<Cutset>> = Channel::new(QUANT_CHANNEL_BATCHES);
     let progress = Progress::default();
-    let inflight = AtomicUsize::new(0);
-    let peak_inflight = AtomicUsize::new(0);
     let errors: ErrorSlot = Mutex::new(None);
     let monitor_done = (Mutex::new(false), Condvar::new());
     let qctx = QuantContext {
@@ -457,7 +433,7 @@ pub(crate) fn run(
         ctx,
         horizons,
         qopts: &qopts,
-        cache: cache.as_ref(),
+        cache: &cache,
         probs_per_horizon,
         errors: &errors,
     };
@@ -469,16 +445,14 @@ pub(crate) fn run(
                 .map(|i| {
                     std::thread::Builder::new()
                         .name(format!("sdft-quant-{i}"))
-                        .spawn_scoped(scope, || {
-                            quant_stage(&quant_channel, &qctx, &pool, &progress, &inflight)
-                        })
+                        .spawn_scoped(scope, || quant_stage(&quant_channel, &qctx, &progress))
                         .expect("spawn quant worker")
                 })
                 .collect();
             if let Some(interval) = options.progress {
                 let monitor_done = &monitor_done;
                 let progress = &progress;
-                let cache = cache.as_ref();
+                let cache = &cache;
                 scope.spawn(move || {
                     let (lock, condvar) = monitor_done;
                     let mut done = lock.lock().expect("monitor flag poisoned");
@@ -490,7 +464,7 @@ pub(crate) fn run(
                         if *done {
                             break;
                         }
-                        let stats = cache.map(QuantCache::stats).unwrap_or_default();
+                        let stats = cache.stats();
                         let consultations = stats.hits + stats.misses;
                         let rate = if consultations == 0 {
                             0.0
@@ -517,8 +491,6 @@ pub(crate) fn run(
                     quant_tx: &quant_channel,
                     translated,
                     progress: &progress,
-                    inflight: &inflight,
-                    peak_inflight: &peak_inflight,
                     first_release: None,
                 },
             };
@@ -611,8 +583,7 @@ pub(crate) fn run(
         per_horizon,
         gen_stats,
         peak_pending_cutsets: filter.peak_pending,
-        peak_inflight_models: peak_inflight.into_inner(),
-        cache_stats: cache.as_ref().map(QuantCache::stats).unwrap_or_default(),
+        cache_stats: cache.stats(),
         kernel_usage,
         generation_span,
         quantification_span,

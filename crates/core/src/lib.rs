@@ -80,10 +80,9 @@ pub use planner::{
     ModulePlanEntry, PlanReason, PlannerScore,
 };
 pub use quantify::{
-    quantify_cutset, quantify_model_many, quantify_model_many_with, CacheLookup,
-    CutsetQuantification, KernelUsage, QuantifyOptions,
+    quantify_cutset, quantify_model_many_with, CutsetQuantification, KernelUsage, QuantifyOptions,
 };
 pub use sdft_bdd::{BddError, ModularBddOptions, SiftSettings};
-pub use sdft_ctmc::{SolveStats, SolverOptions, SolverWorkspace, WorkspacePool};
+pub use sdft_ctmc::{SolveStats, SolverOptions, SolverWorkspace};
 pub use translate::{translate, Translated};
 pub use worstcase::{worst_case_probabilities, worst_case_probability};

@@ -45,10 +45,6 @@ pub struct AnalysisOptions {
     /// How much triggering logic the per-cutset models carry
     /// (see [`crate::TriggerTreatment`]).
     pub treatment: crate::TriggerTreatment,
-    /// Deduplicate structurally identical cutset models through a
-    /// [`QuantCache`], uniformizing each model equivalence class exactly
-    /// once (default `true`; results are bitwise-identical either way).
-    pub cache: bool,
     /// Let the uniformization kernel stop stepping once the DTMC
     /// iterates have converged and close the Poisson series with the
     /// remaining tail mass (default `true`; adds at most `epsilon` of
@@ -78,10 +74,24 @@ impl AnalysisOptions {
             threads: 0,
             max_chain_states: 2_000_000,
             treatment: crate::TriggerTreatment::Classified,
-            cache: true,
             steady_state_detection: true,
             streaming: true,
             progress: None,
+        }
+    }
+
+    /// The per-cutset quantification options these analysis options
+    /// imply at `horizon`: what the engine solves every cutset with, and
+    /// what an uncached [`crate::quantify_cutset`] needs to reproduce
+    /// its probabilities.
+    #[must_use]
+    pub fn quantify_options(&self, horizon: f64) -> QuantifyOptions {
+        QuantifyOptions {
+            horizon,
+            epsilon: self.epsilon,
+            max_states: self.max_chain_states,
+            treatment: self.treatment,
+            steady_state_detection: self.steady_state_detection,
         }
     }
 }
@@ -187,7 +197,7 @@ pub struct AnalysisStats {
     /// The largest per-cutset chain built.
     pub max_chain_states: usize,
     /// Distinct cutset-model equivalence classes consulted through the
-    /// quantification cache (0 when caching is off).
+    /// quantification cache.
     pub distinct_model_classes: usize,
     /// Cache consultations answered without uniformizing (deterministic
     /// for a fixed cutset list, regardless of thread scheduling).
@@ -208,9 +218,6 @@ pub struct AnalysisStats {
     /// CSR entries streamed through the SpMV kernel (nonzeros × steps,
     /// summed over solves; deterministic for a fixed cutset list).
     pub kernel_spmv_nonzeros: u64,
-    /// Solves that reused a workspace's memoized CSR instead of
-    /// rebuilding it (depends on which worker saw which model when).
-    pub kernel_csr_reuses: usize,
     /// Partial cutsets MOCUS processed.
     pub mocus_partials_processed: u64,
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
@@ -219,10 +226,6 @@ pub struct AnalysisStats {
     /// Peak candidates the subsumption filter buffered for open epochs
     /// (deterministic, like the filter's counters).
     pub peak_pending_cutsets: usize,
-    /// Peak cutset models enqueued-or-quantifying at once, bounded by
-    /// the engine's channel capacity plus the worker count
-    /// (scheduling-dependent).
-    pub peak_inflight_models: usize,
     /// Peak live partial cutsets inside MOCUS.
     pub mocus_peak_live_partials: u64,
     /// Approximate peak bytes held by live MOCUS partials.
@@ -292,17 +295,6 @@ impl AnalysisStats {
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-
-    /// The same statistics with the fields zeroed that depend on the
-    /// quantification schedule (`kernel_csr_reuses`,
-    /// `peak_inflight_models`). What remains is identical across thread
-    /// counts for the same analysis.
-    #[must_use]
-    pub fn deterministic(mut self) -> Self {
-        self.kernel_csr_reuses = 0;
-        self.peak_inflight_models = 0;
-        self
     }
 }
 
@@ -567,11 +559,9 @@ pub fn analyze_horizons(
             kernel_steps_saved: kernel_usage.stats.steps_saved,
             steady_state_solves: kernel_usage.stats.steady_state_solves,
             kernel_spmv_nonzeros: kernel_usage.stats.spmv_nonzeros,
-            kernel_csr_reuses: kernel_usage.stats.csr_reuses,
             mocus_partials_processed: mocus_stats.partials_processed,
             mocus_partials_pruned: mocus_stats.partials_pruned,
             peak_pending_cutsets: engine.peak_pending_cutsets,
-            peak_inflight_models: engine.peak_inflight_models,
             mocus_peak_live_partials: mocus_stats.peak_live_partials,
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
             filter_shard_stats: vec![engine.filter_stats],
@@ -638,7 +628,7 @@ fn bump(histogram: &mut Vec<usize>, index: usize) {
 }
 
 /// Quantify one cutset against every horizon: build its `FT_C` model
-/// once, solve it (through the cache when given), and expand into one
+/// once, solve it through the cache, and expand into one
 /// [`CutsetReport`] per horizon. Pure in the cutset — the reason the
 /// engine's reports are bitwise-identical for every schedule.
 #[allow(clippy::too_many_arguments)]
@@ -648,15 +638,21 @@ pub(crate) fn quantify_cutset_at_horizons(
     cutset: &Cutset,
     horizons: &[f64],
     qopts: &QuantifyOptions,
-    cache: Option<&QuantCache>,
+    cache: &QuantCache,
     probs_per_horizon: &[EventProbabilities],
     workspace: &mut SolverWorkspace,
 ) -> Result<(Vec<CutsetReport>, KernelUsage), CoreError> {
     let begin = Instant::now();
     let model = crate::ftc::build_ftc_with(tree, ctx, cutset, qopts.treatment)?;
     let build_share = begin.elapsed() / u32::try_from(horizons.len()).unwrap_or(1);
-    let (quantified, _, usage) =
-        crate::quantify::quantify_model_many_with(tree, &model, horizons, qopts, cache, workspace)?;
+    let (quantified, usage) = crate::quantify::quantify_model_many_with(
+        tree,
+        &model,
+        horizons,
+        qopts,
+        Some(cache),
+        workspace,
+    )?;
     let reports = quantified
         .into_iter()
         .zip(probs_per_horizon)
@@ -738,12 +734,9 @@ mod tests {
         opts.threads = 4;
         let parallel = analyze(&t, &opts).unwrap();
         assert!((sequential.frequency - parallel.frequency).abs() < 1e-18);
-        // Only the quantification schedule's own counters vary; the
-        // MOCUS peaks and the filter's counters match.
-        assert_eq!(
-            sequential.stats.clone().deterministic(),
-            parallel.stats.clone().deterministic()
-        );
+        // Every counter, the MOCUS peaks and the filter's included, is
+        // independent of the quantification schedule.
+        assert_eq!(sequential.stats, parallel.stats);
     }
 
     #[test]
@@ -963,34 +956,28 @@ mod cache_tests {
     }
 
     #[test]
-    fn disabling_the_cache_reports_no_classes() {
-        let mut opts = AnalysisOptions::new(24.0);
-        opts.cache = false;
-        let result = analyze(&replicated_lines(), &opts).unwrap();
-        assert_eq!(result.stats.distinct_model_classes, 0);
-        assert_eq!(result.stats.cache_hits + result.stats.cache_misses, 0);
-        assert_eq!(result.stats.cache_hit_rate(), 0.0);
-        assert_eq!(result.timings.quantification_saved, Duration::ZERO);
-    }
-
-    #[test]
     fn cached_and_uncached_probabilities_are_bitwise_identical() {
+        // Every probability the cached engine reports, at every horizon,
+        // equals an uncached quantification of that cutset alone in a
+        // fresh workspace.
+        let mut hits = 0;
         for tree in [replicated_lines(), example3()] {
-            let mut opts = AnalysisOptions::new(96.0);
+            let opts = AnalysisOptions::new(96.0);
             let cached = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-            opts.cache = false;
-            let uncached = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-            for (c, u) in cached.iter().zip(&uncached) {
-                assert_eq!(c.frequency.to_bits(), u.frequency.to_bits());
-                assert_eq!(c.static_rea.to_bits(), u.static_rea.to_bits());
-                assert_eq!(c.cutsets.len(), u.cutsets.len());
-                for (rc, ru) in c.cutsets.iter().zip(&u.cutsets) {
-                    assert_eq!(rc.cutset.events(), ru.cutset.events());
-                    assert_eq!(rc.probability.to_bits(), ru.probability.to_bits());
-                    assert_eq!(rc.chain_states, ru.chain_states);
+            hits += cached[0].stats.cache_hits;
+            let ctx = FtcContext::new(&tree).unwrap();
+            for result in &cached {
+                let qopts = opts.quantify_options(result.horizon);
+                for report in &result.cutsets {
+                    let alone =
+                        crate::quantify::quantify_cutset(&tree, &ctx, &report.cutset, &qopts)
+                            .unwrap();
+                    assert_eq!(report.probability.to_bits(), alone.probability.to_bits());
+                    assert_eq!(report.chain_states, alone.chain_states);
                 }
             }
         }
+        assert!(hits > 0, "no cutset was answered from the cache");
     }
 
     #[test]
@@ -1002,10 +989,7 @@ mod cache_tests {
         opts.threads = 4;
         let parallel = analyze(&t, &opts).unwrap();
         // Misses are one-per-class regardless of scheduling.
-        assert_eq!(
-            sequential.stats.clone().deterministic(),
-            parallel.stats.clone().deterministic()
-        );
+        assert_eq!(sequential.stats, parallel.stats);
         assert_eq!(sequential.frequency.to_bits(), parallel.frequency.to_bits());
     }
 }
@@ -1122,11 +1106,7 @@ mod streaming_tests {
                 );
                 assert_eq!(ra.chain_states, rb.chain_states, "{label}");
             }
-            assert_eq!(
-                a.stats.clone().deterministic(),
-                b.stats.clone().deterministic(),
-                "{label}"
-            );
+            assert_eq!(a.stats, b.stats, "{label}");
         }
     }
 
@@ -1176,7 +1156,6 @@ mod streaming_tests {
                 streamed.stats.peak_pending_cutsets,
                 streamed.stats.num_cutsets
             );
-            assert!(streamed.stats.peak_inflight_models > 0);
             peaks.push(streamed.stats.peak_pending_cutsets);
         }
         // The filter runs on the generator's thread, so its peak does

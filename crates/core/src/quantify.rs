@@ -84,29 +84,13 @@ pub fn quantify_cutset(
         });
     }
     let model = build_ftc_with(tree, ctx, cutset, options.treatment)?;
-    quantify_model(tree, &model, options)
-}
-
-/// Quantify a prebuilt cutset model (exposed so the analysis pipeline can
-/// reuse the model for reporting): [`quantify_model_many_with`] at
-/// `options.horizon`, uncached, with a fresh workspace.
-///
-/// # Errors
-///
-/// Same as [`quantify_cutset`].
-pub fn quantify_model(
-    tree: &FaultTree,
-    model: &CutsetModel,
-    options: &QuantifyOptions,
-) -> Result<CutsetQuantification, CoreError> {
-    let mut workspace = SolverWorkspace::new();
-    let (mut quantified, _, _) = quantify_model_many_with(
+    let (mut quantified, _) = quantify_model_many_with(
         tree,
-        model,
+        &model,
         &[options.horizon],
         options,
         None,
-        &mut workspace,
+        &mut SolverWorkspace::new(),
     )?;
     Ok(quantified.pop().expect("one horizon, one result"))
 }
@@ -145,7 +129,6 @@ fn solve_dynamics(
             steps_saved: stats.steps_saved() as u64,
             steady_state_solves: usize::from(stats.steady_state_step.is_some()),
             spmv_nonzeros: stats.spmv_nonzeros,
-            csr_reuses: usize::from(stats.csr_shared),
         },
         csr_build: stats.csr_build,
         spmv_time: stats.spmv_time,
@@ -168,37 +151,6 @@ fn attribute_cost(total: Duration, per_horizon_steps: &[usize]) -> Vec<Duration>
         .iter()
         .map(|&s| total.mul_f64(s as f64 / sum as f64))
         .collect()
-}
-
-/// Quantify a prebuilt cutset model at several horizons, building its
-/// product chain once and running a single shared uniformization pass
-/// (see [`sdft_ctmc::reach_probability_many`]). Results follow the order
-/// of `horizons`; `options.horizon` is ignored in favour of them.
-///
-/// # Errors
-///
-/// Same as [`quantify_cutset`], plus an error for an empty or invalid
-/// horizon list.
-pub fn quantify_model_many(
-    tree: &FaultTree,
-    model: &CutsetModel,
-    horizons: &[f64],
-    options: &QuantifyOptions,
-) -> Result<Vec<CutsetQuantification>, CoreError> {
-    let mut workspace = SolverWorkspace::new();
-    quantify_model_many_with(tree, model, horizons, options, None, &mut workspace)
-        .map(|(q, _, _)| q)
-}
-
-/// How a [`quantify_model_many_with`] call was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLookup {
-    /// No cache consulted (static model, short-circuit, or caching off).
-    Uncached,
-    /// The model's equivalence class was already solved.
-    Hit,
-    /// This call solved the model's equivalence class.
-    Miss,
 }
 
 /// Kernel work a [`quantify_model_many_with`] call actually performed:
@@ -227,20 +179,24 @@ impl KernelUsage {
     }
 }
 
-/// Like [`quantify_model_many`], consulting `cache` (when given) so that
-/// each model equivalence class is uniformized exactly once: the first
-/// cutset of a class solves it, every later cutset re-labels the shared
-/// dynamic factors with its own static factor `∏ p(a)`.
+/// Quantify a prebuilt cutset model at several horizons, building its
+/// product chain once and running a single shared uniformization pass
+/// (see [`sdft_ctmc::reach_probability_many`]). Results follow the order
+/// of `horizons`; `options.horizon` is ignored in favour of them.
 ///
-/// Cached and uncached paths produce bitwise-identical probabilities —
-/// equal [`crate::CanonicalModelKey`]s imply identical model trees, and
-/// product-chain construction plus uniformization are deterministic in
-/// them.
+/// With a `cache`, each model equivalence class is uniformized exactly
+/// once: the first cutset of a class solves it, every later cutset
+/// re-labels the shared dynamic factors with its own static factor
+/// `∏ p(a)`. Cached and uncached calls produce bitwise-identical
+/// probabilities — equal [`crate::CanonicalModelKey`]s imply identical
+/// model trees, and product-chain construction plus uniformization are
+/// deterministic in them.
 ///
 /// # Errors
 ///
-/// Same as [`quantify_model_many`]. Errors are cached per class too, so a
-/// failing class is attempted once and its error shared.
+/// Same as [`quantify_cutset`], plus an error for an empty or invalid
+/// horizon list. Errors are cached per class too, so a failing class is
+/// attempted once and its error shared.
 pub fn quantify_model_many_with(
     tree: &FaultTree,
     model: &CutsetModel,
@@ -248,7 +204,7 @@ pub fn quantify_model_many_with(
     options: &QuantifyOptions,
     cache: Option<&QuantCache>,
     workspace: &mut SolverWorkspace,
-) -> Result<(Vec<CutsetQuantification>, CacheLookup, KernelUsage), CoreError> {
+) -> Result<(Vec<CutsetQuantification>, KernelUsage), CoreError> {
     if horizons.is_empty() {
         return Err(crate::CoreError::InvalidHorizon { horizon: f64::NAN });
     }
@@ -271,18 +227,18 @@ pub fn quantify_model_many_with(
     let ftc = match &model.tree {
         None => {
             let reports = vec![make(1.0, 0, Duration::ZERO); horizons.len()];
-            return Ok((reports, CacheLookup::Uncached, KernelUsage::default()));
+            return Ok((reports, KernelUsage::default()));
         }
         Some(_) if static_factor == 0.0 => {
             // Conditioned out: a zero-probability static event means the
             // cutset cannot occur — skip chain construction entirely.
             let reports = vec![make(0.0, 0, Duration::ZERO); horizons.len()];
-            return Ok((reports, CacheLookup::Uncached, KernelUsage::default()));
+            return Ok((reports, KernelUsage::default()));
         }
         Some(ftc) => ftc,
     };
     let mut solve = || solve_dynamics(ftc, horizons, options, workspace);
-    let (solution, lookup) = match cache.zip(model.canonical_key.as_ref()) {
+    let (solution, hit) = match cache.zip(model.canonical_key.as_ref()) {
         Some((cache, stem)) => {
             let key = stem.with_quantification(
                 horizons,
@@ -297,21 +253,14 @@ pub fn quantify_model_many_with(
                 // only paid a lookup.
                 solution.per_horizon_cost = vec![Duration::ZERO; horizons.len()];
             }
-            (
-                solution,
-                if hit {
-                    CacheLookup::Hit
-                } else {
-                    CacheLookup::Miss
-                },
-            )
+            (solution, hit)
         }
-        None => (solve()?, CacheLookup::Uncached),
+        None => (solve()?, false),
     };
     // Kernel work is attributed to the call that solved the class; hits
     // only paid a lookup, so summed usage is one solve per class no
     // matter how work was scheduled.
-    let usage = if lookup == CacheLookup::Hit {
+    let usage = if hit {
         KernelUsage::default()
     } else {
         KernelUsage {
@@ -326,7 +275,7 @@ pub fn quantify_model_many_with(
         .zip(&solution.per_horizon_cost)
         .map(|(&factor, &cost)| make(factor, solution.chain_states, cost))
         .collect();
-    Ok((reports, lookup, usage))
+    Ok((reports, usage))
 }
 
 #[cfg(test)]

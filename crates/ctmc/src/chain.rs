@@ -190,40 +190,27 @@ impl Ctmc {
                 rate: factor,
             });
         }
-        // Zero rates are never stored.
-        Ok(self.filter_rows(|_, &(_, rate)| {
-            let rate = rate * factor;
-            (rate > 0.0).then_some(rate)
-        }))
-    }
-
-    /// A copy of this chain in which every failed state is absorbing
-    /// (all outgoing transitions of failed states removed).
-    #[must_use]
-    pub fn with_failed_absorbing(&self) -> Ctmc {
-        self.filter_rows(|from, &(_, rate)| (!self.failed[from]).then_some(rate))
-    }
-
-    /// A copy with each transition's rate replaced by `keep(from, entry)`,
-    /// or dropped where that is `None`.
-    fn filter_rows(&self, keep: impl Fn(usize, &(usize, f64)) -> Option<f64>) -> Ctmc {
         let mut row_offsets = Vec::with_capacity(self.row_offsets.len());
         let mut entries = Vec::with_capacity(self.entries.len());
         row_offsets.push(0);
         for from in 0..self.len() {
+            // Zero rates are never stored.
             entries.extend(
                 self.transitions_from(from)
                     .iter()
-                    .filter_map(|entry| keep(from, entry).map(|rate| (entry.0, rate))),
+                    .filter_map(|&(to, rate)| {
+                        let rate = rate * factor;
+                        (rate > 0.0).then_some((to, rate))
+                    }),
             );
             row_offsets.push(entries.len());
         }
-        Ctmc::from_parts(
+        Ok(Ctmc::from_parts(
             row_offsets,
             entries,
             self.initial.clone(),
             self.failed.clone(),
-        )
+        ))
     }
 }
 
@@ -661,21 +648,11 @@ mod tests {
     }
 
     #[test]
-    fn absorbing_transform_removes_failed_exits() {
-        let c = two_state().with_failed_absorbing();
-        assert_eq!(c.transitions_from(1), &[]);
-        assert_eq!(c.transitions_from(0), &[(1, 1e-3)]);
-    }
-
-    #[test]
     fn cached_rates_follow_transforms() {
         let c = two_state();
         let scaled = c.with_scaled_rates(2.0).unwrap();
         assert!((scaled.exit_rate(0) - 2e-3).abs() < 1e-15);
         assert!((scaled.max_exit_rate() - 0.1).abs() < 1e-15);
-        let absorbed = c.with_failed_absorbing();
-        assert_eq!(absorbed.exit_rate(1), 0.0);
-        assert!((absorbed.max_exit_rate() - 1e-3).abs() < 1e-18);
         let zeroed = c.with_scaled_rates(0.0).unwrap();
         assert_eq!(zeroed.max_exit_rate(), 0.0);
         assert_eq!(zeroed.exit_rate(1), 0.0);

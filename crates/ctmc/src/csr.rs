@@ -6,8 +6,8 @@
 //! column indices and the jump probabilities `r/Λ` — so the inner
 //! matrix–vector loop does no division and no nested-`Vec` pointer
 //! chasing. Absorption of failed states is applied *while building the
-//! CSR* (failed rows are simply left empty), which removes the full-chain
-//! clone the old `with_failed_absorbing` path paid per solve.
+//! CSR* (failed rows are simply left empty), so no absorbing copy of the
+//! chain is ever made.
 //!
 //! # Exact compatibility
 //!
@@ -56,21 +56,16 @@
 //! window; `Λ` is *not* padded, precisely so that the detection-off
 //! results stay bitwise-identical to the old solver.
 //!
-//! # CSR reuse across solves
+//! # Workspaces
 //!
-//! A workspace remembers which chain its CSR buffers were built from
-//! (the chain's exact [`crate::ChainSignature`] plus the absorbing
-//! flag). When the next solve presents a structurally identical chain —
-//! common when near-duplicate cutset models stream through a shared
-//! [`crate::WorkspacePool`] in one epoch — the build is skipped and the
-//! buffers reused as-is. Equal signatures mean identical transition
-//! systems, so the reused CSR is bitwise the one a fresh build would
-//! produce.
+//! A [`SolverWorkspace`] keeps its buffers' capacity from one solve to
+//! the next, but every solve rebuilds the CSR from the chain it is
+//! handed: callers that meet the same chain twice deduplicate above this
+//! layer, by the cutset model's canonical key.
 
 use crate::chain::Ctmc;
 use crate::error::CtmcError;
 use crate::poisson::PoissonWeights;
-use crate::signature::ChainSignature;
 use std::time::{Duration, Instant};
 
 /// The raw SpMV entry point, public so the property suite can pin the
@@ -165,12 +160,9 @@ pub struct SolveStats {
     /// The first step at which steady-state detection closed a horizon,
     /// if it closed any.
     pub steady_state_step: Option<usize>,
-    /// Wall-clock spent obtaining the CSR form (building it, or proving
-    /// through the chain signature that the workspace already holds it).
+    /// Wall-clock spent building the CSR form (copying the kept rows and
+    /// dividing their rates by `Λ`).
     pub csr_build: Duration,
-    /// Whether the CSR was reused from the workspace's previous solve
-    /// instead of rebuilt (see the module docs).
-    pub csr_shared: bool,
     /// CSR entries the stepping loop streamed: `nonzeros × steps_taken`.
     /// Deterministic for a fixed chain and horizon set; divide by
     /// [`SolveStats::spmv_time`] for the kernel's sustained throughput.
@@ -195,9 +187,8 @@ impl SolveStats {
 /// Reusable buffers for the uniformization kernel: the CSR scratch and
 /// the current/next/result vectors. One workspace per worker thread
 /// amortizes all solver allocations across an analysis run — each solve
-/// only grows the buffers on the largest chain seen so far, and the CSR
-/// buffers carry their owning chain's signature so a structurally
-/// identical follow-up solve skips the rebuild entirely.
+/// refills the buffers and only grows them on the largest chain seen so
+/// far.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     row_offsets: Vec<u32>,
@@ -206,11 +197,6 @@ pub struct SolverWorkspace {
     current: Vec<f64>,
     next: Vec<f64>,
     results: Vec<Vec<f64>>,
-    /// Identity of the CSR currently in the buffers: the chain's exact
-    /// structural signature and whether failed rows were absorbed.
-    csr_key: Option<(ChainSignature, bool)>,
-    /// The uniformization constant of the memoized CSR.
-    csr_rate: f64,
 }
 
 impl SolverWorkspace {
@@ -273,8 +259,8 @@ pub fn transient_distribution_many_with(
 /// Build the uniformized DTMC in CSR form inside the workspace and
 /// return the uniformization constant `Λ`. With `absorbing`, failed
 /// states get empty rows (all their mass stays put) and `Λ` is the
-/// maximum exit rate over the *non-failed* states — exactly the rate the
-/// old `with_failed_absorbing` copy exposed.
+/// maximum exit rate over the *non-failed* states — the rate of the chain
+/// with every failed state made absorbing.
 fn build_csr(chain: &Ctmc, absorbing: bool, ws: &mut SolverWorkspace) -> f64 {
     let n = chain.len();
     ws.row_offsets.clear();
@@ -316,10 +302,9 @@ fn prepare_results(ws: &mut SolverWorkspace, count: usize, n: usize) {
     }
 }
 
-/// The shared kernel: validate, obtain the CSR (rebuilding only when the
-/// workspace's memoized CSR belongs to a different chain), run the
-/// Poisson-weighted iteration with per-horizon steady-state closing, and
-/// leave the per-horizon distributions in `ws.results[..horizons.len()]`.
+/// The shared kernel: validate, build the CSR, run the Poisson-weighted
+/// iteration with per-horizon steady-state closing, and leave the
+/// per-horizon distributions in `ws.results[..horizons.len()]`.
 fn solve(
     chain: &Ctmc,
     horizons: &[f64],
@@ -342,19 +327,7 @@ fn solve(
 
     let n = chain.len();
     let build_begin = Instant::now();
-    let signature = chain.structural_signature();
-    let csr_shared = ws
-        .csr_key
-        .as_ref()
-        .is_some_and(|(held, held_absorbing)| *held_absorbing == absorbing && *held == signature);
-    let rate = if csr_shared {
-        ws.csr_rate
-    } else {
-        let rate = build_csr(chain, absorbing, ws);
-        ws.csr_key = Some((signature, absorbing));
-        ws.csr_rate = rate;
-        rate
-    };
+    let rate = build_csr(chain, absorbing, ws);
     let csr_build = build_begin.elapsed();
     prepare_results(ws, horizons.len(), n);
 
@@ -369,7 +342,6 @@ fn solve(
             steps_budget: 0,
             steady_state_step: None,
             csr_build,
-            csr_shared,
             spmv_nonzeros: 0,
             spmv_time: Duration::ZERO,
             per_horizon_steps: vec![1; horizons.len()],
@@ -472,7 +444,6 @@ fn solve(
         steps_budget: max_right,
         steady_state_step,
         csr_build,
-        csr_shared,
         spmv_nonzeros: nonzeros as u64 * steps_taken as u64,
         spmv_time,
         per_horizon_steps: weights.iter().map(|w| w.right() + 1).collect(),
@@ -627,43 +598,32 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuses_the_csr_for_an_identical_chain() {
-        let a = birth_death(120.0, 80.0);
-        let b = birth_death(120.0, 80.0);
-        let other = birth_death(60.0, 80.0);
-        let mut ws = SolverWorkspace::new();
-        let (_, first) = reach_probability_many_with(&a, &[50.0], 1e-10, &SSD_ON, &mut ws).unwrap();
-        assert!(!first.csr_shared);
-        let (p_fresh, again) =
-            reach_probability_many_with(&b, &[50.0], 1e-10, &SSD_ON, &mut ws).unwrap();
-        assert!(again.csr_shared, "identical chain must reuse the CSR");
-        let (_, rebuilt) =
-            reach_probability_many_with(&other, &[50.0], 1e-10, &SSD_ON, &mut ws).unwrap();
-        assert!(!rebuilt.csr_shared, "different chain must rebuild");
-        // Reuse is bitwise-invisible.
-        let mut cold = SolverWorkspace::new();
-        let (p_cold, _) =
-            reach_probability_many_with(&b, &[50.0], 1e-10, &SSD_ON, &mut cold).unwrap();
-        assert_eq!(p_fresh[0].to_bits(), p_cold[0].to_bits());
-    }
-
-    #[test]
     fn workspace_is_reusable_across_different_chains() {
         let big = birth_death(120.0, 80.0);
         let mut b = CtmcBuilder::new(4);
         b.initial(0, 1.0);
         b.rate(0, 1, 0.2).rate(1, 2, 0.4).rate(2, 3, 0.1);
         let small = b.failed(3).build().unwrap();
+        // What the warm workspace still holds from the other chain must
+        // not move a single bit.
+        let cold = |chain: &Ctmc, t: f64, eps: f64| {
+            let mut fresh = SolverWorkspace::new();
+            reach_probability_many_with(chain, &[t], eps, &SSD_ON, &mut fresh)
+                .unwrap()
+                .0[0]
+        };
         let mut ws = SolverWorkspace::new();
         for _ in 0..3 {
             let (p_big, s_big) =
                 reach_probability_many_with(&big, &[50.0], 1e-10, &SSD_ON, &mut ws).unwrap();
             assert!((p_big[0] - 1.0).abs() < 1e-9);
+            assert_eq!(p_big[0].to_bits(), cold(&big, 50.0, 1e-10).to_bits());
             assert_eq!(s_big.states, 2);
             let (p_small, s_small) =
                 reach_probability_many_with(&small, &[24.0], 1e-12, &SSD_ON, &mut ws).unwrap();
             assert_eq!(s_small.states, 4);
             assert_eq!(s_small.nonzeros, 3);
+            assert_eq!(p_small[0].to_bits(), cold(&small, 24.0, 1e-12).to_bits());
             let dense = crate::reference::reach_probability_many(&small, &[24.0], 1e-12).unwrap();
             assert!((p_small[0] - dense[0]).abs() < 1e-12);
         }

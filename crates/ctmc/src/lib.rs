@@ -39,7 +39,6 @@ pub mod erlang;
 mod error;
 mod mttf;
 mod poisson;
-mod pool;
 mod signature;
 mod stationary;
 mod transient;
@@ -56,7 +55,6 @@ pub use csr::{
 };
 pub use error::CtmcError;
 pub use poisson::PoissonWeights;
-pub use pool::WorkspacePool;
 pub use signature::ChainSignature;
 pub use stationary::{limiting_distribution, StationaryOptions};
 pub use transient::{

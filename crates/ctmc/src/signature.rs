@@ -85,7 +85,7 @@ impl Ctmc {
     pub fn structural_signature(&self) -> ChainSignature {
         // Tag and length, 17 bytes per state (row length, initial
         // probability, failed flag) and 16 per transition: sized once,
-        // because the solver encodes every chain it is handed.
+        // so the encoding never regrows its buffer.
         let mut w =
             SignatureWriter::with_capacity(9 + 17 * self.len() + 16 * self.transition_count());
         w.tag(b'C');

@@ -9,7 +9,7 @@ mod reference;
 use proptest::prelude::*;
 use sdft_ctmc::{
     kernel, reach_probability_many_with, transient_distribution_many_with, Ctmc, CtmcBuilder,
-    CtmcError, PoissonWeights, SolverOptions, SolverWorkspace,
+    CtmcError, CtmcRows, PoissonWeights, SolverOptions, SolverWorkspace,
 };
 
 /// A compact description of a random chain: transitions reference

@@ -3,10 +3,10 @@
 //! the scalar CSR SpMV loop that the blocked kernel must match bit for
 //! bit. Shared by the crate's unit tests (a `#[path]` module in
 //! `lib.rs`) and by the integration tests in this directory; the
-//! including module brings `Ctmc`, `CtmcError` and `PoissonWeights` into
-//! scope.
+//! including module brings `Ctmc`, `CtmcError`, `CtmcRows` and
+//! `PoissonWeights` into scope.
 
-use super::{Ctmc, CtmcError, PoissonWeights};
+use super::{Ctmc, CtmcError, CtmcRows, PoissonWeights};
 
 /// One DTMC step `next = current · P` over the CSR form — the scalar
 /// reference loop. The diagonal is the per-row residual (clamped at
@@ -101,13 +101,13 @@ pub fn transient_distribution_many(
 }
 
 /// Dense-loop multi-horizon reach probabilities (the original
-/// implementation, including the `with_failed_absorbing` clone).
+/// implementation, including its absorbing copy of the chain).
 pub fn reach_probability_many(
     chain: &Ctmc,
     horizons: &[f64],
     epsilon: f64,
 ) -> Result<Vec<f64>, CtmcError> {
-    let absorbed = chain.with_failed_absorbing();
+    let absorbed = failed_absorbing(chain)?;
     let distributions = transient_distribution_many(&absorbed, horizons, epsilon)?;
     Ok(distributions
         .into_iter()
@@ -119,4 +119,21 @@ pub fn reach_probability_many(
                 .clamp(0.0, 1.0)
         })
         .collect())
+}
+
+/// A copy of `chain` in which every failed state is absorbing (all
+/// outgoing transitions of failed states removed).
+fn failed_absorbing(chain: &Ctmc) -> Result<Ctmc, CtmcError> {
+    let mut rows = CtmcRows::new();
+    let mut failed = Vec::with_capacity(chain.len());
+    for s in 0..chain.len() {
+        failed.push(chain.is_failed(s));
+        if !chain.is_failed(s) {
+            for &(to, rate) in chain.transitions_from(s) {
+                rows.rate(to, rate);
+            }
+        }
+        rows.end_row();
+    }
+    rows.build(chain.initial_distribution().to_vec(), failed)
 }

@@ -26,8 +26,8 @@ use crate::reference::failure_probability;
 use crate::spec::TreeSpec;
 use sdft_bdd::Bdd;
 use sdft_core::{
-    analyze, translate, worst_case_probabilities, AnalysisOptions, AnalysisResult, Backend,
-    BackendChoice, CoreError,
+    analyze, quantify_cutset, translate, worst_case_probabilities, AnalysisOptions, AnalysisResult,
+    Backend, BackendChoice, CoreError, FtcContext,
 };
 use sdft_ft::{Behavior, Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
@@ -60,8 +60,9 @@ pub struct CheckConfig {
     pub sim_seed: u64,
     /// Run the metamorphic suite.
     pub metamorphic: bool,
-    /// Re-run the base analysis with the quantification cache disabled
-    /// and require bitwise-identical results.
+    /// Re-quantify every cutset of the base analysis alone, without the
+    /// quantification cache and in a fresh solver workspace, and require
+    /// bitwise-identical probabilities.
     pub check_cache_consistency: bool,
     /// Re-run the base analysis with another worker count (1 ↔ 4) and
     /// require bitwise-identical frequencies and identical cutset lists,
@@ -201,6 +202,44 @@ pub fn analysis_options(cfg: &CheckConfig) -> AnalysisOptions {
     // actually exercise the reordering machinery when sifting is on.
     opts.bdd.sift.trigger = 8;
     opts
+}
+
+/// The first cutset whose cached probability differs from quantifying it
+/// alone with [`quantify_cutset`] (uncached, fresh workspace), or whose
+/// uncached quantification fails; `None` when every cutset agrees bit
+/// for bit.
+fn uncached_mismatch(
+    tree: &FaultTree,
+    opts: &AnalysisOptions,
+    base: &AnalysisResult,
+) -> Option<String> {
+    let ctx = match FtcContext::new(tree) {
+        Ok(ctx) => ctx,
+        Err(e) => return Some(format!("FT_C context failed: {e}")),
+    };
+    let qopts = opts.quantify_options(opts.horizon);
+    base.cutsets.iter().find_map(|report| {
+        let alone = quantify_cutset(tree, &ctx, &report.cutset, &qopts);
+        if alone.as_ref().is_ok_and(|q| {
+            q.probability.to_bits() == report.probability.to_bits()
+                && q.chain_states == report.chain_states
+        }) {
+            return None;
+        }
+        let names: Vec<&str> = report
+            .cutset
+            .events()
+            .iter()
+            .map(|&e| tree.name(e))
+            .collect();
+        Some(match alone {
+            Ok(q) => format!(
+                "cutset {names:?}: cached {} ({} states), alone {} ({} states)",
+                report.probability, report.chain_states, q.probability, q.chain_states
+            ),
+            Err(e) => format!("cutset {names:?}: uncached quantification failed: {e}"),
+        })
+    })
 }
 
 /// Upper bound on the product chain's state count: the product of the
@@ -355,21 +394,9 @@ pub(crate) fn check_tree_into(
     );
 
     if cfg.check_cache_consistency {
-        let mut nocache = opts;
-        nocache.cache = false;
-        match analyze(tree, &nocache) {
-            Ok(second) => out.check(
-                second.frequency.to_bits() == base.frequency.to_bits()
-                    && second.static_rea.to_bits() == base.static_rea.to_bits(),
-                "cache_bitwise",
-                || {
-                    format!(
-                        "cache on: freq {} rea {}; cache off: freq {} rea {}",
-                        base.frequency, base.static_rea, second.frequency, second.static_rea
-                    )
-                },
-            ),
-            Err(e) => out.fail("cache_bitwise", format!("cache-off analysis failed: {e}")),
+        match uncached_mismatch(tree, &opts, &base) {
+            None => out.pass(),
+            Some(details) => out.fail("cache_bitwise", details),
         }
     }
 

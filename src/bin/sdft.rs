@@ -39,7 +39,7 @@ struct Args {
     max_nodes: Option<usize>,
     fast: bool,
     steady_state: bool,
-    progress: Option<f64>,
+    progress: Option<std::time::Duration>,
     csv: Option<String>,
 }
 
@@ -147,10 +147,13 @@ fn main() -> ExitCode {
                 args.steady_state = false;
                 Some(())
             }
+            // Seconds too large for a `Duration` are a usage error, not
+            // a panic; so are zero and values that round to it.
             "--progress" => value("--progress")
                 .and_then(|v| v.parse().ok())
-                .filter(|&v: &f64| v.is_finite() && v > 0.0)
-                .map(|v| args.progress = Some(v)),
+                .and_then(|v: f64| std::time::Duration::try_from_secs_f64(v).ok())
+                .filter(|interval| !interval.is_zero())
+                .map(|interval| args.progress = Some(interval)),
             other => {
                 eprintln!("unknown flag {other:?}");
                 None
@@ -254,7 +257,7 @@ fn analysis_options(args: &Args) -> AnalysisOptions {
         options.treatment = TriggerTreatment::CutsetOnly;
     }
     options.steady_state_detection = args.steady_state;
-    options.progress = args.progress.map(std::time::Duration::from_secs_f64);
+    options.progress = args.progress;
     if let Some(enabled) = args.sift {
         options.bdd.sift.enabled = enabled;
     }
@@ -323,13 +326,12 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
     );
     println!(
         "kernel: {} solves, {} DTMC steps ({} saved by steady-state detection \
-         in {} solves), CSR build {:?} ({} reused)",
+         in {} solves), CSR build {:?}",
         result.stats.kernel_solves,
         result.stats.kernel_steps,
         result.stats.kernel_steps_saved,
         result.stats.steady_state_solves,
         result.timings.csr_build,
-        result.stats.kernel_csr_reuses,
     );
     let spmv_seconds = result.timings.spmv.as_secs_f64();
     let spmv_rate = if spmv_seconds > 0.0 {
@@ -346,11 +348,10 @@ fn cmd_analyze(tree: &FaultTree, args: &Args) -> CliResult {
         result.stats.mocus_partials_processed, result.stats.mocus_partials_pruned,
     );
     println!(
-        "memory peaks: {} partials ({} B), {} pending cutsets, {} in-flight models",
+        "memory peaks: {} partials ({} B), {} pending cutsets",
         result.stats.mocus_peak_live_partials,
         result.stats.mocus_peak_partial_bytes,
         result.stats.peak_pending_cutsets,
-        result.stats.peak_inflight_models,
     );
     println!(
         "times: worst-case {:?}, translation {:?}, MCS {:?}, quantification {:?}, \

@@ -149,6 +149,12 @@ fn bad_input_fails_cleanly() {
         assert!(!ok);
         assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
     }
+
+    // A progress interval too long for a `Duration` is a usage error.
+    let (_, stderr, ok) = run(&["analyze", file.path(), "--progress", "1e20"]);
+    assert!(!ok);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
 }
 
 #[test]
