@@ -1,9 +1,10 @@
 //! Cutset-generation backends for the analysis engine.
 //!
-//! The engine ([`crate::analyze_horizons`]) is generic over *how* the
-//! minimal cutsets of the translated static tree `FT̄` come to exist.
-//! The paper's MOCUS traversal (with its probabilistic cutoff) is the
-//! default; the modular-BDD composition trades generation time for
+//! The engine ([`crate::analyze_horizons`]) takes *how* the minimal
+//! cutsets of the translated static tree `FT̄` come to exist as one
+//! generation step. The paper's MOCUS traversal (with its probabilistic
+//! cutoff) is the default; the modular-BDD composition trades generation
+//! time for
 //! **exactness**: it also computes the exact top-event probability of
 //! `FT̄` — no cutoff, no rare-event approximation — as a by-product of
 //! building one ROBDD per independent module. `--backend bdd` and
@@ -23,9 +24,7 @@ use sdft_bdd::{
     BddError, CutsetLimits, ModularBdd, ModularBddBuilder, ModularBddOptions, ModularBddStats,
 };
 use sdft_ft::{module_profiles, Cutset, EventProbabilities, FaultTree, FxBuild, NodeId};
-use sdft_mocus::{
-    module_cutsets, stream_minimal_cutsets, CandidateSink, MocusError, MocusOptions, MocusStats,
-};
+use sdft_mocus::{module_cutsets, CandidateSink, MocusOptions, MocusStats};
 use std::collections::HashMap;
 
 /// Which cutset-generation backend drives the analysis.
@@ -97,8 +96,7 @@ pub(crate) struct BddGenStats {
 /// What a generation run reports alongside the cutsets. The MOCUS
 /// fields count the module-scoped enumerations under the BDD-based
 /// backends; every populated field is schedule-independent within its
-/// backend except where [`crate::AnalysisStats::deterministic`] says
-/// otherwise.
+/// backend.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GenerationStats {
     pub(crate) mocus: MocusStats,
@@ -110,48 +108,6 @@ pub(crate) struct GenerationStats {
 pub(crate) enum GenError {
     Aborted,
     Failed(CoreError),
-}
-
-/// A source of minimal cutsets of a static fault tree.
-///
-/// `exact_probe` is a list of probability assignments over the tree's
-/// basic events; backends that can answer exactly (BDD) evaluate the
-/// exact top-event probability under each and report it through
-/// [`GenerationStats`]. MOCUS ignores it.
-pub(crate) trait CutsetBackend {
-    /// Stream the minimal cutsets into `sink` under the epoch/watermark
-    /// contract of [`CandidateSink`].
-    fn generate(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        exact_probe: &[EventProbabilities],
-        sink: &mut dyn CandidateSink,
-    ) -> Result<GenerationStats, GenError>;
-}
-
-/// The default backend: the paper's MOCUS traversal.
-pub(crate) struct MocusBackend {
-    pub(crate) options: MocusOptions,
-}
-
-impl CutsetBackend for MocusBackend {
-    fn generate(
-        &self,
-        tree: &FaultTree,
-        probs: &EventProbabilities,
-        _exact_probe: &[EventProbabilities],
-        sink: &mut dyn CandidateSink,
-    ) -> Result<GenerationStats, GenError> {
-        match stream_minimal_cutsets(tree, probs, &self.options, sink) {
-            Ok(stats) => Ok(GenerationStats {
-                mocus: stats,
-                bdd: None,
-            }),
-            Err(MocusError::Aborted) => Err(GenError::Aborted),
-            Err(error) => Err(GenError::Failed(error.into())),
-        }
-    }
 }
 
 /// Cutsets per delivery batch of the composition's enumeration.
@@ -186,15 +142,14 @@ fn keeps(options: &MocusOptions, cutset: &Cutset, probs: &EventProbabilities) ->
     true
 }
 
-/// Drain a built composition into `sink` under the epoch/watermark
-/// contract, cutset by cutset.
+/// Drain a built composition into `sink`, cutset by cutset, with a
+/// watermark after every batch.
 ///
 /// Minimality is established inside the composition — every nested
 /// module is fully solved before the top module's solutions are
-/// expanded — so each enumerated batch is already an antichain and forms
-/// its own immediately-complete epoch: batch completion is the
-/// whole-module watermark, and the downstream minimizer's per-epoch
-/// subsumption pass has nothing to remove.
+/// expanded — so each enumerated batch is already an antichain that no
+/// later cutset subsumes, and the downstream minimizer's pass at the
+/// watermark has nothing to remove.
 fn emit(
     modular: &mut ModularBdd,
     options: &MocusOptions,
@@ -202,7 +157,6 @@ fn emit(
     sink: &mut dyn CandidateSink,
     mut stats: GenerationStats,
 ) -> Result<GenerationStats, GenError> {
-    let mut epoch: u32 = 0;
     let mut delivered: u64 = 0;
     let completed = modular
         .stream_minimal_cutsets_bounded(
@@ -210,19 +164,13 @@ fn emit(
             |e| probs.get(e),
             &limits(options),
             |batch| {
-                let before = delivered;
                 for cutset in batch.drain(..).filter(|c| keeps(options, c, probs)) {
                     delivered += 1;
-                    if !sink.deliver(epoch, cutset) {
+                    if !sink.deliver(cutset) {
                         return false;
                     }
                 }
-                if delivered == before {
-                    return true;
-                }
-                let ok = sink.epoch_complete(epoch);
-                epoch += 1;
-                ok
+                sink.watermark()
             },
         )
         .map_err(|e| GenError::Failed(e.into()))?;
@@ -342,10 +290,13 @@ impl HybridBackend {
             .collect();
         Ok((modular, BddGenStats { stats, exact, plan }, mocus_totals))
     }
-}
 
-impl CutsetBackend for HybridBackend {
-    fn generate(
+    /// Plan, build and compose, then stream the minimal cutsets into
+    /// `sink`. `exact_probe` is a list of probability assignments over
+    /// the tree's basic events; the exact top-event probability under
+    /// each is reported through [`GenerationStats`] where the
+    /// composition can answer it.
+    pub(crate) fn generate(
         &self,
         tree: &FaultTree,
         probs: &EventProbabilities,

@@ -1,4 +1,4 @@
-use crate::backend::{CutsetBackend, GenError, GenerationStats};
+use crate::backend::{GenError, GenerationStats};
 use crate::canonical::{CacheStats, QuantCache};
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
@@ -8,9 +8,9 @@ use crate::pipeline::{
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
 use sdft_ctmc::SolverWorkspace;
-use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, FxBuild};
+use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree};
 use sdft_mocus::{CandidateSink, MocusError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -27,7 +27,7 @@ const QUANT_BATCH: usize = 256;
 /// `wall_s` (EXPERIMENTS.md, *The filter on the generator thread*).
 const QUANT_CHANNEL_BATCHES: usize = 128;
 
-/// Smallest length at which an epoch buffer is re-minimized.
+/// Smallest length at which the filter's buffer is re-minimized.
 const MIN_BUFFER_LIMIT: usize = 4096;
 
 /// What the engine hands back to the pipeline: per-horizon reports in
@@ -37,7 +37,7 @@ pub(crate) struct EngineOutput {
     /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
     pub(crate) gen_stats: GenerationStats,
-    /// Peak candidates the filter buffered over all open epochs.
+    /// Peak length of the filter's buffer.
     pub(crate) peak_pending_cutsets: usize,
     pub(crate) cache_stats: CacheStats,
     pub(crate) kernel_usage: KernelUsage,
@@ -158,7 +158,7 @@ impl<T> Channel<T> {
 #[derive(Default)]
 struct Progress {
     candidates: AtomicU64,
-    /// Candidates the filter buffers over all open epochs.
+    /// Candidates in the filter's buffer.
     pending: AtomicUsize,
     finalized: AtomicU64,
     quantified: AtomicU64,
@@ -229,54 +229,20 @@ impl Releaser<'_> {
     }
 }
 
-/// One open epoch's candidates. Deliveries are appended unfiltered;
-/// once the buffer reaches `max(MIN_BUFFER_LIMIT, 2 × its length after
-/// the last minimize)` it is re-minimized in place. The buffer thus
-/// holds at most twice the minimal sets found so far (or
+/// The subsumption filter: the candidates delivered since the last
+/// watermark, and the filter's counters. Deliveries are appended
+/// unfiltered; once the buffer reaches `max(MIN_BUFFER_LIMIT, 2 × its
+/// length after the last minimize)` it is re-minimized in place. The
+/// buffer thus holds at most twice the minimal sets found so far (or
 /// [`MIN_BUFFER_LIMIT`]), and every candidate takes part in amortized
-/// O(1) minimize passes.
-struct EpochBuffer {
-    cutsets: Vec<Cutset>,
+/// O(1) minimize passes. A watermark minimizes it once more, hands the
+/// minimal sets on and restarts it empty at [`MIN_BUFFER_LIMIT`].
+struct Filter {
+    buffer: Vec<Cutset>,
     /// Length at which the buffer is next re-minimized.
     limit: usize,
-}
-
-impl EpochBuffer {
-    fn new() -> Self {
-        EpochBuffer {
-            cutsets: Vec::new(),
-            limit: MIN_BUFFER_LIMIT,
-        }
-    }
-
-    /// Replace the buffer by its minimal antichain in canonical
-    /// (order, events) order, counting the subset tests and rejects
-    /// into `stats` and the time into `busy`; returns the candidates
-    /// removed.
-    fn minimize(&mut self, stats: &mut FilterShardStats, busy: &mut Duration) -> usize {
-        let begin = Instant::now();
-        let before = self.cutsets.len();
-        let (minimal, probes) =
-            CutsetList::from_vec(std::mem::take(&mut self.cutsets)).minimize_with_stats();
-        self.cutsets = minimal.into_iter().collect();
-        self.limit = (2 * self.cutsets.len()).max(MIN_BUFFER_LIMIT);
-        let removed = before - self.cutsets.len();
-        stats.probes += probes;
-        stats.rejects += removed as u64;
-        *busy += begin.elapsed();
-        removed
-    }
-}
-
-/// The subsumption filter's state: one [`EpochBuffer`] per open epoch,
-/// and the filter's counters.
-#[derive(Default)]
-struct Filter {
-    epochs: HashMap<u32, EpochBuffer, FxBuild>,
-    /// Candidates buffered over all open epochs.
-    buffered: usize,
-    /// Peak of `buffered`, sampled before every minimize, when a buffer
-    /// is at its longest.
+    /// Peak buffer length, sampled before every minimize, when the
+    /// buffer is at its longest.
     peak_pending: usize,
     /// Time spent in minimize passes.
     busy: Duration,
@@ -284,74 +250,84 @@ struct Filter {
 }
 
 impl Filter {
-    /// Append one candidate to its epoch's buffer, re-minimizing the
-    /// buffer once it reaches its limit.
-    fn absorb(&mut self, epoch: u32, cutset: Cutset) {
-        self.stats.offered += 1;
-        self.buffered += 1;
-        let buffer = self.epochs.entry(epoch).or_insert_with(EpochBuffer::new);
-        buffer.cutsets.push(cutset);
-        if buffer.cutsets.len() >= buffer.limit {
-            self.peak_pending = self.peak_pending.max(self.buffered);
-            self.buffered -= buffer.minimize(&mut self.stats, &mut self.busy);
+    fn new() -> Self {
+        Filter {
+            buffer: Vec::new(),
+            limit: MIN_BUFFER_LIMIT,
+            peak_pending: 0,
+            busy: Duration::ZERO,
+            stats: FilterShardStats::default(),
         }
     }
 
-    /// Close `epoch`: its minimal cutsets in canonical order.
-    fn finish(&mut self, epoch: u32) -> Vec<Cutset> {
-        let mut buffer = self.epochs.remove(&epoch).unwrap_or_else(EpochBuffer::new);
-        self.peak_pending = self.peak_pending.max(self.buffered);
-        self.buffered -= buffer.cutsets.len();
-        buffer.minimize(&mut self.stats, &mut self.busy);
-        buffer.cutsets
+    /// Replace the buffer by its minimal antichain in canonical
+    /// (order, events) order, counting the subset tests and rejects.
+    fn minimize(&mut self) {
+        let begin = Instant::now();
+        let before = self.buffer.len();
+        self.peak_pending = self.peak_pending.max(before);
+        let (minimal, probes) =
+            CutsetList::from_vec(std::mem::take(&mut self.buffer)).minimize_with_stats();
+        self.buffer = minimal.into_iter().collect();
+        self.limit = (2 * self.buffer.len()).max(MIN_BUFFER_LIMIT);
+        self.stats.probes += probes;
+        self.stats.rejects += (before - self.buffer.len()) as u64;
+        self.busy += begin.elapsed();
+    }
+
+    /// Append one candidate, re-minimizing the buffer once it reaches
+    /// its limit.
+    fn absorb(&mut self, cutset: Cutset) {
+        self.stats.offered += 1;
+        self.buffer.push(cutset);
+        if self.buffer.len() >= self.limit {
+            self.minimize();
+        }
+    }
+
+    /// At a watermark: the buffer's minimal cutsets in canonical order.
+    /// An empty buffer is left as it is.
+    fn finish(&mut self) -> Vec<Cutset> {
+        if self.buffer.is_empty() {
+            return Vec::new();
+        }
+        self.minimize();
+        self.limit = MIN_BUFFER_LIMIT;
+        std::mem::take(&mut self.buffer)
     }
 }
 
 /// The generator's sink on the calling thread: buffer each candidate in
-/// the [`Filter`], and at an epoch watermark release the epoch's
-/// minimal cutsets to quantification. Determinism: minimal sets of a
-/// multiset are unique and [`CutsetList::minimize_with_stats`] returns
-/// them in canonical order, so the released sequence does not depend on
-/// when buffers were re-minimized.
+/// the [`Filter`], and at a watermark release the buffer's minimal
+/// cutsets to quantification. Determinism: minimal sets of a multiset
+/// are unique and [`CutsetList::minimize_with_stats`] returns them in
+/// canonical order, so the released sequence does not depend on when
+/// the buffer was re-minimized.
 struct FilterSink<'a> {
     filter: Filter,
     releaser: Releaser<'a>,
 }
 
-impl FilterSink<'_> {
-    /// After generation: release the epochs still open, in epoch order.
-    /// A backend completes every epoch before it returns, so this only
-    /// guards against a missed watermark dropping cutsets.
-    fn settle(&mut self) -> bool {
-        let mut open: Vec<u32> = self.filter.epochs.keys().copied().collect();
-        open.sort_unstable();
-        open.into_iter().all(|epoch| self.epoch_complete(epoch))
-    }
-}
-
 impl CandidateSink for FilterSink<'_> {
-    fn deliver(&mut self, epoch: u32, cutset: Cutset) -> bool {
+    fn deliver(&mut self, cutset: Cutset) -> bool {
         // A failed worker aborts the channel: stop generating.
         if self.releaser.quant_tx.is_aborted() {
             return false;
         }
-        self.filter.absorb(epoch, cutset);
+        self.filter.absorb(cutset);
         let progress = self.releaser.progress;
         progress
             .candidates
             .store(self.filter.stats.offered, Ordering::Relaxed);
         progress
             .pending
-            .store(self.filter.buffered, Ordering::Relaxed);
+            .store(self.filter.buffer.len(), Ordering::Relaxed);
         true
     }
 
-    fn epoch_complete(&mut self, epoch: u32) -> bool {
-        let minimal = self.filter.finish(epoch);
-        self.releaser
-            .progress
-            .pending
-            .store(self.filter.buffered, Ordering::Relaxed);
+    fn watermark(&mut self) -> bool {
+        let minimal = self.filter.finish();
+        self.releaser.progress.pending.store(0, Ordering::Relaxed);
         self.releaser.release(minimal)
     }
 }
@@ -402,20 +378,18 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the analysis: generation and the filter on the calling thread,
+/// Run the analysis: `generate` and the filter on the calling thread,
 /// `threads` quantification workers, and (when enabled) a progress
-/// monitor — all joined before returning.
-#[allow(clippy::too_many_arguments)]
+/// monitor — all joined before returning. `generate` streams the
+/// candidates of `translated.tree` into the sink it is handed.
 pub(crate) fn run(
     tree: &FaultTree,
     translated: &Translated,
-    static_probs: &EventProbabilities,
-    backend: &dyn CutsetBackend,
-    exact_probe: &[EventProbabilities],
     horizons: &[f64],
     options: &AnalysisOptions,
     probs_per_horizon: &[EventProbabilities],
     ctx: &FtcContext,
+    generate: impl FnOnce(&mut dyn CandidateSink) -> Result<GenerationStats, GenError>,
 ) -> Result<EngineOutput, CoreError> {
     let threads = if options.threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -486,7 +460,7 @@ pub(crate) fn run(
 
             // Generation and the filter run on the calling thread.
             let mut sink = FilterSink {
-                filter: Filter::default(),
+                filter: Filter::new(),
                 releaser: Releaser {
                     quant_tx: &quant_channel,
                     translated,
@@ -495,13 +469,15 @@ pub(crate) fn run(
                 },
             };
             let gen_start = Instant::now();
-            let gen_result =
-                backend.generate(&translated.tree, static_probs, exact_probe, &mut sink);
-            if gen_result.is_ok() && sink.settle() {
+            let gen_result = generate(&mut sink);
+            // A final watermark releases whatever a generator left
+            // buffered; after one that ended on a watermark it does
+            // nothing.
+            if gen_result.is_ok() && sink.watermark() {
                 quant_channel.close();
             } else {
                 // A generation failure tears the workers down; on
-                // `Aborted` (or a failed settle) a worker already did.
+                // `Aborted` (or a failed release) a worker already did.
                 quant_channel.abort();
             }
             let generation_span = gen_start.elapsed();
@@ -599,9 +575,9 @@ mod tests {
     use super::*;
     use sdft_ft::NodeId;
 
-    /// A deterministic candidate stream for one epoch: `n` random sets
-    /// of order 2 to 4 over 32 events. Repeats are exact duplicates, and
-    /// pairs drawn late subsume triples and quadruples kept earlier.
+    /// A deterministic candidate stream: `n` random sets of order 2 to 4
+    /// over 32 events. Repeats are exact duplicates, and pairs drawn late
+    /// subsume triples and quadruples kept earlier.
     fn random_candidates(n: usize) -> Vec<Cutset> {
         let mut state: u64 = 0x5eed_f11e;
         let mut next = move |bound: u64| {
@@ -619,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn an_epoch_buffer_is_reminimized_within_its_bound() {
+    fn the_filter_buffer_is_reminimized_within_its_bound() {
         let mut stream = random_candidates(26 * 512);
         // Late deliveries: the first 512 again (exact duplicates of sets
         // kept long ago), then singletons that subsume kept pairs.
@@ -627,7 +603,7 @@ mod tests {
         stream.extend([3, 17, 29].map(|e| Cutset::new([NodeId::from_index(e)])));
         assert!(stream.len() >= 3 * MIN_BUFFER_LIMIT);
 
-        let mut filter = Filter::default();
+        let mut filter = Filter::new();
         // The minimal sets of the candidates delivered so far, kept
         // incrementally: the reference the bound is stated in.
         let mut minimal: Vec<Cutset> = Vec::new();
@@ -639,10 +615,9 @@ mod tests {
                 minimal.push(cutset.clone());
             }
             most_minimal = most_minimal.max(minimal.len());
-            let before = filter.buffered;
-            filter.absorb(0, cutset.clone());
-            let buffer = filter.epochs[&0].cutsets.len();
-            assert_eq!(buffer, filter.buffered);
+            let before = filter.buffer.len();
+            filter.absorb(cutset.clone());
+            let buffer = filter.buffer.len();
             shrank |= buffer < before;
             let bound = MIN_BUFFER_LIMIT.max(2 * most_minimal);
             assert!(
@@ -652,20 +627,44 @@ mod tests {
             );
             assert!(filter.peak_pending <= bound);
         }
-        assert!(shrank, "the buffer was never re-minimized mid-epoch");
+        assert!(
+            shrank,
+            "the buffer was never re-minimized before the watermark"
+        );
 
-        let released = filter.finish(0);
+        let released = filter.finish();
         let reference: Vec<Cutset> = CutsetList::from_vec(stream.clone())
             .minimize()
             .into_iter()
             .collect();
         assert_eq!(released, reference);
-        assert!(filter.epochs.is_empty());
-        assert_eq!(filter.buffered, 0);
+        assert!(filter.buffer.is_empty());
         assert_eq!(filter.stats.offered, stream.len() as u64);
         assert_eq!(
             filter.stats.offered - filter.stats.rejects,
             released.len() as u64
         );
+
+        // A watermark on the empty buffer changes nothing.
+        let (stats, peak) = (filter.stats, filter.peak_pending);
+        assert!(filter.finish().is_empty());
+        assert_eq!((filter.stats, filter.peak_pending), (stats, peak));
+
+        // An antichain longer than the limit: every pair over 100 events.
+        // Its first minimize keeps all 4,096 sets and doubles the limit;
+        // the watermark releases them all and resets the limit.
+        let pairs: Vec<Cutset> = (0..100)
+            .flat_map(|a| (a + 1..100).map(move |b| Cutset::new([a, b].map(NodeId::from_index))))
+            .collect();
+        for pair in &pairs {
+            filter.absorb(pair.clone());
+        }
+        assert_eq!(filter.limit, 2 * MIN_BUFFER_LIMIT);
+        assert_eq!(filter.peak_pending, MIN_BUFFER_LIMIT);
+        let released = filter.finish();
+        assert_eq!(released.len(), pairs.len());
+        assert_eq!(filter.limit, MIN_BUFFER_LIMIT);
+        assert!(filter.buffer.is_empty());
+        assert_eq!(filter.peak_pending, pairs.len());
     }
 }

@@ -1,4 +1,4 @@
-use crate::backend::{Backend, CutsetBackend, HybridBackend, MocusBackend};
+use crate::backend::{Backend, GenError, GenerationStats, HybridBackend};
 use crate::canonical::QuantCache;
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
@@ -9,7 +9,7 @@ use crate::worstcase::worst_case_probabilities;
 use sdft_bdd::ModularBddOptions;
 use sdft_ctmc::SolverWorkspace;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree};
-use sdft_mocus::MocusOptions;
+use sdft_mocus::{stream_minimal_cutsets, CandidateSink, MocusError, MocusOptions};
 use std::time::{Duration, Instant};
 
 /// Options for the full SD fault tree analysis.
@@ -51,8 +51,10 @@ pub struct AnalysisOptions {
     /// extra error per horizon when it fires — disable for bitwise
     /// compatibility with the plain Jensen iteration).
     pub steady_state_detection: bool,
-    /// Ignored. Each epoch's minimal cutsets always go to quantification
-    /// as soon as the epoch completes; the field remains so that
+    /// Ignored. The subsumption filter always releases its minimal
+    /// cutsets to quantification at every generator watermark: after
+    /// each separable component of an OR top under MOCUS, after each
+    /// enumerated batch of the composition. The field remains so that
     /// existing option literals keep compiling.
     pub streaming: bool,
     /// Emit a progress line to stderr at this interval while the engine
@@ -166,10 +168,10 @@ pub struct Timings {
     pub total: Duration,
 }
 
-/// Counters of the subsumption filter, aggregated over every epoch.
-/// All three are deterministic: the generator delivers candidates in a
-/// fixed order, so buffers are re-minimized at the same points on every
-/// run, whatever the thread count.
+/// Counters of the subsumption filter, aggregated over the run.
+/// All three are deterministic: the generator delivers candidates and
+/// watermarks in a fixed order, so the buffer is re-minimized at the same
+/// points on every run, whatever the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterShardStats {
     /// Candidates the generator delivered.
@@ -223,8 +225,12 @@ pub struct AnalysisStats {
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
     /// look-ahead bound.
     pub mocus_partials_pruned: u64,
-    /// Peak candidates the subsumption filter buffered for open epochs
-    /// (deterministic, like the filter's counters).
+    /// Peak length of the subsumption filter's buffer, sampled before
+    /// each of its minimize passes. It is a deterministic function of the
+    /// sequence of candidates and watermarks, like the filter's counters,
+    /// but not of the candidate multiset alone: the doubling rule decides
+    /// where the buffer is re-minimized, so reordering the same
+    /// candidates moves the peak.
     pub peak_pending_cutsets: usize,
     /// Peak live partial cutsets inside MOCUS.
     pub mocus_peak_live_partials: u64,
@@ -488,16 +494,6 @@ pub fn analyze_horizons(
         })
         .collect::<Result<_, _>>()?;
 
-    let backend: Box<dyn CutsetBackend> = match options.backend {
-        Backend::Mocus => Box::new(MocusBackend {
-            options: options.mocus,
-        }),
-        Backend::Bdd | Backend::Hybrid => Box::new(HybridBackend {
-            mocus_options: options.mocus,
-            bdd_options: options.bdd,
-            all_bdd: options.backend == Backend::Bdd,
-        }),
-    };
     // Probability assignments over FT̄ for the exact-probability probe,
     // one per horizon: the translated tree carries the max-horizon
     // worst-case probabilities, so remap each basic event to its own
@@ -517,16 +513,29 @@ pub fn analyze_horizons(
         Vec::new()
     };
 
+    let generate = |sink: &mut dyn CandidateSink| match options.backend {
+        Backend::Mocus => {
+            match stream_minimal_cutsets(&translated.tree, &static_probs, &options.mocus, sink) {
+                Ok(mocus) => Ok(GenerationStats { mocus, bdd: None }),
+                Err(MocusError::Aborted) => Err(GenError::Aborted),
+                Err(error) => Err(GenError::Failed(error.into())),
+            }
+        }
+        Backend::Bdd | Backend::Hybrid => HybridBackend {
+            mocus_options: options.mocus,
+            bdd_options: options.bdd,
+            all_bdd: options.backend == Backend::Bdd,
+        }
+        .generate(&translated.tree, &static_probs, &exact_probe, sink),
+    };
     let engine = crate::engine::run(
         tree,
         &translated,
-        &static_probs,
-        backend.as_ref(),
-        &exact_probe,
         horizons,
         options,
         &probs_per_horizon,
         &ctx,
+        generate,
     )?;
     let (cache_stats, kernel_usage, gen_stats) =
         (&engine.cache_stats, &engine.kernel_usage, &engine.gen_stats);
@@ -1044,7 +1053,7 @@ mod streaming_tests {
 
     /// Independent trains under an OR root, each the AND of two
     /// three-way ORs over its own events (one dynamic): nine cutsets per
-    /// train, and one generator epoch per train.
+    /// train, and one separable component per train.
     fn parallel_trains(trains: usize) -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let mut tops = Vec::new();
@@ -1068,6 +1077,63 @@ mod streaming_tests {
         let top = b.or("plant", tops).unwrap();
         b.top(top);
         b.build().unwrap()
+    }
+
+    /// Top OR over `[a1, b1, a2, b2]`: `a1`/`a2` share the event `sa`,
+    /// `b1`/`b2` share `sb`, and the `a` and `b` lines are disjoint — two
+    /// separable components whose inputs interleave.
+    fn interleaved_components() -> FaultTree {
+        let mut b = FaultTreeBuilder::new();
+        let sa = b.static_event("sa", 0.05).unwrap();
+        let sb = b.static_event("sb", 0.04).unwrap();
+        let mut inputs = Vec::new();
+        for i in 1..=2 {
+            let xa = b
+                .dynamic_event(
+                    &format!("xa{i}"),
+                    erlang::repairable(1, 1e-3, 0.05).unwrap(),
+                )
+                .unwrap();
+            let ya = b.static_event(&format!("ya{i}"), 0.02).unwrap();
+            let pick_a = b.or(&format!("pa{i}"), [xa, ya]).unwrap();
+            let line_a = b.and(&format!("a{i}"), [sa, pick_a]).unwrap();
+            let xb = b.static_event(&format!("xb{i}"), 0.03).unwrap();
+            let yb = b.static_event(&format!("yb{i}"), 0.06).unwrap();
+            let pick_b = b.or(&format!("pb{i}"), [xb, yb]).unwrap();
+            let line_b = b.or(&format!("b{i}"), [sb, pick_b]).unwrap();
+            inputs.extend([line_a, line_b]);
+        }
+        let top = b.or("top", inputs).unwrap();
+        b.top(top);
+        b.build().unwrap()
+    }
+
+    /// The candidates MOCUS delivers between consecutive watermarks on
+    /// `FT̄`, counted.
+    fn candidates_per_watermark(tree: &FaultTree, options: &AnalysisOptions) -> Vec<usize> {
+        struct Counter(Vec<usize>);
+        impl CandidateSink for Counter {
+            fn deliver(&mut self, _cutset: Cutset) -> bool {
+                *self.0.last_mut().unwrap() += 1;
+                true
+            }
+            fn watermark(&mut self) -> bool {
+                self.0.push(0);
+                true
+            }
+        }
+        let probs = worst_case_probabilities(tree, options.horizon, options.epsilon).unwrap();
+        let translated = translate(tree, &probs).unwrap();
+        let static_probs = EventProbabilities::from_static(&translated.tree).unwrap();
+        let mut counter = Counter(vec![0]);
+        stream_minimal_cutsets(
+            &translated.tree,
+            &static_probs,
+            &options.mocus,
+            &mut counter,
+        )
+        .unwrap();
+        counter.0
     }
 
     /// The minimal cutsets of `FT̄` straight from the batch MOCUS
@@ -1140,8 +1206,9 @@ mod streaming_tests {
 
     #[test]
     fn streaming_keeps_pending_residency_below_the_cutset_count() {
-        // Twenty-four trains are twenty-four epochs, each released the
-        // moment it completes, so the filter never holds the whole list.
+        // Twenty-four trains are twenty-four components, each released
+        // the moment it completes, so the filter never holds the whole
+        // list.
         let tree = parallel_trains(24);
         let mut peaks = Vec::new();
         for threads in [1, 2, 4] {
@@ -1160,6 +1227,40 @@ mod streaming_tests {
         }
         // The filter runs on the generator's thread, so its peak does
         // not depend on the worker count.
+        assert!(peaks.windows(2).all(|w| w[0] == w[1]), "peaks {peaks:?}");
+    }
+
+    #[test]
+    fn pending_residency_is_one_component_at_a_time() {
+        // The two components' inputs interleave under the top OR, but
+        // each is expanded and released before the next starts, so the
+        // filter never holds more than the larger one's candidates.
+        let tree = interleaved_components();
+        let base = AnalysisOptions::new(24.0);
+        let segments = candidates_per_watermark(&tree, &base);
+        assert_eq!(
+            segments.len(),
+            3,
+            "two components, then nothing: {segments:?}"
+        );
+        let larger = segments.iter().copied().max().unwrap();
+        assert!(segments[0] > 0 && segments[1] > 0);
+        let mut peaks = Vec::new();
+        for threads in [1, 2, 4] {
+            let mut opts = base;
+            opts.threads = threads;
+            let run = analyze(&tree, &opts).unwrap();
+            assert_eq!(
+                run.stats.filter_shard_stats[0].offered as usize,
+                segments.iter().sum::<usize>()
+            );
+            assert!(
+                run.stats.peak_pending_cutsets <= larger,
+                "threads = {threads}: peak pending {} above the larger component's {larger}",
+                run.stats.peak_pending_cutsets
+            );
+            peaks.push(run.stats.peak_pending_cutsets);
+        }
         assert!(peaks.windows(2).all(|w| w[0] == w[1]), "peaks {peaks:?}");
     }
 

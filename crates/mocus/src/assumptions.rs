@@ -12,7 +12,7 @@ use sdft_ft::{FaultTree, NodeId};
 ///
 /// ```
 /// # use sdft_ft::{EventProbabilities, FaultTreeBuilder};
-/// # use sdft_mocus::{minimal_cutsets_with, Assumptions, MocusOptions};
+/// # use sdft_mocus::{minimal_cutsets_rooted, Assumptions, MocusOptions};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = FaultTreeBuilder::new();
 /// let x = b.static_event("x", 0.1)?;
@@ -24,7 +24,7 @@ use sdft_ft::{FaultTree, NodeId};
 /// let mut assume = Assumptions::new(&tree);
 /// assume.assume_failed(x)?;
 /// // With x failed, {y} alone is a minimal cutset.
-/// let mcs = minimal_cutsets_with(&tree, &probs, &MocusOptions::default(), &assume)?;
+/// let mcs = minimal_cutsets_rooted(&tree, g, &probs, &MocusOptions::default(), &assume)?;
 /// assert_eq!(mcs.len(), 1);
 /// assert_eq!(mcs.get(0).unwrap().order(), 1);
 /// # Ok(())

@@ -2,7 +2,7 @@ use crate::assumptions::Assumptions;
 use crate::error::MocusError;
 use crate::options::MocusOptions;
 use crate::stats::MocusStats;
-use crate::stream::StreamCtx;
+use crate::stream::CandidateSink;
 use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, GateKind, NodeId};
 
 /// Generate the minimal cutsets of `tree` above the configured cutoff.
@@ -41,31 +41,17 @@ pub fn minimal_cutsets_with_stats(
     minimal_cutsets_rooted_with_stats(tree, tree.top(), probs, options, &Assumptions::new(tree))
 }
 
-/// Like [`minimal_cutsets`], but with truth-value assumptions substituted
-/// into the tree: events assumed failed never appear in cutsets (they are
+/// Like [`minimal_cutsets`], but for the function of an arbitrary node
+/// instead of the top gate, with truth-value assumptions substituted into
+/// the tree: events assumed failed never appear in cutsets (they are
 /// already satisfied), events assumed functional kill any requirement on
-/// them.
+/// them. Used by the SD analysis to compute the minimal failing subsets
+/// of a *triggering* gate (§V-C step 2).
 ///
 /// # Errors
 ///
 /// Returns an error if an assumption is placed on a gate, the cutoff is
 /// invalid, or a safety budget in `options` is exceeded.
-pub fn minimal_cutsets_with(
-    tree: &FaultTree,
-    probs: &EventProbabilities,
-    options: &MocusOptions,
-    assumptions: &Assumptions,
-) -> Result<CutsetList, MocusError> {
-    Ok(minimal_cutsets_rooted_with_stats(tree, tree.top(), probs, options, assumptions)?.0)
-}
-
-/// Like [`minimal_cutsets_with`], but for the function of an arbitrary
-/// node instead of the top gate. Used by the SD analysis to compute the
-/// minimal failing subsets of a *triggering* gate (§V-C step 2).
-///
-/// # Errors
-///
-/// Same as [`minimal_cutsets_with`].
 pub fn minimal_cutsets_rooted(
     tree: &FaultTree,
     root: NodeId,
@@ -76,26 +62,47 @@ pub fn minimal_cutsets_rooted(
     Ok(minimal_cutsets_rooted_with_stats(tree, root, probs, options, assumptions)?.0)
 }
 
-/// The most general entry point: arbitrary root, assumptions, and the
-/// run's [`MocusStats`] alongside the cutset list.
-///
-/// # Errors
-///
-/// Same as [`minimal_cutsets_with`].
-pub fn minimal_cutsets_rooted_with_stats(
+/// The batch path: collect every candidate below `root`, then
+/// minimize them in one pass.
+pub(crate) fn minimal_cutsets_rooted_with_stats(
     tree: &FaultTree,
     root: NodeId,
     probs: &EventProbabilities,
     options: &MocusOptions,
     assumptions: &Assumptions,
 ) -> Result<(CutsetList, MocusStats), MocusError> {
+    let mut found: Vec<Cutset> = Vec::new();
+    let mut stats = generate(tree, root, probs, options, assumptions, None, &mut found)?;
+    // The candidate set is order-independent (pruning is per-branch),
+    // and minimization canonically sorts.
+    let minimize_begin = std::time::Instant::now();
+    let (minimized, comparisons) = CutsetList::from_vec(found).minimize_with_stats();
+    stats.minimize_time = minimize_begin.elapsed();
+    stats.subsumption_comparisons = comparisons;
+    Ok((minimized, stats))
+}
+
+/// Check the cutoff and the assumptions, then expand everything below
+/// `root` into `sink`. With `components` (the inputs of an OR `root`,
+/// grouped as [`crate::stream`] describes), the root is expanded once and
+/// each component is then expanded to completion in turn, with a
+/// watermark after each; without, one watermark ends the run.
+pub(crate) fn generate(
+    tree: &FaultTree,
+    root: NodeId,
+    probs: &EventProbabilities,
+    options: &MocusOptions,
+    assumptions: &Assumptions,
+    components: Option<&[Vec<NodeId>]>,
+    sink: &mut dyn CandidateSink,
+) -> Result<MocusStats, MocusError> {
     if let Some(c) = options.cutoff {
         if !c.is_finite() || c < 0.0 {
             return Err(MocusError::InvalidCutoff { cutoff: c });
         }
     }
     assumptions.validate(tree)?;
-    Engine::new(tree, probs, options, assumptions).run(root, None)
+    Engine::new(tree, probs, options, assumptions).run(root, components, sink)
 }
 
 #[derive(Debug, Clone)]
@@ -106,8 +113,6 @@ struct Partial {
     gates: Vec<NodeId>,
     /// Product of the probabilities of `events`.
     prob: f64,
-    /// Streaming epoch the partial belongs to (0 in batch runs).
-    epoch: u32,
 }
 
 /// Approximate resident bytes of a partial cutset (two inline vectors
@@ -139,18 +144,14 @@ impl Gauge {
     }
 }
 
-/// The mutable state of one run: the partial stack, the candidates
-/// found (batch runs), recycled `Partial` allocations, the scratch
-/// buffers `within_bounds` needs, the budget and residency counters,
-/// and the streaming context.
+/// The mutable state of one run: the partial stack, the candidates'
+/// sink, recycled `Partial` allocations, the scratch buffers
+/// `within_bounds` needs, and the budget and residency counters.
 struct Worker<'s> {
     /// Depth-first stack of live partials.
     stack: Vec<Partial>,
-    /// Cutset candidates emitted (batch runs; a streaming run hands each
-    /// one to its sink instead).
-    found: Vec<Cutset>,
-    /// The sink, epoch plan and per-epoch state of a streaming run.
-    stream: Option<StreamCtx<'s>>,
+    /// Where finalized candidates go.
+    sink: &'s mut dyn CandidateSink,
     /// Recycled partials: branching pulls allocations from here instead
     /// of cloning fresh vectors for every child.
     pool: Vec<Partial>,
@@ -173,11 +174,10 @@ struct Worker<'s> {
 const POOL_LIMIT: usize = 256;
 
 impl<'s> Worker<'s> {
-    fn new(words: usize, stream: Option<StreamCtx<'s>>) -> Self {
+    fn new(words: usize, sink: &'s mut dyn CandidateSink) -> Self {
         Worker {
             stack: Vec::new(),
-            found: Vec::new(),
-            stream,
+            sink,
             pool: Vec::new(),
             scratch: vec![0u64; words],
             gate_scratch: Vec::new(),
@@ -198,7 +198,6 @@ impl<'s> Worker<'s> {
                 p.gates.clear();
                 p.gates.extend_from_slice(&src.gates);
                 p.prob = src.prob;
-                p.epoch = src.epoch;
                 p
             }
             None => src.clone(),
@@ -215,38 +214,41 @@ impl<'s> Worker<'s> {
 
     /// Push a surviving partial onto the stack, counting it live
     /// (residency is measured over *queued* partials, whose size is
-    /// fixed while they wait) and, in streaming mode, in its epoch.
+    /// fixed while they wait).
     fn push_live(&mut self, partial: Partial) {
         self.partials.add(1);
         self.partial_bytes.add(partial_bytes(&partial));
-        if let Some(ctx) = &mut self.stream {
-            ctx.inc(partial.epoch);
-        }
         self.stack.push(partial);
     }
 
-    /// Drop the live count of an expanded partial from its epoch; the
-    /// zero crossing completes the epoch.
-    fn release(&mut self, epoch: u32) -> Result<(), MocusError> {
-        if self.stream.as_mut().is_none_or(|ctx| ctx.release(epoch)) {
+    /// The run's counters; minimization (and its comparison count)
+    /// belongs to the caller.
+    fn stats(&self) -> MocusStats {
+        MocusStats {
+            partials_processed: self.processed as u64,
+            partials_pruned: self.pruned,
+            cutset_candidates: self.candidates as u64,
+            peak_live_partials: self.partials.peak as u64,
+            peak_partial_bytes: self.partial_bytes.peak as u64,
+            ..MocusStats::default()
+        }
+    }
+
+    /// Expand the stack until it is empty, then call the watermark.
+    ///
+    /// The loop stays in a function of its own: folded into
+    /// `Engine::run`, where it shared one function with the inlined
+    /// `Engine::new`, it ran the batch path 3–23% slower on full-scale
+    /// model 1 (EXPERIMENTS.md, *One component at a time*).
+    fn drain(&mut self, engine: &Engine<'_>) -> Result<(), MocusError> {
+        while let Some(partial) = self.stack.pop() {
+            engine.expand_one(self, partial)?;
+        }
+        if self.sink.watermark() {
             Ok(())
         } else {
             Err(MocusError::Aborted)
         }
-    }
-
-    /// Record a finalized candidate of `epoch`: keep it (batch run) or
-    /// hand it to the sink (streaming run).
-    fn emit(&mut self, epoch: u32, cutset: Cutset) -> Result<(), MocusError> {
-        match &mut self.stream {
-            Some(ctx) => {
-                if !ctx.sink.deliver(epoch, cutset) {
-                    return Err(MocusError::Aborted);
-                }
-            }
-            None => self.found.push(cutset),
-        }
-        Ok(())
     }
 }
 
@@ -266,23 +268,6 @@ struct Engine<'a> {
     masks: Vec<Vec<u64>>,
     /// Words per event bitmask.
     words: usize,
-}
-
-/// Streaming driver used by [`crate::stream::stream_minimal_cutsets`]:
-/// the same expansion, with candidates routed to the context's sink
-/// under epoch watermarks instead of being merged and minimized here.
-pub(crate) fn run_streaming(
-    tree: &FaultTree,
-    root: NodeId,
-    probs: &EventProbabilities,
-    options: &MocusOptions,
-    assumptions: &Assumptions,
-    ctx: StreamCtx<'_>,
-) -> Result<MocusStats, MocusError> {
-    assumptions.validate(tree)?;
-    Engine::new(tree, probs, options, assumptions)
-        .run(root, Some(ctx))
-        .map(|(_, stats)| stats)
 }
 
 impl<'a> Engine<'a> {
@@ -398,79 +383,84 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Expand everything below `root` depth-first. A streaming run
-    /// (`stream` set) hands its candidates to the sink and returns an
-    /// empty list; a batch run minimizes them here.
+    /// Expand everything below `root` depth-first into the worker's sink
+    /// (see [`generate`]).
     fn run(
         &self,
         root: NodeId,
-        stream: Option<StreamCtx<'_>>,
-    ) -> Result<(CutsetList, MocusStats), MocusError> {
+        components: Option<&[Vec<NodeId>]>,
+        sink: &mut dyn CandidateSink,
+    ) -> Result<MocusStats, MocusError> {
         let tree = self.tree;
-        let mut worker = Worker::new(self.words, stream);
+        let mut worker = Worker::new(self.words, sink);
         // A basic-event root degenerates to a single obligation.
         let initial = if tree.is_basic(root) {
             if self.assumptions.is_failed(root) {
                 // Already failed: the empty cutset is the only one.
                 let empty = Cutset::new(std::iter::empty());
-                let Some(ctx) = &mut worker.stream else {
-                    return Ok((CutsetList::from_vec(vec![empty]), MocusStats::default()));
-                };
-                if !ctx.sink.deliver(0, empty) || !ctx.complete_all() {
+                if !worker.sink.deliver(empty) || !worker.sink.watermark() {
                     return Err(MocusError::Aborted);
                 }
-                return Ok((CutsetList::new(), MocusStats::default()));
+                return Ok(MocusStats::default());
             }
             (!self.assumptions.is_ok(root)).then(|| Partial {
                 events: vec![root],
                 gates: Vec::new(),
                 prob: self.probs.get(root),
-                epoch: 0,
             })
         } else {
             Some(Partial {
                 events: Vec::new(),
                 gates: vec![root],
                 prob: 1.0,
-                epoch: 0,
             })
         };
         if let Some(initial) = initial {
-            if self.within_bounds(&mut worker, &initial) {
-                worker.push_live(initial);
-            } else {
+            if !self.within_bounds(&mut worker, &initial) {
                 worker.pruned += 1;
+            } else if let Some(components) = components {
+                self.expand_components(&mut worker, initial, components)?;
+                return Ok(worker.stats());
+            } else {
+                worker.push_live(initial);
             }
         }
+        worker.drain(self)?;
+        Ok(worker.stats())
+    }
 
-        while let Some(partial) = worker.stack.pop() {
-            self.expand_one(&mut worker, partial)?;
+    /// Expand the OR partial `top` once, then each component of its
+    /// inputs to completion in turn, with a watermark after each. Every
+    /// input is seeded as the OR branch of [`Self::expand_one`] seeds it,
+    /// so each component's candidates arrive in the order a plain
+    /// depth-first pass finds them.
+    fn expand_components(
+        &self,
+        worker: &mut Worker<'_>,
+        mut top: Partial,
+        components: &[Vec<NodeId>],
+    ) -> Result<(), MocusError> {
+        debug_assert!(self.assumptions.is_empty(), "a split ignores assumptions");
+        worker.processed += 1;
+        if worker.processed > self.options.max_partials {
+            return Err(MocusError::TooManyPartials {
+                limit: self.options.max_partials,
+            });
         }
-
-        let mut stats = MocusStats {
-            partials_processed: worker.processed as u64,
-            partials_pruned: worker.pruned,
-            cutset_candidates: worker.candidates as u64,
-            peak_live_partials: worker.partials.peak as u64,
-            peak_partial_bytes: worker.partial_bytes.peak as u64,
-            ..MocusStats::default()
-        };
-        if let Some(ctx) = &mut worker.stream {
-            // Sweep the epochs that never received work. Minimization
-            // (and its comparison count) belongs to the consumer.
-            if !ctx.complete_all() {
-                return Err(MocusError::Aborted);
+        top.gates.pop();
+        for component in components {
+            for &child in component {
+                let mut branch = worker.alloc_copy(&top);
+                if matches!(self.add_child(&mut branch, child), Outcome::Dead) {
+                    worker.recycle(branch);
+                } else {
+                    self.keep_if_bounded(worker, branch);
+                }
             }
-            return Ok((CutsetList::new(), stats));
+            worker.drain(self)?;
         }
-
-        // The candidate set is order-independent (pruning is
-        // per-branch), and minimization canonically sorts.
-        let minimize_begin = std::time::Instant::now();
-        let (minimized, comparisons) = CutsetList::from_vec(worker.found).minimize_with_stats();
-        stats.minimize_time = minimize_begin.elapsed();
-        stats.subsumption_comparisons = comparisons;
-        Ok((minimized, stats))
+        worker.recycle(top);
+        Ok(())
     }
 
     /// Expand one partial cutset: leaves become candidates, AND extends,
@@ -478,7 +468,6 @@ impl<'a> Engine<'a> {
     /// at-least enumerates combinations. Surviving branches are pushed
     /// onto the stack.
     fn expand_one(&self, worker: &mut Worker<'_>, mut partial: Partial) -> Result<(), MocusError> {
-        let entry_epoch = partial.epoch;
         // The partial left the stack; it is re-counted if re-pushed.
         worker.partials.sub(1);
         worker.partial_bytes.sub(partial_bytes(&partial));
@@ -500,12 +489,11 @@ impl<'a> Engine<'a> {
                 events: Vec::new(),
                 gates,
                 prob: 1.0,
-                epoch: 0,
             });
-            // Deliver before releasing the partial's count, so that its
-            // epoch completes after its last delivery.
-            worker.emit(entry_epoch, Cutset::new(events))?;
-            return worker.release(entry_epoch);
+            if !worker.sink.deliver(Cutset::new(events)) {
+                return Err(MocusError::Aborted);
+            }
+            return Ok(());
         };
         match self.tree.gate_kind(gate).expect("pending nodes are gates") {
             GateKind::And => {
@@ -531,21 +519,18 @@ impl<'a> Engine<'a> {
                     .any(|&c| self.tree.is_basic(c) && self.assumptions.is_failed(c));
                 if satisfied {
                     worker.push_live(partial);
-                    return worker.release(entry_epoch);
+                    return Ok(());
                 }
                 let skip = |c: NodeId| self.tree.is_basic(c) && self.assumptions.is_ok(c);
                 let Some(last) = inputs.iter().rposition(|&c| !skip(c)) else {
                     worker.recycle(partial);
-                    return worker.release(entry_epoch);
+                    return Ok(());
                 };
                 for &child in &inputs[..last] {
                     if skip(child) {
                         continue;
                     }
                     let mut branch = worker.alloc_copy(&partial);
-                    if let Some(ctx) = &worker.stream {
-                        branch.epoch = ctx.branch_epoch(gate, entry_epoch, child);
-                    }
                     if matches!(self.add_child(&mut branch, child), Outcome::Dead) {
                         worker.recycle(branch);
                     } else {
@@ -553,9 +538,6 @@ impl<'a> Engine<'a> {
                     }
                 }
                 // Reuse the parent allocation for the final branch.
-                if let Some(ctx) = &worker.stream {
-                    partial.epoch = ctx.branch_epoch(gate, entry_epoch, inputs[last]);
-                }
                 if matches!(self.add_child(&mut partial, inputs[last]), Outcome::Dead) {
                     worker.recycle(partial);
                 } else {
@@ -566,7 +548,7 @@ impl<'a> Engine<'a> {
                 self.expand_atleast(worker, gate, k as usize, partial)?;
             }
         }
-        worker.release(entry_epoch)
+        Ok(())
     }
 
     /// Push `partial` if it survives the bounds, else count it pruned.
@@ -1003,13 +985,15 @@ mod tests {
 
         let mut assume = Assumptions::new(&t);
         assume.assume_failed(y).unwrap();
-        let mcs = minimal_cutsets_with(&t, &probs, &MocusOptions::exhaustive(), &assume).unwrap();
+        let mcs = minimal_cutsets_rooted(&t, t.top(), &probs, &MocusOptions::exhaustive(), &assume)
+            .unwrap();
         assert_eq!(mcs_names(&t, &mcs), vec![vec!["x".to_owned()]]);
 
         let mut assume = Assumptions::new(&t);
         assume.assume_ok(y).unwrap();
         assume.assume_ok(z).unwrap();
-        let mcs = minimal_cutsets_with(&t, &probs, &MocusOptions::exhaustive(), &assume).unwrap();
+        let mcs = minimal_cutsets_rooted(&t, t.top(), &probs, &MocusOptions::exhaustive(), &assume)
+            .unwrap();
         assert!(mcs.is_empty());
     }
 
@@ -1026,7 +1010,8 @@ mod tests {
 
         let mut assume = Assumptions::new(&t);
         assume.assume_failed(x).unwrap();
-        let mcs = minimal_cutsets_with(&t, &probs, &MocusOptions::exhaustive(), &assume).unwrap();
+        let mcs = minimal_cutsets_rooted(&t, t.top(), &probs, &MocusOptions::exhaustive(), &assume)
+            .unwrap();
         // One more failure suffices.
         assert_eq!(
             mcs_names(&t, &mcs),
@@ -1036,7 +1021,8 @@ mod tests {
         let mut assume = Assumptions::new(&t);
         assume.assume_ok(x).unwrap();
         assume.assume_ok(y).unwrap();
-        let mcs = minimal_cutsets_with(&t, &probs, &MocusOptions::exhaustive(), &assume).unwrap();
+        let mcs = minimal_cutsets_rooted(&t, t.top(), &probs, &MocusOptions::exhaustive(), &assume)
+            .unwrap();
         // 2-of-3 with two inputs functional can never fail.
         assert!(mcs.is_empty());
     }
@@ -1099,7 +1085,7 @@ mod tests {
         let mut assume = Assumptions::new(&t);
         assume.assume_failed(g).unwrap(); // not validated until use
         assert!(matches!(
-            minimal_cutsets_with(&t, &probs, &MocusOptions::default(), &assume),
+            minimal_cutsets_rooted(&t, t.top(), &probs, &MocusOptions::default(), &assume),
             Err(MocusError::AssumptionOnGate { .. })
         ));
     }

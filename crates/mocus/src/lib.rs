@@ -52,10 +52,7 @@ mod stream;
 mod submodel;
 
 pub use assumptions::Assumptions;
-pub use engine::{
-    minimal_cutsets, minimal_cutsets_rooted, minimal_cutsets_rooted_with_stats,
-    minimal_cutsets_with, minimal_cutsets_with_stats,
-};
+pub use engine::{minimal_cutsets, minimal_cutsets_rooted, minimal_cutsets_with_stats};
 pub use error::MocusError;
 pub use options::MocusOptions;
 pub use stats::MocusStats;
