@@ -24,7 +24,7 @@ use sdft_bdd::{
     BddError, CutsetLimits, ModularBdd, ModularBddBuilder, ModularBddOptions, ModularBddStats,
 };
 use sdft_ft::{module_profiles, Cutset, EventProbabilities, FaultTree, FxBuild, NodeId};
-use sdft_mocus::{module_cutsets, CandidateSink, MocusOptions, MocusStats};
+use sdft_mocus::{module_cutsets, MocusOptions, MocusStats};
 use std::collections::HashMap;
 
 /// Which cutset-generation backend drives the analysis.
@@ -94,8 +94,9 @@ pub(crate) struct BddGenStats {
 }
 
 /// What a generation run reports alongside the cutsets. The MOCUS
-/// fields count the module-scoped enumerations under the BDD-based
-/// backends; every populated field is schedule-independent within its
+/// fields count the whole-tree run, or the module-scoped runs under the
+/// BDD-based backends, subsumption included; every populated field
+/// except `mocus.minimize_time` is schedule-independent within its
 /// backend.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GenerationStats {
@@ -103,7 +104,7 @@ pub(crate) struct GenerationStats {
     pub(crate) bdd: Option<BddGenStats>,
 }
 
-/// Generation failure: either the sink asked the backend to stop (the
+/// Generation failure: either a release asked the backend to stop (the
 /// real cause lives downstream), or generation itself failed.
 pub(crate) enum GenError {
     Aborted,
@@ -142,43 +143,40 @@ fn keeps(options: &MocusOptions, cutset: &Cutset, probs: &EventProbabilities) ->
     true
 }
 
-/// Drain a built composition into `sink`, cutset by cutset, with a
-/// watermark after every batch.
+/// Drain a built composition into `release`, one list per enumerated
+/// batch.
 ///
 /// Minimality is established inside the composition — every nested
 /// module is fully solved before the top module's solutions are
 /// expanded — so each enumerated batch is already an antichain that no
-/// later cutset subsumes, and the downstream minimizer's pass at the
-/// watermark has nothing to remove.
+/// later cutset subsumes, and it is released as it is, less the cutsets
+/// the limits drop.
 fn emit(
     modular: &mut ModularBdd,
     options: &MocusOptions,
     probs: &EventProbabilities,
-    sink: &mut dyn CandidateSink,
-    mut stats: GenerationStats,
-) -> Result<GenerationStats, GenError> {
-    let mut delivered: u64 = 0;
+    release: &mut dyn FnMut(Vec<Cutset>) -> bool,
+) -> Result<(), GenError> {
     let completed = modular
         .stream_minimal_cutsets_bounded(
             BDD_STREAM_BATCH,
             |e| probs.get(e),
             &limits(options),
             |batch| {
-                for cutset in batch.drain(..).filter(|c| keeps(options, c, probs)) {
-                    delivered += 1;
-                    if !sink.deliver(cutset) {
-                        return false;
-                    }
-                }
-                sink.watermark()
+                release(
+                    batch
+                        .drain(..)
+                        .filter(|c| keeps(options, c, probs))
+                        .collect(),
+                )
             },
         )
         .map_err(|e| GenError::Failed(e.into()))?;
-    if !completed {
-        return Err(GenError::Aborted);
+    if completed {
+        Ok(())
+    } else {
+        Err(GenError::Aborted)
     }
-    stats.mocus.cutset_candidates = delivered;
-    Ok(stats)
 }
 
 /// The slack applied to the cutoff handed to module-scoped MOCUS runs,
@@ -205,9 +203,9 @@ pub(crate) struct HybridBackend {
 
 impl HybridBackend {
     /// Plan, build, and compose. Besides the composition and its stats,
-    /// returns the MOCUS counters accumulated over the module-scoped
-    /// enumerations (deterministic: sub-runs are per-module and their
-    /// own counters are schedule-independent).
+    /// returns the MOCUS counters of the module-scoped enumerations,
+    /// folded with [`MocusStats::absorb`] (deterministic: sub-runs are
+    /// per-module and their own counters are schedule-independent).
     fn build(
         &self,
         tree: &FaultTree,
@@ -256,8 +254,7 @@ impl HybridBackend {
                     profile.nested.iter().map(|&m| (m, weights[&m])).collect();
                 let out = module_cutsets(tree, profile.gate, &boundary, probs, &sub_options)?;
                 entry.candidates = out.sets.len();
-                mocus_totals.partials_processed += out.stats.partials_processed;
-                mocus_totals.partials_pruned += out.stats.partials_pruned;
+                mocus_totals.absorb(&out.stats);
                 builder.set_external(i, out.sets)?;
             }
             let w = builder.max_solution_probability(i, &|e| {
@@ -291,27 +288,27 @@ impl HybridBackend {
         Ok((modular, BddGenStats { stats, exact, plan }, mocus_totals))
     }
 
-    /// Plan, build and compose, then stream the minimal cutsets into
-    /// `sink`. `exact_probe` is a list of probability assignments over
-    /// the tree's basic events; the exact top-event probability under
-    /// each is reported through [`GenerationStats`] where the
+    /// Plan, build and compose, then release the minimal cutsets to
+    /// `release`. `exact_probe` is a list of probability assignments
+    /// over the tree's basic events; the exact top-event probability
+    /// under each is reported through [`GenerationStats`] where the
     /// composition can answer it.
     pub(crate) fn generate(
         &self,
         tree: &FaultTree,
         probs: &EventProbabilities,
         exact_probe: &[EventProbabilities],
-        sink: &mut dyn CandidateSink,
+        release: &mut dyn FnMut(Vec<Cutset>) -> bool,
     ) -> Result<GenerationStats, GenError> {
         let (mut modular, bdd_stats, mocus) = match self.build(tree, probs, exact_probe) {
             Ok(built) => built,
             Err(error) => return Err(GenError::Failed(error)),
         };
-        let stats = GenerationStats {
+        emit(&mut modular, &self.mocus_options, probs, release)?;
+        Ok(GenerationStats {
             mocus,
             bdd: Some(bdd_stats),
-        };
-        emit(&mut modular, &self.mocus_options, probs, sink, stats)
+        })
     }
 }
 

@@ -2,33 +2,28 @@ use crate::backend::{GenError, GenerationStats};
 use crate::canonical::{CacheStats, QuantCache};
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
-use crate::pipeline::{
-    quantify_cutset_at_horizons, AnalysisOptions, CutsetReport, FilterShardStats,
-};
+use crate::pipeline::{quantify_cutset_at_horizons, AnalysisOptions, CutsetReport};
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
 use sdft_ctmc::SolverWorkspace;
-use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree};
-use sdft_mocus::{CandidateSink, MocusError};
+use sdft_ft::{Cutset, EventProbabilities, FaultTree};
+use sdft_mocus::MocusError;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Cutsets per filter→quantification delivery batch (one channel send
-/// and one wakeup per batch instead of per cutset).
+/// Cutsets per generator→quantification delivery batch (one channel
+/// send and one wakeup per batch instead of per cutset).
 const QUANT_BATCH: usize = 256;
 
-/// Filter→quantification channel capacity, in batches. Together with
+/// Generator→quantification channel capacity, in batches. Together with
 /// [`QUANT_BATCH`] this bounds minimal cutsets awaiting quantification
 /// to 32,768. A release blocks generation while the channel is full, so
 /// the channel is also what lets generation run ahead of the workers;
 /// at 4096 cutsets `m2_horizons` and `bwr_triggers` lost 5–8% of
 /// `wall_s` (EXPERIMENTS.md, *The filter on the generator thread*).
 const QUANT_CHANNEL_BATCHES: usize = 128;
-
-/// Smallest length at which the filter's buffer is re-minimized.
-const MIN_BUFFER_LIMIT: usize = 4096;
 
 /// What the engine hands back to the pipeline: per-horizon reports in
 /// canonical cutset order, plus per-stage statistics.
@@ -37,25 +32,18 @@ pub(crate) struct EngineOutput {
     /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
     pub(crate) gen_stats: GenerationStats,
-    /// Peak length of the filter's buffer.
-    pub(crate) peak_pending_cutsets: usize,
     pub(crate) cache_stats: CacheStats,
     pub(crate) kernel_usage: KernelUsage,
-    /// Wall-clock span of the generation stage, filter included.
+    /// Wall-clock span of the generation stage, releases included.
     pub(crate) generation_span: Duration,
     /// Wall-clock span of the quantification stage (first cutset
     /// released to the last worker joining).
     pub(crate) quantification_span: Duration,
     /// Stage-seconds the generation and quantification spans overlapped.
     pub(crate) overlap: Duration,
-    /// Time the filter spent in its minimize passes, a share of
-    /// `generation_span`.
-    pub(crate) filter_busy: Duration,
     /// Time quantification workers spent solving models, summed over
     /// workers (not blocked on the channel).
     pub(crate) quant_busy: Duration,
-    /// The filter's counters.
-    pub(crate) filter_stats: FilterShardStats,
 }
 
 /// A bounded MPMC channel on `Mutex` + `Condvar` (std only). `send`
@@ -68,7 +56,7 @@ struct Channel<T> {
     not_empty: Condvar,
     capacity: usize,
     /// Set once by `abort`; readable without the lock, so the generator
-    /// can poll it on every delivery. `Relaxed` suffices: the flag
+    /// can poll it on every release. `Relaxed` suffices: the flag
     /// publishes no other data, and the waiters read it under the lock
     /// `abort` sets it under.
     aborted: AtomicBool,
@@ -157,9 +145,6 @@ impl<T> Channel<T> {
 /// writes whether or not a monitor is attached (unmeasurable overhead).
 #[derive(Default)]
 struct Progress {
-    candidates: AtomicU64,
-    /// Candidates in the filter's buffer.
-    pending: AtomicUsize,
     finalized: AtomicU64,
     quantified: AtomicU64,
 }
@@ -189,147 +174,6 @@ struct QuantContext<'a> {
     cache: &'a QuantCache,
     probs_per_horizon: &'a [EventProbabilities],
     errors: &'a ErrorSlot,
-}
-
-/// Hands released minimal cutsets to the quantification channel in
-/// [`QUANT_BATCH`] chunks, mapping ids back to the original tree.
-struct Releaser<'a> {
-    quant_tx: &'a Channel<Vec<Cutset>>,
-    translated: &'a Translated,
-    progress: &'a Progress,
-    /// When the first batch went to quantification.
-    first_release: Option<Instant>,
-}
-
-impl Releaser<'_> {
-    /// `false` when the pipeline was aborted mid-release; the caller
-    /// should unwind.
-    fn release(&mut self, sorted: Vec<Cutset>) -> bool {
-        self.progress
-            .finalized
-            .fetch_add(sorted.len() as u64, Ordering::Relaxed);
-        let mut batch: Vec<Cutset> = Vec::with_capacity(QUANT_BATCH);
-        for cutset in sorted {
-            batch.push(self.translated.cutset_into_original(cutset));
-            if batch.len() == QUANT_BATCH
-                && !self.send_batch(std::mem::replace(
-                    &mut batch,
-                    Vec::with_capacity(QUANT_BATCH),
-                ))
-            {
-                return false;
-            }
-        }
-        batch.is_empty() || self.send_batch(batch)
-    }
-
-    fn send_batch(&mut self, batch: Vec<Cutset>) -> bool {
-        self.first_release.get_or_insert_with(Instant::now);
-        self.quant_tx.send(batch)
-    }
-}
-
-/// The subsumption filter: the candidates delivered since the last
-/// watermark, and the filter's counters. Deliveries are appended
-/// unfiltered; once the buffer reaches `max(MIN_BUFFER_LIMIT, 2 × its
-/// length after the last minimize)` it is re-minimized in place. The
-/// buffer thus holds at most twice the minimal sets found so far (or
-/// [`MIN_BUFFER_LIMIT`]), and every candidate takes part in amortized
-/// O(1) minimize passes. A watermark minimizes it once more, hands the
-/// minimal sets on and restarts it empty at [`MIN_BUFFER_LIMIT`].
-struct Filter {
-    buffer: Vec<Cutset>,
-    /// Length at which the buffer is next re-minimized.
-    limit: usize,
-    /// Peak buffer length, sampled before every minimize, when the
-    /// buffer is at its longest.
-    peak_pending: usize,
-    /// Time spent in minimize passes.
-    busy: Duration,
-    stats: FilterShardStats,
-}
-
-impl Filter {
-    fn new() -> Self {
-        Filter {
-            buffer: Vec::new(),
-            limit: MIN_BUFFER_LIMIT,
-            peak_pending: 0,
-            busy: Duration::ZERO,
-            stats: FilterShardStats::default(),
-        }
-    }
-
-    /// Replace the buffer by its minimal antichain in canonical
-    /// (order, events) order, counting the subset tests and rejects.
-    fn minimize(&mut self) {
-        let begin = Instant::now();
-        let before = self.buffer.len();
-        self.peak_pending = self.peak_pending.max(before);
-        let (minimal, probes) =
-            CutsetList::from_vec(std::mem::take(&mut self.buffer)).minimize_with_stats();
-        self.buffer = minimal.into_iter().collect();
-        self.limit = (2 * self.buffer.len()).max(MIN_BUFFER_LIMIT);
-        self.stats.probes += probes;
-        self.stats.rejects += (before - self.buffer.len()) as u64;
-        self.busy += begin.elapsed();
-    }
-
-    /// Append one candidate, re-minimizing the buffer once it reaches
-    /// its limit.
-    fn absorb(&mut self, cutset: Cutset) {
-        self.stats.offered += 1;
-        self.buffer.push(cutset);
-        if self.buffer.len() >= self.limit {
-            self.minimize();
-        }
-    }
-
-    /// At a watermark: the buffer's minimal cutsets in canonical order.
-    /// An empty buffer is left as it is.
-    fn finish(&mut self) -> Vec<Cutset> {
-        if self.buffer.is_empty() {
-            return Vec::new();
-        }
-        self.minimize();
-        self.limit = MIN_BUFFER_LIMIT;
-        std::mem::take(&mut self.buffer)
-    }
-}
-
-/// The generator's sink on the calling thread: buffer each candidate in
-/// the [`Filter`], and at a watermark release the buffer's minimal
-/// cutsets to quantification. Determinism: minimal sets of a multiset
-/// are unique and [`CutsetList::minimize_with_stats`] returns them in
-/// canonical order, so the released sequence does not depend on when
-/// the buffer was re-minimized.
-struct FilterSink<'a> {
-    filter: Filter,
-    releaser: Releaser<'a>,
-}
-
-impl CandidateSink for FilterSink<'_> {
-    fn deliver(&mut self, cutset: Cutset) -> bool {
-        // A failed worker aborts the channel: stop generating.
-        if self.releaser.quant_tx.is_aborted() {
-            return false;
-        }
-        self.filter.absorb(cutset);
-        let progress = self.releaser.progress;
-        progress
-            .candidates
-            .store(self.filter.stats.offered, Ordering::Relaxed);
-        progress
-            .pending
-            .store(self.filter.buffer.len(), Ordering::Relaxed);
-        true
-    }
-
-    fn watermark(&mut self) -> bool {
-        let minimal = self.filter.finish();
-        self.releaser.progress.pending.store(0, Ordering::Relaxed);
-        self.releaser.release(minimal)
-    }
 }
 
 /// One quantification worker: drain cutsets, build and solve their
@@ -366,7 +210,7 @@ fn quant_stage(
                 Err(error) => {
                     record_error(qctx.errors, cutset, error);
                     // Stall everything: the other workers' next recv and
-                    // the generator's next delivery or release fail.
+                    // the generator's next release fail.
                     quant_rx.abort();
                     busy += work_begin.elapsed();
                     break 'drain;
@@ -378,10 +222,12 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the analysis: `generate` and the filter on the calling thread,
-/// `threads` quantification workers, and (when enabled) a progress
-/// monitor — all joined before returning. `generate` streams the
-/// candidates of `translated.tree` into the sink it is handed.
+/// Run the analysis: `generate` on the calling thread, `threads`
+/// quantification workers, and (when enabled) a progress monitor — all
+/// joined before returning. `generate` hands the minimal cutsets of
+/// `translated.tree` to the release callback it is given, list by list;
+/// the callback maps them back to `tree`'s ids and queues them for
+/// quantification, and returns `false` once the pipeline was aborted.
 pub(crate) fn run(
     tree: &FaultTree,
     translated: &Translated,
@@ -389,7 +235,7 @@ pub(crate) fn run(
     options: &AnalysisOptions,
     probs_per_horizon: &[EventProbabilities],
     ctx: &FtcContext,
-    generate: impl FnOnce(&mut dyn CandidateSink) -> Result<GenerationStats, GenError>,
+    generate: impl FnOnce(&mut dyn FnMut(Vec<Cutset>) -> bool) -> Result<GenerationStats, GenError>,
 ) -> Result<EngineOutput, CoreError> {
     let threads = if options.threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -413,7 +259,7 @@ pub(crate) fn run(
     };
 
     let pipeline_start = Instant::now();
-    let (gen_result, generation_span, filter, first_release, worker_outputs, quant_end) =
+    let (gen_result, generation_span, first_release, worker_outputs, quant_end) =
         std::thread::scope(|scope| {
             let quant_handles: Vec<_> = (0..threads)
                 .map(|i| {
@@ -446,11 +292,8 @@ pub(crate) fn run(
                             100.0 * stats.hits as f64 / consultations as f64
                         };
                         eprintln!(
-                            "progress: {} candidates, {} pending in the filter, \
-                             {} cutsets finalized, {} models quantified, \
+                            "progress: {} cutsets finalized, {} models quantified, \
                              cache hit rate {rate:.1}%",
-                            progress.candidates.load(Ordering::Relaxed),
-                            progress.pending.load(Ordering::Relaxed),
                             progress.finalized.load(Ordering::Relaxed),
                             progress.quantified.load(Ordering::Relaxed),
                         );
@@ -458,22 +301,35 @@ pub(crate) fn run(
                 });
             }
 
-            // Generation and the filter run on the calling thread.
-            let mut sink = FilterSink {
-                filter: Filter::new(),
-                releaser: Releaser {
-                    quant_tx: &quant_channel,
-                    translated,
-                    progress: &progress,
-                    first_release: None,
-                },
+            // Generation runs on the calling thread. A release goes to
+            // quantification in `QUANT_BATCH` chunks, mapped back to the
+            // original tree's ids.
+            let mut first_release: Option<Instant> = None;
+            let mut release = |minimal: Vec<Cutset>| {
+                // A failed worker aborts the channel: stop generating.
+                if quant_channel.is_aborted() {
+                    return false;
+                }
+                progress
+                    .finalized
+                    .fetch_add(minimal.len() as u64, Ordering::Relaxed);
+                let mut cutsets = minimal
+                    .into_iter()
+                    .map(|cutset| translated.cutset_into_original(cutset));
+                loop {
+                    let batch: Vec<Cutset> = cutsets.by_ref().take(QUANT_BATCH).collect();
+                    if batch.is_empty() {
+                        return true;
+                    }
+                    first_release.get_or_insert_with(Instant::now);
+                    if !quant_channel.send(batch) {
+                        return false;
+                    }
+                }
             };
             let gen_start = Instant::now();
-            let gen_result = generate(&mut sink);
-            // A final watermark releases whatever a generator left
-            // buffered; after one that ended on a watermark it does
-            // nothing.
-            if gen_result.is_ok() && sink.watermark() {
+            let gen_result = generate(&mut release);
+            if gen_result.is_ok() {
                 quant_channel.close();
             } else {
                 // A generation failure tears the workers down; on
@@ -495,8 +351,7 @@ pub(crate) fn run(
             (
                 gen_result,
                 generation_span,
-                sink.filter,
-                sink.releaser.first_release,
+                first_release,
                 worker_outputs,
                 quant_end,
             )
@@ -558,113 +413,11 @@ pub(crate) fn run(
     Ok(EngineOutput {
         per_horizon,
         gen_stats,
-        peak_pending_cutsets: filter.peak_pending,
         cache_stats: cache.stats(),
         kernel_usage,
         generation_span,
         quantification_span,
         overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
-        filter_busy: filter.busy,
         quant_busy,
-        filter_stats: filter.stats,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sdft_ft::NodeId;
-
-    /// A deterministic candidate stream: `n` random sets of order 2 to 4
-    /// over 32 events. Repeats are exact duplicates, and pairs drawn late
-    /// subsume triples and quadruples kept earlier.
-    fn random_candidates(n: usize) -> Vec<Cutset> {
-        let mut state: u64 = 0x5eed_f11e;
-        let mut next = move |bound: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % bound
-        };
-        (0..n)
-            .map(|_| {
-                let order = 2 + next(3);
-                Cutset::new((0..order).map(|_| NodeId::from_index(next(32) as usize)))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn the_filter_buffer_is_reminimized_within_its_bound() {
-        let mut stream = random_candidates(26 * 512);
-        // Late deliveries: the first 512 again (exact duplicates of sets
-        // kept long ago), then singletons that subsume kept pairs.
-        stream.extend_from_within(..512);
-        stream.extend([3, 17, 29].map(|e| Cutset::new([NodeId::from_index(e)])));
-        assert!(stream.len() >= 3 * MIN_BUFFER_LIMIT);
-
-        let mut filter = Filter::new();
-        // The minimal sets of the candidates delivered so far, kept
-        // incrementally: the reference the bound is stated in.
-        let mut minimal: Vec<Cutset> = Vec::new();
-        let mut most_minimal = 0;
-        let mut shrank = false;
-        for (seen, cutset) in stream.iter().enumerate() {
-            if !minimal.iter().any(|m| m.is_subset_of(cutset)) {
-                minimal.retain(|m| !cutset.is_subset_of(m));
-                minimal.push(cutset.clone());
-            }
-            most_minimal = most_minimal.max(minimal.len());
-            let before = filter.buffer.len();
-            filter.absorb(cutset.clone());
-            let buffer = filter.buffer.len();
-            shrank |= buffer < before;
-            let bound = MIN_BUFFER_LIMIT.max(2 * most_minimal);
-            assert!(
-                buffer <= bound,
-                "buffer of {buffer} candidates after {} delivered (bound {bound})",
-                seen + 1
-            );
-            assert!(filter.peak_pending <= bound);
-        }
-        assert!(
-            shrank,
-            "the buffer was never re-minimized before the watermark"
-        );
-
-        let released = filter.finish();
-        let reference: Vec<Cutset> = CutsetList::from_vec(stream.clone())
-            .minimize()
-            .into_iter()
-            .collect();
-        assert_eq!(released, reference);
-        assert!(filter.buffer.is_empty());
-        assert_eq!(filter.stats.offered, stream.len() as u64);
-        assert_eq!(
-            filter.stats.offered - filter.stats.rejects,
-            released.len() as u64
-        );
-
-        // A watermark on the empty buffer changes nothing.
-        let (stats, peak) = (filter.stats, filter.peak_pending);
-        assert!(filter.finish().is_empty());
-        assert_eq!((filter.stats, filter.peak_pending), (stats, peak));
-
-        // An antichain longer than the limit: every pair over 100 events.
-        // Its first minimize keeps all 4,096 sets and doubles the limit;
-        // the watermark releases them all and resets the limit.
-        let pairs: Vec<Cutset> = (0..100)
-            .flat_map(|a| (a + 1..100).map(move |b| Cutset::new([a, b].map(NodeId::from_index))))
-            .collect();
-        for pair in &pairs {
-            filter.absorb(pair.clone());
-        }
-        assert_eq!(filter.limit, 2 * MIN_BUFFER_LIMIT);
-        assert_eq!(filter.peak_pending, MIN_BUFFER_LIMIT);
-        let released = filter.finish();
-        assert_eq!(released.len(), pairs.len());
-        assert_eq!(filter.limit, MIN_BUFFER_LIMIT);
-        assert!(filter.buffer.is_empty());
-        assert_eq!(filter.peak_pending, pairs.len());
-    }
 }

@@ -9,7 +9,7 @@ use crate::worstcase::worst_case_probabilities;
 use sdft_bdd::ModularBddOptions;
 use sdft_ctmc::SolverWorkspace;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree};
-use sdft_mocus::{stream_minimal_cutsets, CandidateSink, MocusError, MocusOptions};
+use sdft_mocus::{stream_minimal_cutsets, MocusError, MocusOptions};
 use std::time::{Duration, Instant};
 
 /// Options for the full SD fault tree analysis.
@@ -37,8 +37,8 @@ pub struct AnalysisOptions {
     /// Truncation error for all transient analyses.
     pub epsilon: f64,
     /// Worker threads for cutset quantification; `0` uses all available
-    /// cores. Cutset generation and the subsumption filter always run on
-    /// the calling thread.
+    /// cores. Cutset generation, subsumption included, always runs on the
+    /// calling thread.
     pub threads: usize,
     /// State budget for each per-cutset product chain.
     pub max_chain_states: usize,
@@ -51,15 +51,15 @@ pub struct AnalysisOptions {
     /// extra error per horizon when it fires — disable for bitwise
     /// compatibility with the plain Jensen iteration).
     pub steady_state_detection: bool,
-    /// Ignored. The subsumption filter always releases its minimal
-    /// cutsets to quantification at every generator watermark: after
-    /// each separable component of an OR top under MOCUS, after each
-    /// enumerated batch of the composition. The field remains so that
-    /// existing option literals keep compiling.
+    /// Ignored. The generator always releases minimal cutsets to
+    /// quantification as soon as they are final: MOCUS after each
+    /// separable component of an OR top, the composition after each
+    /// enumerated batch. The field remains so that existing option
+    /// literals keep compiling.
     pub streaming: bool,
     /// Emit a progress line to stderr at this interval while the engine
-    /// runs (candidates generated, cutsets finalized, models quantified,
-    /// cache hit rate). `None` (the default) costs nothing.
+    /// runs (cutsets finalized, models quantified, cache hit rate).
+    /// `None` (the default) costs nothing.
     pub progress: Option<Duration>,
 }
 
@@ -149,11 +149,11 @@ pub struct Timings {
     /// ran concurrently.
     pub stream_overlap: Duration,
     /// Busy seconds of the generation stage on the calling thread, wall
-    /// clock: MOCUS/BDD cutset enumeration, the subsumption filter, and
+    /// clock: MOCUS/BDD cutset enumeration, MOCUS's subsumption, and
     /// handing released cutsets to quantification.
     pub generation_busy: Duration,
-    /// Seconds the subsumption filter spent in its minimize passes on
-    /// the calling thread; a share of `generation_busy`.
+    /// Seconds MOCUS spent minimizing its candidate buffer (summed over
+    /// a composition's module-scoped runs); a share of `generation_busy`.
     pub filter_busy: Duration,
     /// Busy seconds summed over quantification workers: time spent
     /// solving models, excluding channel waits. Exceeds wall-clock
@@ -168,15 +168,16 @@ pub struct Timings {
     pub total: Duration,
 }
 
-/// Counters of the subsumption filter, aggregated over the run.
-/// All three are deterministic: the generator delivers candidates and
-/// watermarks in a fixed order, so the buffer is re-minimized at the same
-/// points on every run, whatever the thread count.
+/// MOCUS's subsumption counters ([`sdft_mocus::MocusStats`]), summed
+/// over the whole-tree run or a composition's module-scoped runs; the
+/// composition's own batches need no subsumption. All three are
+/// deterministic: MOCUS finds its candidates in a fixed order, so it
+/// re-minimizes at the same points on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterShardStats {
-    /// Candidates the generator delivered.
+    /// Candidates MOCUS found.
     pub offered: u64,
-    /// Subset tests the filter's minimize passes performed.
+    /// Subset tests the minimize passes performed.
     pub probes: u64,
     /// Candidates dropped as duplicates or subsumed.
     pub rejects: u64,
@@ -225,18 +226,19 @@ pub struct AnalysisStats {
     /// Partial cutsets MOCUS pruned via the cutoff, order limit or
     /// look-ahead bound.
     pub mocus_partials_pruned: u64,
-    /// Peak length of the subsumption filter's buffer, sampled before
-    /// each of its minimize passes. It is a deterministic function of the
-    /// sequence of candidates and watermarks, like the filter's counters,
-    /// but not of the candidate multiset alone: the doubling rule decides
-    /// where the buffer is re-minimized, so reordering the same
-    /// candidates moves the peak.
+    /// Peak length of MOCUS's candidate buffer, sampled before each
+    /// minimize pass (the largest over a composition's module-scoped
+    /// runs). Like the subsumption counters it is a deterministic
+    /// function of the candidate sequence, but not of the multiset
+    /// alone: the doubling rule decides where the buffer is
+    /// re-minimized, so reordering the same candidates moves the peak.
     pub peak_pending_cutsets: usize,
-    /// Peak live partial cutsets inside MOCUS.
+    /// Peak live partial cutsets inside MOCUS (the largest over a
+    /// composition's module-scoped runs).
     pub mocus_peak_live_partials: u64,
     /// Approximate peak bytes held by live MOCUS partials.
     pub mocus_peak_partial_bytes: u64,
-    /// The subsumption filter's counters: one entry, for the one filter.
+    /// MOCUS's subsumption counters: one entry.
     pub filter_shard_stats: Vec<FilterShardStats>,
     /// Which backend generated the cutsets.
     pub backend: Backend,
@@ -423,8 +425,8 @@ impl AnalysisResult {
 
 /// Run the complete analysis of §V: worst-case probabilities → static
 /// translation → MOCUS → parallel per-cutset Markov quantification →
-/// rare-event summation (the generation, subsumption and quantification
-/// stages run in the engine of DESIGN.md §7).
+/// rare-event summation (generation, MOCUS's subsumption included, and
+/// quantification run in the engine of DESIGN.md §7).
 ///
 /// # Errors
 ///
@@ -513,9 +515,9 @@ pub fn analyze_horizons(
         Vec::new()
     };
 
-    let generate = |sink: &mut dyn CandidateSink| match options.backend {
+    let generate = |release: &mut dyn FnMut(Vec<Cutset>) -> bool| match options.backend {
         Backend::Mocus => {
-            match stream_minimal_cutsets(&translated.tree, &static_probs, &options.mocus, sink) {
+            match stream_minimal_cutsets(&translated.tree, &static_probs, &options.mocus, release) {
                 Ok(mocus) => Ok(GenerationStats { mocus, bdd: None }),
                 Err(MocusError::Aborted) => Err(GenError::Aborted),
                 Err(error) => Err(GenError::Failed(error.into())),
@@ -526,7 +528,7 @@ pub fn analyze_horizons(
             bdd_options: options.bdd,
             all_bdd: options.backend == Backend::Bdd,
         }
-        .generate(&translated.tree, &static_probs, &exact_probe, sink),
+        .generate(&translated.tree, &static_probs, &exact_probe, release),
     };
     let engine = crate::engine::run(
         tree,
@@ -570,10 +572,14 @@ pub fn analyze_horizons(
             kernel_spmv_nonzeros: kernel_usage.stats.spmv_nonzeros,
             mocus_partials_processed: mocus_stats.partials_processed,
             mocus_partials_pruned: mocus_stats.partials_pruned,
-            peak_pending_cutsets: engine.peak_pending_cutsets,
+            peak_pending_cutsets: mocus_stats.peak_pending_cutsets as usize,
             mocus_peak_live_partials: mocus_stats.peak_live_partials,
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
-            filter_shard_stats: vec![engine.filter_stats],
+            filter_shard_stats: vec![FilterShardStats {
+                offered: mocus_stats.cutset_candidates,
+                probes: mocus_stats.subsumption_comparisons,
+                rejects: mocus_stats.candidates_rejected,
+            }],
             backend: options.backend,
             ..AnalysisStats::default()
         };
@@ -618,7 +624,7 @@ pub fn analyze_horizons(
                 csr_build: kernel_usage.csr_build,
                 stream_overlap: engine.overlap,
                 generation_busy: engine.generation_span,
-                filter_busy: engine.filter_busy,
+                filter_busy: mocus_stats.minimize_time,
                 quant_busy: engine.quant_busy,
                 spmv: kernel_usage.spmv_time,
                 total: start.elapsed(),
@@ -743,8 +749,8 @@ mod tests {
         opts.threads = 4;
         let parallel = analyze(&t, &opts).unwrap();
         assert!((sequential.frequency - parallel.frequency).abs() < 1e-18);
-        // Every counter, the MOCUS peaks and the filter's included, is
-        // independent of the quantification schedule.
+        // Every counter, the MOCUS peaks and subsumption counters
+        // included, is independent of the quantification schedule.
         assert_eq!(sequential.stats, parallel.stats);
     }
 
@@ -1082,58 +1088,50 @@ mod streaming_tests {
     /// Top OR over `[a1, b1, a2, b2]`: `a1`/`a2` share the event `sa`,
     /// `b1`/`b2` share `sb`, and the `a` and `b` lines are disjoint — two
     /// separable components whose inputs interleave.
-    fn interleaved_components() -> FaultTree {
+    pub(super) fn interleaved_components() -> FaultTree {
+        lines(true, true)
+    }
+
+    /// The `a` lines, the `b` lines or both of
+    /// [`interleaved_components`], under one OR top.
+    fn lines(a_lines: bool, b_lines: bool) -> FaultTree {
         let mut b = FaultTreeBuilder::new();
-        let sa = b.static_event("sa", 0.05).unwrap();
-        let sb = b.static_event("sb", 0.04).unwrap();
+        let sa = a_lines.then(|| b.static_event("sa", 0.05).unwrap());
+        let sb = b_lines.then(|| b.static_event("sb", 0.04).unwrap());
         let mut inputs = Vec::new();
         for i in 1..=2 {
-            let xa = b
-                .dynamic_event(
-                    &format!("xa{i}"),
-                    erlang::repairable(1, 1e-3, 0.05).unwrap(),
-                )
-                .unwrap();
-            let ya = b.static_event(&format!("ya{i}"), 0.02).unwrap();
-            let pick_a = b.or(&format!("pa{i}"), [xa, ya]).unwrap();
-            let line_a = b.and(&format!("a{i}"), [sa, pick_a]).unwrap();
-            let xb = b.static_event(&format!("xb{i}"), 0.03).unwrap();
-            let yb = b.static_event(&format!("yb{i}"), 0.06).unwrap();
-            let pick_b = b.or(&format!("pb{i}"), [xb, yb]).unwrap();
-            let line_b = b.or(&format!("b{i}"), [sb, pick_b]).unwrap();
-            inputs.extend([line_a, line_b]);
+            if let Some(sa) = sa {
+                let xa = b
+                    .dynamic_event(
+                        &format!("xa{i}"),
+                        erlang::repairable(1, 1e-3, 0.05).unwrap(),
+                    )
+                    .unwrap();
+                let ya = b.static_event(&format!("ya{i}"), 0.02).unwrap();
+                let pick_a = b.or(&format!("pa{i}"), [xa, ya]).unwrap();
+                inputs.push(b.and(&format!("a{i}"), [sa, pick_a]).unwrap());
+            }
+            if let Some(sb) = sb {
+                let xb = b.static_event(&format!("xb{i}"), 0.03).unwrap();
+                let yb = b.static_event(&format!("yb{i}"), 0.06).unwrap();
+                let pick_b = b.or(&format!("pb{i}"), [xb, yb]).unwrap();
+                inputs.push(b.or(&format!("b{i}"), [sb, pick_b]).unwrap());
+            }
         }
         let top = b.or("top", inputs).unwrap();
         b.top(top);
         b.build().unwrap()
     }
 
-    /// The candidates MOCUS delivers between consecutive watermarks on
-    /// `FT̄`, counted.
-    fn candidates_per_watermark(tree: &FaultTree, options: &AnalysisOptions) -> Vec<usize> {
-        struct Counter(Vec<usize>);
-        impl CandidateSink for Counter {
-            fn deliver(&mut self, _cutset: Cutset) -> bool {
-                *self.0.last_mut().unwrap() += 1;
-                true
-            }
-            fn watermark(&mut self) -> bool {
-                self.0.push(0);
-                true
-            }
-        }
+    /// The candidates batch MOCUS finds on `FT̄`.
+    fn mocus_candidates(tree: &FaultTree, options: &AnalysisOptions) -> u64 {
         let probs = worst_case_probabilities(tree, options.horizon, options.epsilon).unwrap();
         let translated = translate(tree, &probs).unwrap();
         let static_probs = EventProbabilities::from_static(&translated.tree).unwrap();
-        let mut counter = Counter(vec![0]);
-        stream_minimal_cutsets(
-            &translated.tree,
-            &static_probs,
-            &options.mocus,
-            &mut counter,
-        )
-        .unwrap();
-        counter.0
+        let (_, stats) =
+            sdft_mocus::minimal_cutsets_with_stats(&translated.tree, &static_probs, &options.mocus)
+                .unwrap();
+        stats.cutset_candidates
     }
 
     /// The minimal cutsets of `FT̄` straight from the batch MOCUS
@@ -1193,7 +1191,7 @@ mod streaming_tests {
                 opts.threads = threads;
                 let run = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
                 let [filter] = run[0].stats.filter_shard_stats[..] else {
-                    panic!("one filter, one counter entry");
+                    panic!("one counter entry");
                 };
                 assert_eq!(
                     filter.offered - filter.rejects,
@@ -1207,8 +1205,8 @@ mod streaming_tests {
     #[test]
     fn streaming_keeps_pending_residency_below_the_cutset_count() {
         // Twenty-four trains are twenty-four components, each released
-        // the moment it completes, so the filter never holds the whole
-        // list.
+        // the moment it completes, so MOCUS's buffer never holds the
+        // whole list.
         let tree = parallel_trains(24);
         let mut peaks = Vec::new();
         for threads in [1, 2, 4] {
@@ -1225,34 +1223,32 @@ mod streaming_tests {
             );
             peaks.push(streamed.stats.peak_pending_cutsets);
         }
-        // The filter runs on the generator's thread, so its peak does
-        // not depend on the worker count.
+        // MOCUS runs on the calling thread, so its peak does not depend
+        // on the worker count.
         assert!(peaks.windows(2).all(|w| w[0] == w[1]), "peaks {peaks:?}");
     }
 
     #[test]
     fn pending_residency_is_one_component_at_a_time() {
         // The two components' inputs interleave under the top OR, but
-        // each is expanded and released before the next starts, so the
-        // filter never holds more than the larger one's candidates.
+        // each is expanded and released before the next starts, so MOCUS
+        // never holds more than the larger one's candidates. Each
+        // component's candidates are counted on a tree that holds it
+        // alone.
         let tree = interleaved_components();
         let base = AnalysisOptions::new(24.0);
-        let segments = candidates_per_watermark(&tree, &base);
-        assert_eq!(
-            segments.len(),
-            3,
-            "two components, then nothing: {segments:?}"
-        );
-        let larger = segments.iter().copied().max().unwrap();
-        assert!(segments[0] > 0 && segments[1] > 0);
+        let components =
+            [lines(true, false), lines(false, true)].map(|t| mocus_candidates(&t, &base));
+        assert!(components.iter().all(|&n| n > 0), "{components:?}");
+        let larger = components.iter().copied().max().unwrap() as usize;
         let mut peaks = Vec::new();
         for threads in [1, 2, 4] {
             let mut opts = base;
             opts.threads = threads;
             let run = analyze(&tree, &opts).unwrap();
             assert_eq!(
-                run.stats.filter_shard_stats[0].offered as usize,
-                segments.iter().sum::<usize>()
+                run.stats.filter_shard_stats[0].offered,
+                components.iter().sum::<u64>()
             );
             assert!(
                 run.stats.peak_pending_cutsets <= larger,
@@ -1529,6 +1525,39 @@ mod hybrid_backend_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn forced_mocus_plans_report_their_module_runs() {
+        // A two-node budget puts every module on MOCUS. The top module's
+        // run finds `{sb}` once per `b` line, so it rejects a duplicate
+        // and probes subsets.
+        let t = super::streaming_tests::interleaved_components();
+        let mut runs = Vec::new();
+        for threads in [1, 2, 4] {
+            let mut opts = AnalysisOptions::new(24.0);
+            opts.backend = Backend::Hybrid;
+            opts.bdd.max_nodes = 2;
+            opts.threads = threads;
+            let run = analyze(&t, &opts).unwrap();
+            assert!(run
+                .module_plan
+                .iter()
+                .all(|e| e.choice == BackendChoice::Mocus));
+            let stats = &run.stats;
+            let [filter] = stats.filter_shard_stats[..] else {
+                panic!("one counter entry");
+            };
+            assert!(stats.mocus_peak_live_partials > 0);
+            assert!(stats.mocus_peak_partial_bytes > 0);
+            assert!(stats.peak_pending_cutsets > 0);
+            assert!(filter.offered > 0 && filter.probes > 0 && filter.rejects > 0);
+            // Every module run's candidates are its cutsets or rejects.
+            let module_cutsets: usize = run.module_plan.iter().map(|e| e.candidates).sum();
+            assert_eq!(filter.offered - filter.rejects, module_cutsets as u64);
+            runs.push(run.stats);
+        }
+        assert!(runs.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

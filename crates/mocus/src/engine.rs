@@ -1,8 +1,9 @@
 use crate::assumptions::Assumptions;
+use crate::buffer::Buffer;
 use crate::error::MocusError;
 use crate::options::MocusOptions;
 use crate::stats::MocusStats;
-use crate::stream::CandidateSink;
+use crate::stream::separable_components;
 use sdft_ft::{Cutset, CutsetList, EventProbabilities, FaultTree, GateKind, NodeId};
 
 /// Generate the minimal cutsets of `tree` above the configured cutoff.
@@ -28,7 +29,7 @@ pub fn minimal_cutsets(
 
 /// Like [`minimal_cutsets`], but also returning the run's counters
 /// ([`MocusStats`]): partials processed and pruned, candidates emitted,
-/// subsumption comparisons, and the residency peaks.
+/// subsumption comparisons and rejects, and the residency peaks.
 ///
 /// # Errors
 ///
@@ -62,8 +63,8 @@ pub fn minimal_cutsets_rooted(
     Ok(minimal_cutsets_rooted_with_stats(tree, root, probs, options, assumptions)?.0)
 }
 
-/// The batch path: collect every candidate below `root`, then
-/// minimize them in one pass.
+/// The batch path: collect every candidate below `root` and minimize
+/// them in one pass, at the run's one release.
 pub(crate) fn minimal_cutsets_rooted_with_stats(
     tree: &FaultTree,
     root: NodeId,
@@ -71,30 +72,27 @@ pub(crate) fn minimal_cutsets_rooted_with_stats(
     options: &MocusOptions,
     assumptions: &Assumptions,
 ) -> Result<(CutsetList, MocusStats), MocusError> {
-    let mut found: Vec<Cutset> = Vec::new();
-    let mut stats = generate(tree, root, probs, options, assumptions, None, &mut found)?;
-    // The candidate set is order-independent (pruning is per-branch),
-    // and minimization canonically sorts.
-    let minimize_begin = std::time::Instant::now();
-    let (minimized, comparisons) = CutsetList::from_vec(found).minimize_with_stats();
-    stats.minimize_time = minimize_begin.elapsed();
-    stats.subsumption_comparisons = comparisons;
-    Ok((minimized, stats))
+    let mut minimal = Vec::new();
+    let mut keep = |list| {
+        minimal = list;
+        true
+    };
+    let stats = generate(tree, root, probs, options, assumptions, false, &mut keep)?;
+    Ok((CutsetList::from_vec(minimal), stats))
 }
 
 /// Check the cutoff and the assumptions, then expand everything below
-/// `root` into `sink`. With `components` (the inputs of an OR `root`,
-/// grouped as [`crate::stream`] describes), the root is expanded once and
-/// each component is then expanded to completion in turn, with a
-/// watermark after each; without, one watermark ends the run.
+/// `root`, handing minimal cutsets to `release`: once at the end of a
+/// batch run; after each separable component of an OR `root` in a
+/// streaming run (see [`crate::stream`]). Empty releases are skipped.
 pub(crate) fn generate(
     tree: &FaultTree,
     root: NodeId,
     probs: &EventProbabilities,
     options: &MocusOptions,
     assumptions: &Assumptions,
-    components: Option<&[Vec<NodeId>]>,
-    sink: &mut dyn CandidateSink,
+    streaming: bool,
+    release: &mut dyn FnMut(Vec<Cutset>) -> bool,
 ) -> Result<MocusStats, MocusError> {
     if let Some(c) = options.cutoff {
         if !c.is_finite() || c < 0.0 {
@@ -102,7 +100,7 @@ pub(crate) fn generate(
         }
     }
     assumptions.validate(tree)?;
-    Engine::new(tree, probs, options, assumptions).run(root, components, sink)
+    Engine::new(tree, probs, options, assumptions).run(root, streaming, release)
 }
 
 #[derive(Debug, Clone)]
@@ -144,14 +142,17 @@ impl Gauge {
     }
 }
 
-/// The mutable state of one run: the partial stack, the candidates'
-/// sink, recycled `Partial` allocations, the scratch buffers
-/// `within_bounds` needs, and the budget and residency counters.
+/// The mutable state of one run: the partial stack, the candidate
+/// buffer and its release, recycled `Partial` allocations, the scratch
+/// buffers `within_bounds` needs, and the budget and residency counters.
 struct Worker<'s> {
     /// Depth-first stack of live partials.
     stack: Vec<Partial>,
-    /// Where finalized candidates go.
-    sink: &'s mut dyn CandidateSink,
+    /// Finalized candidates not yet released.
+    buffer: Buffer,
+    /// Takes the buffer's minimal cutsets at each release; `false`
+    /// aborts the run.
+    release: &'s mut dyn FnMut(Vec<Cutset>) -> bool,
     /// Recycled partials: branching pulls allocations from here instead
     /// of cloning fresh vectors for every child.
     pool: Vec<Partial>,
@@ -174,10 +175,11 @@ struct Worker<'s> {
 const POOL_LIMIT: usize = 256;
 
 impl<'s> Worker<'s> {
-    fn new(words: usize, sink: &'s mut dyn CandidateSink) -> Self {
+    fn new(words: usize, streaming: bool, release: &'s mut dyn FnMut(Vec<Cutset>) -> bool) -> Self {
         Worker {
             stack: Vec::new(),
-            sink,
+            buffer: Buffer::new(streaming),
+            release,
             pool: Vec::new(),
             scratch: vec![0u64; words],
             gate_scratch: Vec::new(),
@@ -221,20 +223,22 @@ impl<'s> Worker<'s> {
         self.stack.push(partial);
     }
 
-    /// The run's counters; minimization (and its comparison count)
-    /// belongs to the caller.
+    /// The run's counters.
     fn stats(&self) -> MocusStats {
         MocusStats {
             partials_processed: self.processed as u64,
             partials_pruned: self.pruned,
             cutset_candidates: self.candidates as u64,
+            subsumption_comparisons: self.buffer.probes,
+            candidates_rejected: self.buffer.rejects,
+            peak_pending_cutsets: self.buffer.peak_pending as u64,
             peak_live_partials: self.partials.peak as u64,
             peak_partial_bytes: self.partial_bytes.peak as u64,
-            ..MocusStats::default()
+            minimize_time: self.buffer.busy,
         }
     }
 
-    /// Expand the stack until it is empty, then call the watermark.
+    /// Expand the stack until it is empty, then release the buffer.
     ///
     /// The loop stays in a function of its own: folded into
     /// `Engine::run`, where it shared one function with the inlined
@@ -244,7 +248,15 @@ impl<'s> Worker<'s> {
         while let Some(partial) = self.stack.pop() {
             engine.expand_one(self, partial)?;
         }
-        if self.sink.watermark() {
+        self.release_buffer()
+    }
+
+    /// Minimize the buffer and hand its minimal cutsets on, unless it
+    /// is empty.
+    #[inline(never)]
+    fn release_buffer(&mut self) -> Result<(), MocusError> {
+        let minimal = self.buffer.finish();
+        if minimal.is_empty() || (self.release)(minimal) {
             Ok(())
         } else {
             Err(MocusError::Aborted)
@@ -383,22 +395,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Expand everything below `root` depth-first into the worker's sink
-    /// (see [`generate`]).
+    /// Expand everything below `root` depth-first, releasing minimal
+    /// cutsets (see [`generate`]).
     fn run(
         &self,
         root: NodeId,
-        components: Option<&[Vec<NodeId>]>,
-        sink: &mut dyn CandidateSink,
+        streaming: bool,
+        release: &mut dyn FnMut(Vec<Cutset>) -> bool,
     ) -> Result<MocusStats, MocusError> {
         let tree = self.tree;
-        let mut worker = Worker::new(self.words, sink);
+        let mut worker = Worker::new(self.words, streaming, release);
         // A basic-event root degenerates to a single obligation.
         let initial = if tree.is_basic(root) {
             if self.assumptions.is_failed(root) {
                 // Already failed: the empty cutset is the only one.
-                let empty = Cutset::new(std::iter::empty());
-                if !worker.sink.deliver(empty) || !worker.sink.watermark() {
+                if !(worker.release)(vec![Cutset::new(std::iter::empty())]) {
                     return Err(MocusError::Aborted);
                 }
                 return Ok(MocusStats::default());
@@ -418,8 +429,11 @@ impl<'a> Engine<'a> {
         if let Some(initial) = initial {
             if !self.within_bounds(&mut worker, &initial) {
                 worker.pruned += 1;
-            } else if let Some(components) = components {
-                self.expand_components(&mut worker, initial, components)?;
+            } else if let Some(components) = streaming
+                .then(|| separable_components(tree, root))
+                .flatten()
+            {
+                self.expand_components(&mut worker, initial, &components)?;
                 return Ok(worker.stats());
             } else {
                 worker.push_live(initial);
@@ -430,7 +444,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Expand the OR partial `top` once, then each component of its
-    /// inputs to completion in turn, with a watermark after each. Every
+    /// inputs to completion in turn, with a release after each. Every
     /// input is seeded as the OR branch of [`Self::expand_one`] seeds it,
     /// so each component's candidates arrive in the order a plain
     /// depth-first pass finds them.
@@ -490,9 +504,7 @@ impl<'a> Engine<'a> {
                 gates,
                 prob: 1.0,
             });
-            if !worker.sink.deliver(Cutset::new(events)) {
-                return Err(MocusError::Aborted);
-            }
+            worker.buffer.push(Cutset::new(events));
             return Ok(());
         };
         match self.tree.gate_kind(gate).expect("pending nodes are gates") {

@@ -44,6 +44,7 @@
 //! ```
 
 mod assumptions;
+mod buffer;
 mod engine;
 mod error;
 mod options;
@@ -56,5 +57,5 @@ pub use engine::{minimal_cutsets, minimal_cutsets_rooted, minimal_cutsets_with_s
 pub use error::MocusError;
 pub use options::MocusOptions;
 pub use stats::MocusStats;
-pub use stream::{stream_minimal_cutsets, CandidateSink};
+pub use stream::stream_minimal_cutsets;
 pub use submodel::{module_cutsets, ModuleCutsets};

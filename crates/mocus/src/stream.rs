@@ -1,12 +1,12 @@
-//! Emit-on-finalize streaming for the MOCUS engine.
+//! Release by component for the MOCUS engine.
 //!
-//! The batch entry points materialize every cutset candidate before
-//! minimization. Streaming instead hands each candidate to a
-//! [`CandidateSink`] the moment expansion finalizes it, and calls the
-//! sink's [`watermark`](CandidateSink::watermark) whenever no candidate
-//! still to come can subsume (or equal) one already delivered. Two
-//! children `a`, `b` of a top-level OR are *separable* — no candidate of
-//! one can ever subsume a candidate of the other — when either
+//! The batch entry points collect every cutset candidate and minimize
+//! them once, at the end of the run. Streaming instead hands the
+//! minimal cutsets of each *separable component* to a release callback
+//! as soon as the component is expanded: no candidate still to come can
+//! subsume (or equal) one already released. Two children `a`, `b` of a
+//! top-level OR are *separable* — no candidate of one can ever subsume a
+//! candidate of the other — when either
 //!
 //! * their reachable basic-event sets are disjoint (no shared events at
 //!   all), or
@@ -18,11 +18,12 @@
 //!
 //! Children are grouped with union–find: every non-separable pair
 //! shares a component. The engine expands the top OR once, then expands
-//! each component to completion, one after another, with a watermark
-//! after each. Overlapping children that differ in a mandatory private
-//! event (shared support systems, distinct sequence tails) still split,
-//! so a downstream minimizer can release a component's minimal sets
-//! while later components are still to be expanded.
+//! each component to completion, one after another, minimizing its
+//! candidates and releasing the result after each. Overlapping children
+//! that differ in a mandatory private event (shared support systems,
+//! distinct sequence tails) still split, so a consumer can work on a
+//! component's minimal sets while later components are still to be
+//! expanded.
 
 use crate::assumptions::Assumptions;
 use crate::engine::generate;
@@ -30,36 +31,6 @@ use crate::error::MocusError;
 use crate::options::MocusOptions;
 use crate::stats::MocusStats;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree, GateKind, NodeId};
-
-/// Consumer side of a streaming MOCUS run. The generator calls it on
-/// its own thread, in a fixed order for a given tree and options. A
-/// [`watermark`](Self::watermark) promises that no later candidate
-/// subsumes or equals one delivered before it.
-///
-/// Returning `false` from either method aborts generation promptly
-/// (the run ends with [`MocusError::Aborted`]); use it when the
-/// downstream pipeline has failed or shut down.
-pub trait CandidateSink {
-    /// Take one cutset candidate.
-    fn deliver(&mut self, cutset: Cutset) -> bool;
-
-    /// Every candidate delivered so far may be minimized among
-    /// themselves and released downstream: no later candidate can
-    /// subsume them.
-    fn watermark(&mut self) -> bool;
-}
-
-/// The batch sink: collect every candidate, ignore the watermarks.
-impl CandidateSink for Vec<Cutset> {
-    fn deliver(&mut self, cutset: Cutset) -> bool {
-        self.push(cutset);
-        true
-    }
-
-    fn watermark(&mut self) -> bool {
-        true
-    }
-}
 
 /// The inputs of an OR `root`, grouped into separable components (see
 /// the module docs); `None` when `root` is not an OR gate.
@@ -177,101 +148,53 @@ pub(crate) fn separable_components(tree: &FaultTree, root: NodeId) -> Option<Vec
     Some(components)
 }
 
-/// Generate cutset candidates for the top gate of `tree`, handing each
-/// one to `sink` as it is found instead of materializing a list, with a
-/// watermark after each separable component of an OR top (see the
-/// module docs) or once at the end. The returned stats carry no
-/// `subsumption_comparisons` — minimization belongs to the consumer.
+/// Generate the minimal cutsets of the top gate of `tree`, handing them
+/// to `release` one list per separable component of an OR top (see the
+/// module docs), or one list at the end for any other top. Each list is
+/// the minimal antichain of its component's candidates, in canonical
+/// (order, events) order; no cutset of a later list subsumes or equals
+/// one of an earlier list, and a component without candidates is not
+/// released. While a component is expanded, its candidate buffer is
+/// re-minimized whenever it reaches `max(4096, 2 ×` its length after
+/// the last minimize`)`.
 ///
-/// The candidate set (and therefore the minimal cutsets the consumer
-/// derives) is identical to [`minimal_cutsets`](crate::minimal_cutsets),
-/// and the sequence of deliveries and watermarks is the same on every
-/// run.
+/// The lists together hold exactly the cutsets of
+/// [`minimal_cutsets`](crate::minimal_cutsets), and the sequence of
+/// releases is the same on every run.
 ///
 /// # Errors
 ///
 /// Returns an error if the cutoff is invalid or a safety budget in
-/// `options` is exceeded; [`MocusError::Aborted`] when the sink
-/// rejected a delivery (the real cause lives with the consumer).
+/// `options` is exceeded; [`MocusError::Aborted`] when `release`
+/// returned `false` (the real cause lives with the consumer).
 pub fn stream_minimal_cutsets(
     tree: &FaultTree,
     probs: &EventProbabilities,
     options: &MocusOptions,
-    sink: &mut dyn CandidateSink,
+    release: &mut dyn FnMut(Vec<Cutset>) -> bool,
 ) -> Result<MocusStats, MocusError> {
-    let components = separable_components(tree, tree.top());
     generate(
         tree,
         tree.top(),
         probs,
         options,
         &Assumptions::new(tree),
-        components.as_deref(),
-        sink,
+        true,
+        release,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimal_cutsets_with_stats;
+    use crate::{minimal_cutsets_rooted, minimal_cutsets_with_stats};
     use sdft_ft::{CutsetList, FaultTreeBuilder};
-
-    /// One call the generator made on its sink.
-    #[derive(Debug, PartialEq, Eq)]
-    enum SinkCall {
-        Deliver(Cutset),
-        Watermark,
-    }
-
-    /// Records every call.
-    #[derive(Default)]
-    struct RecordingSink {
-        calls: Vec<SinkCall>,
-    }
-
-    impl RecordingSink {
-        /// The delivered candidates between consecutive watermarks.
-        fn segments(&self) -> Vec<Vec<Cutset>> {
-            let mut segments = vec![Vec::new()];
-            for call in &self.calls {
-                match call {
-                    SinkCall::Deliver(c) => segments.last_mut().unwrap().push(c.clone()),
-                    SinkCall::Watermark => segments.push(Vec::new()),
-                }
-            }
-            segments
-        }
-    }
-
-    impl CandidateSink for RecordingSink {
-        fn deliver(&mut self, cutset: Cutset) -> bool {
-            self.calls.push(SinkCall::Deliver(cutset));
-            true
-        }
-
-        fn watermark(&mut self) -> bool {
-            self.calls.push(SinkCall::Watermark);
-            true
-        }
-    }
-
-    /// Rejects the first delivery, simulating a failed consumer.
-    struct RejectingSink;
-
-    impl CandidateSink for RejectingSink {
-        fn deliver(&mut self, _cutset: Cutset) -> bool {
-            false
-        }
-
-        fn watermark(&mut self) -> bool {
-            true
-        }
-    }
 
     /// Top OR over `[a1, b1, a2, b2]`: `a1`/`a2` share the event `sa`,
     /// `b1`/`b2` share `sb`, and the `a` and `b` lines are disjoint — two
-    /// components whose inputs interleave.
+    /// components whose inputs interleave. The `a` lines' cutsets are
+    /// pairs of probability at most 1e-3, the `b` lines' singletons of at
+    /// least 0.03.
     fn interleaved_tree() -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let sa = b.static_event("sa", 0.05).unwrap();
@@ -293,7 +216,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Which line a candidate of [`interleaved_tree`] belongs to.
+    /// Which line a cutset of [`interleaved_tree`] belongs to.
     fn line_of(tree: &FaultTree, cutset: &Cutset) -> char {
         let lines: Vec<char> = cutset
             .events()
@@ -304,84 +227,120 @@ mod tests {
         lines[0]
     }
 
-    fn record(tree: &FaultTree, options: &MocusOptions) -> (RecordingSink, MocusStats) {
+    /// Every list a streaming run released, in release order.
+    fn record(tree: &FaultTree, options: &MocusOptions) -> (Vec<Vec<Cutset>>, MocusStats) {
         let probs = EventProbabilities::from_static(tree).unwrap();
-        let mut sink = RecordingSink::default();
-        let stats = stream_minimal_cutsets(tree, &probs, options, &mut sink).unwrap();
-        (sink, stats)
+        let mut releases = Vec::new();
+        let stats = stream_minimal_cutsets(tree, &probs, options, &mut |list| {
+            releases.push(list);
+            true
+        })
+        .unwrap();
+        (releases, stats)
     }
 
-    #[test]
-    fn components_are_delivered_one_after_another() {
-        let t = interleaved_tree();
-        let (sink, _) = record(&t, &MocusOptions::exhaustive());
-        // Two components, each followed by exactly one watermark: the
-        // calls end in a watermark and split into two non-empty runs.
-        assert_eq!(sink.calls.last(), Some(&SinkCall::Watermark));
-        let mut segments = sink.segments();
-        assert_eq!(segments.pop(), Some(Vec::new()));
-        assert_eq!(segments.len(), 2);
-        // Each component's candidates arrive contiguously, the component
-        // of the last input (`b2`) first.
-        let lines: Vec<char> = segments
+    /// The minimal sets of a component's candidates. A component's
+    /// candidates are those of its inputs, and minimizing each input's
+    /// candidates first changes nothing, so this minimizes the union of
+    /// the inputs' minimal cutsets.
+    fn component_reference(
+        tree: &FaultTree,
+        inputs: &[NodeId],
+        options: &MocusOptions,
+    ) -> Vec<Cutset> {
+        let probs = EventProbabilities::from_static(tree).unwrap();
+        let union: Vec<Cutset> = inputs
             .iter()
-            .map(|segment| {
-                assert!(!segment.is_empty());
-                let line = line_of(&t, &segment[0]);
-                assert!(segment.iter().all(|c| line_of(&t, c) == line));
-                line
+            .flat_map(|&input| {
+                minimal_cutsets_rooted(tree, input, &probs, options, &Assumptions::new(tree))
+                    .unwrap()
             })
             .collect();
-        assert_eq!(lines, ['b', 'a']);
-        // The first watermark comes before the last delivery.
-        let first_watermark = sink
-            .calls
-            .iter()
-            .position(|call| *call == SinkCall::Watermark)
-            .unwrap();
-        let last_delivery = sink
-            .calls
-            .iter()
-            .rposition(|call| matches!(call, SinkCall::Deliver(_)))
-            .unwrap();
-        assert!(first_watermark < last_delivery);
+        CutsetList::from_vec(union).minimize().into_iter().collect()
     }
 
-    #[test]
-    fn streamed_candidates_match_batch() {
-        let t = interleaved_tree();
-        let probs = EventProbabilities::from_static(&t).unwrap();
-        let opts = MocusOptions::exhaustive();
-        let (reference, ref_stats) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
-        let (sink, stats) = record(&t, &opts);
-        // The candidate multiset and the work counters match the batch
-        // run.
-        let segments = sink.segments();
-        let all: Vec<Cutset> = segments.iter().flatten().cloned().collect();
-        assert_eq!(stats.cutset_candidates as usize, all.len());
-        assert_eq!(stats.cutset_candidates, ref_stats.cutset_candidates);
-        assert_eq!(stats.partials_processed, ref_stats.partials_processed);
-        assert_eq!(stats.partials_pruned, ref_stats.partials_pruned);
-        // Global minimization of the streamed candidates equals the
-        // batch minimal cutsets...
-        assert_eq!(reference, CutsetList::from_vec(all).minimize());
-        // ...and so does minimizing between watermarks (no candidate
-        // subsumes one delivered before an earlier watermark).
-        let mut per_segment: Vec<Cutset> = segments
-            .into_iter()
-            .flat_map(|segment| CutsetList::from_vec(segment).minimize())
-            .collect();
-        per_segment.sort_unstable_by(|a, b| {
+    fn canonical(list: &mut [Cutset]) {
+        list.sort_unstable_by(|a, b| {
             a.order()
                 .cmp(&b.order())
                 .then_with(|| a.events().cmp(b.events()))
         });
-        let flat: Vec<Cutset> = reference.iter().cloned().collect();
-        assert_eq!(flat, per_segment);
     }
 
     #[test]
-    fn a_top_that_is_not_an_or_gets_one_final_watermark() {
+    fn components_are_released_one_after_another() {
+        let t = interleaved_tree();
+        let components = separable_components(&t, t.top()).unwrap();
+        assert_eq!(components.len(), 2);
+        // Exhaustive, both components have cutsets; at a 0.02 cutoff the
+        // `a` lines have none.
+        for (cutoff, lines) in [(None, &['b', 'a'][..]), (Some(0.02), &['b'][..])] {
+            let opts = MocusOptions {
+                cutoff,
+                ..MocusOptions::default()
+            };
+            let (releases, _) = record(&t, &opts);
+            // One release per component with cutsets, in component order
+            // (the component of the last input, `b2`, first), each the
+            // minimal sets of that component's candidates.
+            let expected: Vec<Vec<Cutset>> = components
+                .iter()
+                .map(|inputs| component_reference(&t, inputs, &opts))
+                .filter(|list| !list.is_empty())
+                .collect();
+            assert_eq!(releases, expected, "cutoff {cutoff:?}");
+            let released_lines: Vec<char> = releases
+                .iter()
+                .map(|list| {
+                    let line = line_of(&t, &list[0]);
+                    assert!(list.iter().all(|c| line_of(&t, c) == line));
+                    line
+                })
+                .collect();
+            assert_eq!(released_lines, lines);
+            // No cutset of one release subsumes or equals one of another.
+            for (i, first) in releases.iter().enumerate() {
+                for second in &releases[i + 1..] {
+                    for a in first {
+                        for b in second {
+                            assert!(!a.is_subset_of(b) && !b.is_subset_of(a), "{a:?}, {b:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_cutsets_match_batch() {
+        let t = interleaved_tree();
+        let probs = EventProbabilities::from_static(&t).unwrap();
+        let opts = MocusOptions::exhaustive();
+        let (reference, ref_stats) = minimal_cutsets_with_stats(&t, &probs, &opts).unwrap();
+        let (releases, stats) = record(&t, &opts);
+        // The work counters match the batch run.
+        assert_eq!(stats.cutset_candidates, ref_stats.cutset_candidates);
+        assert_eq!(stats.partials_processed, ref_stats.partials_processed);
+        assert_eq!(stats.partials_pruned, ref_stats.partials_pruned);
+        // Every candidate is released or rejected.
+        let released: usize = releases.iter().map(Vec::len).sum();
+        assert_eq!(
+            stats.cutset_candidates - stats.candidates_rejected,
+            released as u64
+        );
+        assert_eq!(
+            ref_stats.cutset_candidates - ref_stats.candidates_rejected,
+            reference.len() as u64
+        );
+        // Together the releases are the batch minimal cutsets.
+        let mut all: Vec<Cutset> = releases.into_iter().flatten().collect();
+        canonical(&mut all);
+        let flat: Vec<Cutset> = reference.into_iter().collect();
+        assert_eq!(all, flat);
+    }
+
+    #[test]
+    fn a_top_that_is_not_an_or_gets_one_release() {
         let mut b = FaultTreeBuilder::new();
         let x = b.static_event("x", 0.1).unwrap();
         let y = b.static_event("y", 0.2).unwrap();
@@ -390,45 +349,54 @@ mod tests {
         let top = b.and("top", [x, g]).unwrap();
         b.top(top);
         let t = b.build().unwrap();
-        let (sink, _) = record(&t, &MocusOptions::exhaustive());
+        let (releases, _) = record(&t, &MocusOptions::exhaustive());
+        assert_eq!(releases.iter().map(Vec::len).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn every_run_makes_the_same_releases() {
+        let t = interleaved_tree();
+        let run = || record(&t, &MocusOptions::exhaustive());
+        let (first, first_stats) = run();
+        let (second, second_stats) = run();
+        assert_eq!(first, second);
         assert_eq!(
-            sink.segments().iter().map(Vec::len).collect::<Vec<_>>(),
-            [2, 0]
+            MocusStats {
+                minimize_time: std::time::Duration::ZERO,
+                ..first_stats
+            },
+            MocusStats {
+                minimize_time: std::time::Duration::ZERO,
+                ..second_stats
+            }
         );
     }
 
     #[test]
-    fn every_run_makes_the_same_sink_calls() {
-        let t = interleaved_tree();
-        let run = || record(&t, &MocusOptions::exhaustive()).0.calls;
-        let (first, second) = (run(), run());
-        assert_eq!(first.len(), second.len());
-        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-            assert_eq!(a, b, "sink call {i}");
-        }
-    }
-
-    #[test]
-    fn rejecting_sink_aborts_generation() {
+    fn a_rejected_release_aborts_generation() {
         let t = interleaved_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        assert!(matches!(
-            stream_minimal_cutsets(&t, &probs, &MocusOptions::exhaustive(), &mut RejectingSink),
-            Err(MocusError::Aborted)
-        ));
+        let mut releases = 0;
+        let outcome = stream_minimal_cutsets(&t, &probs, &MocusOptions::exhaustive(), &mut |_| {
+            releases += 1;
+            false
+        });
+        assert!(matches!(outcome, Err(MocusError::Aborted)));
+        // The run stopped at its first release: the second component was
+        // never expanded.
+        assert_eq!(releases, 1);
     }
 
     #[test]
     fn budgets_abort_streaming_runs() {
         let t = interleaved_tree();
         let probs = EventProbabilities::from_static(&t).unwrap();
-        let mut sink = RecordingSink::default();
         let opts = MocusOptions {
             max_cutsets: 2,
             ..MocusOptions::exhaustive()
         };
         assert!(matches!(
-            stream_minimal_cutsets(&t, &probs, &opts, &mut sink),
+            stream_minimal_cutsets(&t, &probs, &opts, &mut |_| true),
             Err(MocusError::TooManyCutsets { limit: 2 })
         ));
         let opts = MocusOptions {
@@ -436,7 +404,7 @@ mod tests {
             ..MocusOptions::exhaustive()
         };
         assert!(matches!(
-            stream_minimal_cutsets(&t, &probs, &opts, &mut sink),
+            stream_minimal_cutsets(&t, &probs, &opts, &mut |_| true),
             Err(MocusError::TooManyPartials { limit: 1 })
         ));
     }
@@ -450,11 +418,16 @@ mod tests {
         assert!(batch.peak_live_partials > 0);
         assert!(batch.peak_partial_bytes > 0);
         assert!(!list.is_empty());
+        // A batch run minimizes its whole candidate list once.
+        assert_eq!(batch.peak_pending_cutsets, batch.cutset_candidates);
         // Streaming seeds one component at a time instead of every input
-        // of the top at once, so it never queues more partials.
+        // of the top at once, so it never queues more partials, and
+        // releases each component's candidates before the next starts.
         let (_, stream) = record(&t, &opts);
         assert!(stream.peak_live_partials > 0);
         assert!(stream.peak_live_partials <= batch.peak_live_partials);
         assert!(stream.peak_partial_bytes <= batch.peak_partial_bytes);
+        assert!(stream.peak_pending_cutsets > 0);
+        assert!(stream.peak_pending_cutsets < batch.peak_pending_cutsets);
     }
 }
