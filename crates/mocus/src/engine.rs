@@ -144,7 +144,7 @@ impl Gauge {
 
 /// The mutable state of one run: the partial stack, the candidate
 /// buffer and its release, recycled `Partial` allocations, the scratch
-/// buffers `within_bounds` needs, and the budget and residency counters.
+/// buffers of the look-ahead, and the budget and residency counters.
 struct Worker<'s> {
     /// Depth-first stack of live partials.
     stack: Vec<Partial>,
@@ -158,6 +158,10 @@ struct Worker<'s> {
     pool: Vec<Partial>,
     /// Scratch bitset for the disjointness test in `within_bounds`.
     scratch: Vec<u64>,
+    /// The union `U` of the branching parent's look-ahead
+    /// ([`Engine::branch_bound`]), kept apart from `scratch` because each
+    /// surviving branch's `within_bounds` overwrites that.
+    branch_scratch: Vec<u64>,
     /// Scratch list for sorting pending gates by upper bound.
     gate_scratch: Vec<NodeId>,
     /// Partials processed, against `max_partials`.
@@ -182,6 +186,7 @@ impl<'s> Worker<'s> {
             release,
             pool: Vec::new(),
             scratch: vec![0u64; words],
+            branch_scratch: vec![0u64; words],
             gate_scratch: Vec::new(),
             processed: 0,
             candidates: 0,
@@ -269,14 +274,20 @@ struct Engine<'a> {
     probs: &'a EventProbabilities,
     options: &'a MocusOptions,
     assumptions: &'a Assumptions,
+    /// Per node: the node it stands for. A gate with exactly one input
+    /// (a transfer gate) equals that input, so it maps to the input's
+    /// representative; every other node maps to itself. Partials only
+    /// ever hold representatives.
+    resolve: Vec<NodeId>,
     /// Per node: the largest probability of any single way to fail it
     /// (OR → max over inputs, AND → product, respecting assumptions).
     /// Used for look-ahead pruning; empty when the cutoff is disabled.
     upper_bound: Vec<f64>,
     /// Dense event index per node (`usize::MAX` for gates).
     event_index: Vec<usize>,
-    /// Per node: bitmask over dense event indices of its subtree; empty
-    /// when the cutoff is disabled.
+    /// Per event and representative: bitmask over dense event indices of
+    /// its subtree (empty for transfer gates); empty when the cutoff is
+    /// disabled.
     masks: Vec<Vec<u64>>,
     /// Words per event bitmask.
     words: usize,
@@ -296,14 +307,29 @@ impl<'a> Engine<'a> {
             num_events += 1;
         }
         let words = num_events.div_ceil(64);
+        // Node ids are topological (inputs precede gates), so one forward
+        // pass resolves whole chains. `FaultTreeBuilder` admits no
+        // single-input threshold but `AtLeast(1)`, and a single-input OR,
+        // AND or `AtLeast(1)` is its input.
+        let mut resolve: Vec<NodeId> = Vec::with_capacity(tree.len());
+        for id in tree.node_ids() {
+            let node = match tree.gate_inputs(id) {
+                [input] => resolve[input.index()],
+                _ => id,
+            };
+            resolve.push(node);
+        }
 
         let (upper_bound, masks) = if options.cutoff.is_some() {
             let mut ub = vec![0.0f64; tree.len()];
             let mut masks: Vec<Vec<u64>> = vec![Vec::new(); tree.len()];
-            // Node ids are topological (inputs precede gates).
+            // Gates are bounded over their inputs' representatives.
+            let rep = |c: &NodeId| resolve[c.index()].index();
             for id in tree.node_ids() {
                 let i = id.index();
-                if tree.is_basic(id) {
+                if resolve[i] != id {
+                    ub[i] = ub[resolve[i].index()];
+                } else if tree.is_basic(id) {
                     ub[i] = if assumptions.is_failed(id) {
                         1.0
                     } else if assumptions.is_ok(id) {
@@ -323,20 +349,20 @@ impl<'a> Engine<'a> {
                     // pairwise-disjoint subtrees; overlapping children
                     // contribute a factor of 1.
                     ub[i] = match tree.gate_kind(id).expect("gate") {
-                        GateKind::Or => inputs.iter().map(|c| ub[c.index()]).fold(0.0, f64::max),
+                        GateKind::Or => inputs.iter().map(|c| ub[rep(c)]).fold(0.0, f64::max),
                         GateKind::And => {
-                            let mut order: Vec<&NodeId> = inputs.iter().collect();
-                            order.sort_by(|a, b| {
-                                ub[a.index()]
-                                    .partial_cmp(&ub[b.index()])
+                            let mut order: Vec<usize> = inputs.iter().map(rep).collect();
+                            order.sort_by(|&a, &b| {
+                                ub[a]
+                                    .partial_cmp(&ub[b])
                                     .unwrap_or(std::cmp::Ordering::Equal)
                             });
                             let mut union = vec![0u64; words];
                             let mut product = 1.0;
                             for c in order {
-                                let mask = &masks[c.index()];
+                                let mask = &masks[c];
                                 if mask.iter().zip(&union).all(|(m, u)| m & u == 0) {
-                                    product *= ub[c.index()];
+                                    product *= ub[c];
                                     for (u, m) in union.iter_mut().zip(mask) {
                                         *u |= m;
                                     }
@@ -346,15 +372,15 @@ impl<'a> Engine<'a> {
                         }
                         GateKind::AtLeast(k) => {
                             let k = k as usize;
-                            let mut ubs: Vec<f64> = inputs.iter().map(|c| ub[c.index()]).collect();
+                            let mut ubs: Vec<f64> = inputs.iter().map(|c| ub[rep(c)]).collect();
                             ubs.sort_by(|a, b| {
                                 b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
                             });
                             let pairwise_disjoint = inputs.iter().enumerate().all(|(x, a)| {
                                 inputs.iter().skip(x + 1).all(|b| {
-                                    masks[a.index()]
+                                    masks[rep(a)]
                                         .iter()
-                                        .zip(&masks[b.index()])
+                                        .zip(&masks[rep(b)])
                                         .all(|(ma, mb)| ma & mb == 0)
                                 })
                             });
@@ -371,7 +397,7 @@ impl<'a> Engine<'a> {
                     };
                     let mut mask = vec![0u64; words];
                     for c in inputs {
-                        for (w, m) in mask.iter_mut().zip(&masks[c.index()]) {
+                        for (w, m) in mask.iter_mut().zip(&masks[rep(c)]) {
                             *w |= m;
                         }
                     }
@@ -388,11 +414,17 @@ impl<'a> Engine<'a> {
             probs,
             options,
             assumptions,
+            resolve,
             upper_bound,
             event_index,
             masks,
             words,
         }
+    }
+
+    /// The node `node` stands for (see [`Engine::resolve`]).
+    fn rep(&self, node: NodeId) -> NodeId {
+        self.resolve[node.index()]
     }
 
     /// Expand everything below `root` depth-first, releasing minimal
@@ -404,6 +436,7 @@ impl<'a> Engine<'a> {
         release: &mut dyn FnMut(Vec<Cutset>) -> bool,
     ) -> Result<MocusStats, MocusError> {
         let tree = self.tree;
+        let root = self.rep(root);
         let mut worker = Worker::new(self.words, streaming, release);
         // A basic-event root degenerates to a single obligation.
         let initial = if tree.is_basic(root) {
@@ -446,8 +479,8 @@ impl<'a> Engine<'a> {
     /// Expand the OR partial `top` once, then each component of its
     /// inputs to completion in turn, with a release after each. Every
     /// input is seeded as the OR branch of [`Self::expand_one`] seeds it,
-    /// so each component's candidates arrive in the order a plain
-    /// depth-first pass finds them.
+    /// branch bound included, so each component's candidates arrive in
+    /// the order a plain depth-first pass finds them.
     fn expand_components(
         &self,
         worker: &mut Worker<'_>,
@@ -463,7 +496,12 @@ impl<'a> Engine<'a> {
         }
         top.gates.pop();
         for component in components {
+            // The previous component's drain overwrote the look-ahead.
+            let bound = self.branch_bound(worker, &top);
             for &child in component {
+                if self.prunes_branch(worker, bound, child) {
+                    continue;
+                }
                 let mut branch = worker.alloc_copy(&top);
                 if matches!(self.add_child(&mut branch, child), Outcome::Dead) {
                     worker.recycle(branch);
@@ -524,22 +562,24 @@ impl<'a> Engine<'a> {
             }
             GateKind::Or => {
                 let inputs = self.tree.gate_inputs(gate);
-                // If any input is an event assumed failed, the gate is
-                // already failed and the obligation simply drops.
-                let satisfied = inputs
+                // If any input stands for an event assumed failed, the
+                // gate is already failed and the obligation simply drops.
+                // (`generate` rejects assumptions on gates.)
+                if inputs
                     .iter()
-                    .any(|&c| self.tree.is_basic(c) && self.assumptions.is_failed(c));
-                if satisfied {
+                    .any(|&c| self.assumptions.is_failed(self.rep(c)))
+                {
                     worker.push_live(partial);
                     return Ok(());
                 }
-                let skip = |c: NodeId| self.tree.is_basic(c) && self.assumptions.is_ok(c);
+                let skip = |c: NodeId| self.assumptions.is_ok(self.rep(c));
                 let Some(last) = inputs.iter().rposition(|&c| !skip(c)) else {
                     worker.recycle(partial);
                     return Ok(());
                 };
+                let bound = self.branch_bound(worker, &partial);
                 for &child in &inputs[..last] {
-                    if skip(child) {
+                    if skip(child) || self.prunes_branch(worker, bound, child) {
                         continue;
                     }
                     let mut branch = worker.alloc_copy(&partial);
@@ -550,7 +590,9 @@ impl<'a> Engine<'a> {
                     }
                 }
                 // Reuse the parent allocation for the final branch.
-                if matches!(self.add_child(&mut partial, inputs[last]), Outcome::Dead) {
+                if self.prunes_branch(worker, bound, inputs[last])
+                    || matches!(self.add_child(&mut partial, inputs[last]), Outcome::Dead)
+                {
                     worker.recycle(partial);
                 } else {
                     self.keep_if_bounded(worker, partial);
@@ -573,8 +615,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Add one child requirement to a partial cutset.
+    /// Add one child requirement, the node `child` stands for, to a
+    /// partial cutset.
     fn add_child(&self, partial: &mut Partial, child: NodeId) -> Outcome {
+        let child = self.rep(child);
         if self.tree.is_gate(child) {
             if !partial.gates.contains(&child) {
                 partial.gates.push(child);
@@ -594,14 +638,9 @@ impl<'a> Engine<'a> {
         Outcome::Alive
     }
 
-    /// Whether a partial cutset survives the cutoff and order limits.
-    ///
-    /// Beyond the plain probability test, a look-ahead bound prunes
-    /// partials whose pending gates can no longer produce a cutset above
-    /// the cutoff: each pending gate whose subtree is disjoint from the
-    /// chosen events *and* from the other counted subtrees contributes at
-    /// most its best single completion (`upper_bound`), so the product is
-    /// a sound upper bound on any refinement of the partial.
+    /// Whether a partial cutset survives the cutoff and order limits:
+    /// its probability and then its [look-ahead](Self::lookahead) must
+    /// stay above the cutoff.
     fn within_bounds(&self, worker: &mut Worker<'_>, partial: &Partial) -> bool {
         if let Some(max_order) = self.options.max_order {
             if partial.events.len() > max_order {
@@ -614,40 +653,91 @@ impl<'a> Engine<'a> {
         if partial.prob <= cutoff {
             return false;
         }
-        if partial.gates.is_empty() {
-            return true;
-        }
-        // Greedy disjoint look-ahead: cheapest gates first for the
-        // earliest possible exit.
-        worker.gate_scratch.clear();
-        worker.gate_scratch.extend_from_slice(&partial.gates);
+        partial.gates.is_empty()
+            || self.lookahead(
+                partial,
+                cutoff,
+                &mut worker.scratch,
+                &mut worker.gate_scratch,
+            ) > cutoff
+    }
+
+    /// The greedy disjoint look-ahead: a sound upper bound on every
+    /// refinement of `partial` (DESIGN §5, *MOCUS*). Starting from the
+    /// partial's probability and its events' bits in `bits`, it takes the
+    /// pending gates cheapest first (for the earliest possible exit), and
+    /// multiplies in the best single completion (`upper_bound`) of each
+    /// gate whose subtree misses every bit set so far, then sets the
+    /// gate's bits. It returns the product as soon as that is at most
+    /// `cutoff`, else after the last gate; `bits` then holds the union
+    /// `U` of the chosen events and the selected gates' masks.
+    fn lookahead(
+        &self,
+        partial: &Partial,
+        cutoff: f64,
+        bits: &mut [u64],
+        order: &mut Vec<NodeId>,
+    ) -> f64 {
+        order.clear();
+        order.extend_from_slice(&partial.gates);
         let ub = &self.upper_bound;
-        worker.gate_scratch.sort_by(|a, b| {
+        order.sort_by(|a, b| {
             ub[a.index()]
                 .partial_cmp(&ub[b.index()])
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        worker.scratch.fill(0);
+        bits.fill(0);
         for &event in &partial.events {
             let e = self.event_index[event.index()];
-            worker.scratch[e / 64] |= 1 << (e % 64);
+            bits[e / 64] |= 1 << (e % 64);
         }
         let mut bound = partial.prob;
-        for i in 0..worker.gate_scratch.len() {
-            let gate = worker.gate_scratch[i];
+        for &gate in order.iter() {
             let mask = &self.masks[gate.index()];
-            let disjoint = mask.iter().zip(&worker.scratch).all(|(m, s)| m & s == 0);
-            if disjoint {
+            if mask.iter().zip(&*bits).all(|(m, s)| m & s == 0) {
                 bound *= ub[gate.index()];
                 if bound <= cutoff {
-                    return false;
+                    return bound;
                 }
-                for (s, m) in worker.scratch.iter_mut().zip(mask) {
+                for (s, m) in bits.iter_mut().zip(mask) {
                     *s |= m;
                 }
             }
         }
-        true
+        bound
+    }
+
+    /// The parent side of the branch bound: the look-ahead product `R`
+    /// of the branching `parent` (its gate already popped), with its
+    /// union `U` left in `worker.branch_scratch`; `None` without a
+    /// cutoff. See [`Self::prunes_branch`].
+    fn branch_bound(&self, worker: &mut Worker<'_>, parent: &Partial) -> Option<f64> {
+        let cutoff = self.options.cutoff?;
+        Some(self.lookahead(
+            parent,
+            cutoff,
+            &mut worker.branch_scratch,
+            &mut worker.gate_scratch,
+        ))
+    }
+
+    /// Whether the branch to `child` is pruned before it is built, from
+    /// its parent's [`Self::branch_bound`] `R`: when `R · f ≤ cutoff`,
+    /// with `f` the best single completion of the node `child` stands
+    /// for if its subtree misses `U`, else 1 (an event in `U` may already
+    /// satisfy a selected gate). A pruned branch counts as pruned.
+    fn prunes_branch(&self, worker: &mut Worker<'_>, bound: Option<f64>, child: NodeId) -> bool {
+        let (Some(bound), Some(cutoff)) = (bound, self.options.cutoff) else {
+            return false;
+        };
+        let c = self.rep(child).index();
+        let disjoint = self.masks[c]
+            .iter()
+            .zip(&worker.branch_scratch)
+            .all(|(m, u)| m & u == 0);
+        let pruned = bound * if disjoint { self.upper_bound[c] } else { 1.0 } <= cutoff;
+        worker.pruned += u64::from(pruned);
+        pruned
     }
 
     fn expand_atleast(
@@ -663,6 +753,7 @@ impl<'a> Engine<'a> {
         let mut candidates: Vec<NodeId> = Vec::new();
         let mut threshold = k;
         for &child in tree.gate_inputs(gate) {
+            let child = self.rep(child);
             if tree.is_basic(child) {
                 if self.assumptions.is_failed(child) {
                     threshold = threshold.saturating_sub(1);
@@ -785,7 +876,23 @@ mod tests {
 
     /// Brute-force minimal cutsets by enumerating all scenarios.
     fn brute_force_mcs(tree: &FaultTree) -> Vec<Vec<String>> {
-        let events: Vec<NodeId> = tree.basic_events().collect();
+        brute_force_rooted(tree, tree.top(), &Assumptions::new(tree))
+    }
+
+    /// Brute-force minimal cutsets of `root` under `assumptions`: every
+    /// scenario fails the events assumed failed, and the minimal sets
+    /// range over the events without an assumption.
+    fn brute_force_rooted(
+        tree: &FaultTree,
+        root: NodeId,
+        assumptions: &Assumptions,
+    ) -> Vec<Vec<String>> {
+        let events: Vec<NodeId> = tree
+            .basic_events()
+            .filter(|&e| !assumptions.is_failed(e) && !assumptions.is_ok(e))
+            .collect();
+        let failed = tree.basic_events().filter(|&e| assumptions.is_failed(e));
+        let failed: Vec<NodeId> = failed.collect();
         assert!(events.len() <= 16);
         let mut failing: Vec<u32> = Vec::new();
         for mask in 0u32..(1 << events.len()) {
@@ -795,9 +902,10 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| mask >> i & 1 == 1)
-                    .map(|(_, &e)| e),
+                    .map(|(_, &e)| e)
+                    .chain(failed.iter().copied()),
             );
-            if tree.fails(tree.top(), &scenario) {
+            if tree.fails(root, &scenario) {
                 failing.push(mask);
             }
         }
@@ -941,8 +1049,10 @@ mod tests {
     fn shared_events_with_cutoff_are_not_over_pruned() {
         // top = AND(g1, g2) with g1 = OR(x), g2 = OR(x): the only MCS is
         // {x} with probability p(x). A naive lookahead product
-        // p(x)·p(x) = 1e-4 would wrongly prune it under a 1e-3 cutoff;
-        // the disjointness test must prevent that.
+        // p(x)·p(x) = 1e-4 would wrongly prune it under a 1e-3 cutoff.
+        // Both gates stand for x, so the top's expansion adds x once;
+        // `branch_bound_keeps_an_event_a_selected_gate_shares` covers the
+        // overlap rule on gates that do branch.
         let mut b = FaultTreeBuilder::new();
         let x = b.static_event("x", 0.01).unwrap();
         let g1 = b.or("g1", [x]).unwrap();
@@ -953,6 +1063,192 @@ mod tests {
         let probs = EventProbabilities::from_static(&t).unwrap();
         let mcs = minimal_cutsets(&t, &probs, &MocusOptions::with_cutoff(1e-3)).unwrap();
         assert_eq!(mcs_names(&t, &mcs), vec![vec!["x".to_owned()]]);
+    }
+
+    #[test]
+    fn branch_bound_keeps_an_event_a_selected_gate_shares() {
+        // AND(OR(x, y), OR(x, z)) at cutoff 0.005: expanding OR(x, z)
+        // leaves OR(x, y) pending, whose look-ahead is R = 0.02 with U =
+        // {x, y}. The branch to x must count as 1, not p(x) (0.02 · 0.01
+        // = 2e-4 would prune it): x may also satisfy OR(x, y), and {x}
+        // (0.01) is the one cutset above the cutoff. The branches to z
+        // (0.02 · 0.001) and, below x, to y (0.01 · 0.02) are pruned
+        // before they are built.
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.01).unwrap();
+        let y = b.static_event("y", 0.02).unwrap();
+        let z = b.static_event("z", 0.001).unwrap();
+        let g1 = b.or("g1", [x, y]).unwrap();
+        let g2 = b.or("g2", [x, z]).unwrap();
+        let top = b.and("top", [g1, g2]).unwrap();
+        b.top(top);
+        let t = b.build().unwrap();
+        let probs = EventProbabilities::from_static(&t).unwrap();
+        let (mcs, stats) =
+            minimal_cutsets_with_stats(&t, &probs, &MocusOptions::with_cutoff(0.005)).unwrap();
+        assert_eq!(mcs_names(&t, &mcs), vec![vec!["x".to_owned()]]);
+        // The top, its expansion, {x} with OR(x, y) pending, and the leaf.
+        assert_eq!(stats.partials_processed, 4);
+        assert_eq!(stats.partials_pruned, 2);
+        assert_eq!(stats.cutset_candidates, 1);
+    }
+
+    /// Wraps nodes in chains of single-input gates, or passes them
+    /// through unchanged, so one fixture builds a tree and its
+    /// chain-free twin.
+    struct Chains {
+        on: bool,
+        made: usize,
+    }
+
+    impl Chains {
+        /// `node` under one single-input gate per kind, innermost first.
+        fn wrap(&mut self, b: &mut FaultTreeBuilder, node: NodeId, kinds: &[GateKind]) -> NodeId {
+            if !self.on {
+                return node;
+            }
+            kinds.iter().fold(node, |inner, &kind| {
+                self.made += 1;
+                b.gate(&format!("t{}", self.made), kind, [inner]).unwrap()
+            })
+        }
+    }
+
+    /// A fixture: the tree, the root to expand, and the names of the
+    /// events assumed failed and functional.
+    type Fixture = (FaultTree, NodeId, Vec<&'static str>, Vec<&'static str>);
+
+    /// Example 1 with chains at the root, at events, and on an AND and an
+    /// `AtLeast(1)` gate.
+    fn chained_example1(chains: &mut Chains) -> Fixture {
+        use GateKind::{And, AtLeast, Or};
+        let mut b = FaultTreeBuilder::new();
+        let a = b.static_event("a", 3e-3).unwrap();
+        let bb = b.static_event("b", 1e-3).unwrap();
+        let c = b.static_event("c", 3e-3).unwrap();
+        let d = b.static_event("d", 1e-3).unwrap();
+        let e = b.static_event("e", 3e-6).unwrap();
+        let a = chains.wrap(&mut b, a, &[Or]);
+        let p1 = b.or("pump1", [a, bb]).unwrap();
+        let p2 = b.or("pump2", [c, d]).unwrap();
+        let p1 = chains.wrap(&mut b, p1, &[And]);
+        let p2 = chains.wrap(&mut b, p2, &[AtLeast(1), Or]);
+        let pumps = b.and("pumps", [p1, p2]).unwrap();
+        let e = chains.wrap(&mut b, e, &[And, Or]);
+        let top = b.or("cooling", [pumps, e]).unwrap();
+        let top = chains.wrap(&mut b, top, &[Or, And, AtLeast(1)]);
+        b.top(top);
+        let t = b.build().unwrap();
+        (t, top, vec![], vec![])
+    }
+
+    /// Two chains into one gate, under an AND and under an OR: the
+    /// chain-free twin lists the gate twice.
+    fn two_chains_into_one_gate(chains: &mut Chains) -> Fixture {
+        use GateKind::{And, Or};
+        let mut b = FaultTreeBuilder::new();
+        let x = b.static_event("x", 0.1).unwrap();
+        let y = b.static_event("y", 0.02).unwrap();
+        let z = b.static_event("z", 0.3).unwrap();
+        let w = b.static_event("w", 0.05).unwrap();
+        let g = b.or("g", [x, y]).unwrap();
+        let g1 = chains.wrap(&mut b, g, &[Or]);
+        let g2 = chains.wrap(&mut b, g, &[And, Or]);
+        let both = b.and("both", [g1, z, g2]).unwrap();
+        let g3 = chains.wrap(&mut b, g, &[And]);
+        let g4 = chains.wrap(&mut b, g, &[Or, Or]);
+        let either = b.or("either", [g3, g4]).unwrap();
+        let pair = b.and("pair", [either, w]).unwrap();
+        let top = b.or("top", [both, pair]).unwrap();
+        b.top(top);
+        let t = b.build().unwrap();
+        (t, top, vec![], vec![])
+    }
+
+    /// Events behind chains under assumptions, in a run rooted below the
+    /// top: an OR whose chained input is assumed failed is satisfied, a
+    /// chained input assumed functional is skipped, and a voting gate
+    /// lowers its threshold for a chained failed input.
+    fn chained_assumptions(
+        failed: Vec<&'static str>,
+        ok: Vec<&'static str>,
+    ) -> impl Fn(&mut Chains) -> Fixture {
+        move |chains| {
+            use GateKind::{And, Or};
+            let mut b = FaultTreeBuilder::new();
+            let x = b.static_event("x", 0.1).unwrap();
+            let y = b.static_event("y", 0.2).unwrap();
+            let z = b.static_event("z", 0.3).unwrap();
+            let v = b.static_event("v", 0.05).unwrap();
+            let u = b.static_event("u", 0.4).unwrap();
+            let y = chains.wrap(&mut b, y, &[Or, And]);
+            let z = chains.wrap(&mut b, z, &[And]);
+            let g = b.or("g", [y, z]).unwrap();
+            let v = chains.wrap(&mut b, v, &[Or]);
+            let vote = b.atleast("vote", 2, [v, x, u]).unwrap();
+            let inner = b.and("inner", [x, g]).unwrap();
+            let root = b.or("root", [inner, vote]).unwrap();
+            let root = chains.wrap(&mut b, root, &[And]);
+            let w = b.static_event("w", 0.5).unwrap();
+            let top = b.and("top", [root, w]).unwrap();
+            b.top(top);
+            let t = b.build().unwrap();
+            (t, root, failed.clone(), ok.clone())
+        }
+    }
+
+    /// A run of the fixture's root: its cutsets by name and its
+    /// counters, minimize time aside.
+    fn run_fixture(fixture: &Fixture, options: &MocusOptions) -> (Vec<Vec<String>>, MocusStats) {
+        let (t, root, failed, ok) = fixture;
+        let probs = EventProbabilities::from_static(t).unwrap();
+        let mut assume = Assumptions::new(t);
+        for name in failed {
+            assume.assume_failed(t.node_by_name(name).unwrap()).unwrap();
+        }
+        for name in ok {
+            assume.assume_ok(t.node_by_name(name).unwrap()).unwrap();
+        }
+        let (mcs, stats) =
+            minimal_cutsets_rooted_with_stats(t, *root, &probs, options, &assume).unwrap();
+        let stats = MocusStats {
+            minimize_time: std::time::Duration::ZERO,
+            ..stats
+        };
+        if options.cutoff.is_none() {
+            assert_eq!(mcs_names(t, &mcs), brute_force_rooted(t, *root, &assume));
+        }
+        (mcs_names(t, &mcs), stats)
+    }
+
+    #[test]
+    fn transfer_gates_change_neither_cutsets_nor_counters() {
+        type Build = Box<dyn Fn(&mut Chains) -> Fixture>;
+        let fixtures: Vec<Build> = vec![
+            Box::new(chained_example1),
+            Box::new(two_chains_into_one_gate),
+            Box::new(chained_assumptions(vec![], vec![])),
+            Box::new(chained_assumptions(vec!["y"], vec![])),
+            Box::new(chained_assumptions(vec!["v"], vec!["z"])),
+            Box::new(chained_assumptions(vec![], vec!["y", "z", "v"])),
+        ];
+        for (i, fixture) in fixtures.iter().enumerate() {
+            let mut chains = Chains { on: true, made: 0 };
+            let chained = fixture(&mut chains);
+            assert!(chains.made > 0);
+            let plain = fixture(&mut Chains { on: false, made: 0 });
+            for options in [
+                MocusOptions::exhaustive(),
+                MocusOptions::with_cutoff(1e-3),
+                MocusOptions::with_cutoff(2e-6),
+            ] {
+                let (chained_mcs, chained_stats) = run_fixture(&chained, &options);
+                let (plain_mcs, plain_stats) = run_fixture(&plain, &options);
+                let case = format!("fixture {i}, cutoff {:?}", options.cutoff);
+                assert_eq!(chained_mcs, plain_mcs, "{case}");
+                assert_eq!(chained_stats, plain_stats, "{case}");
+            }
+        }
     }
 
     #[test]

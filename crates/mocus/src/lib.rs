@@ -8,6 +8,11 @@
 //! gates extend a partial cutset, OR gates branch it — and a partial cutset
 //! is discarded as soon as the product of its basic event probabilities
 //! falls below the cutoff `c*`, which is conservative for coherent trees.
+//! A look-ahead over the pending gates prunes partial cutsets that can no
+//! longer reach the cutoff, and bounds each OR branch before it is built.
+//! Gates with a single input (the transfer gates of PSA models) are
+//! resolved to the node they stand for once, before expansion, so they
+//! cost no expansion step.
 //!
 //! The solver works on the *static* structure of a fault tree; dynamic
 //! basic events take part through caller-supplied probabilities (for the

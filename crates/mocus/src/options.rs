@@ -12,13 +12,17 @@ pub struct MocusOptions {
     /// no cutset above the cutoff is ever lost (§IV-B). With a cutoff
     /// set, a look-ahead bound also prunes partial cutsets whose pending
     /// gates can no longer reach it (per-gate best-completion bounds over
-    /// disjoint subtrees; equally sound).
+    /// disjoint subtrees; equally sound), and an OR branch is pruned
+    /// before it is built when its parent's look-ahead times the branch's
+    /// own best completion cannot reach it.
     pub cutoff: Option<f64>,
     /// Discard any (partial) cutset with more events than this.
     pub max_order: Option<usize>,
     /// Abort once more than this many cutset candidates were generated.
     pub max_cutsets: usize,
     /// Abort once more than this many partial cutsets were processed.
+    /// Transfer gates (gates with one input) are expanded as the node
+    /// they stand for, so they do not count against this budget.
     pub max_partials: usize,
     /// Abort when a single at-least gate would expand into more than this
     /// many combinations.

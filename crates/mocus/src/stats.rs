@@ -7,8 +7,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MocusStats {
     /// Partial cutsets processed (popped and expanded), leaves included.
+    /// A gate with one input (a transfer gate) is never a partial of its
+    /// own: MOCUS expands the node it stands for in its place.
     pub partials_processed: u64,
-    /// Branches discarded by the cutoff, order limit or look-ahead bound.
+    /// Branches discarded by the cutoff, order limit or look-ahead bound,
+    /// including the OR branches the parent's look-ahead discards before
+    /// they are built.
     pub partials_pruned: u64,
     /// Cutset candidates emitted before minimization.
     pub cutset_candidates: u64,
